@@ -18,10 +18,9 @@ from .experiment import (
     resonance_shift,
 )
 from .lifshitz import (
-    ForceCurve,
+    Curve,
     HalfspacePair,
     MatsubaraGrid,
-    PressureCurve,
     ReflectionPair,
     SumDiagnostics,
     TruncationError,
@@ -48,12 +47,10 @@ from .materials import (
     PermittivityModel,
     build_material,
     catalog_names,
-    eval_permittivity,
     kk_to_imaginary_axis,
     load_optical_table,
     plasma_frequency,
     scattering_time,
-    static_permittivity,
     with_dc_conductivity,
     with_te_zero,
 )
@@ -73,18 +70,15 @@ __all__ = [
     "PermittivityModel",
     "build_material",
     "catalog_names",
-    "eval_permittivity",
     "kk_to_imaginary_axis",
     "load_optical_table",
     "plasma_frequency",
     "scattering_time",
-    "static_permittivity",
     "with_dc_conductivity",
     "with_te_zero",
-    "ForceCurve",
+    "Curve",
     "HalfspacePair",
     "MatsubaraGrid",
-    "PressureCurve",
     "ReflectionPair",
     "SumDiagnostics",
     "TruncationError",

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import EV_TO_RAD_S, KB
+from .constants import EV_TO_RAD_S
 from .experiment import (
     CantileverParams,
     five_point_gradient,
@@ -32,9 +32,8 @@ from .lifshitz import (
     difference_force,
     difference_force_curve,
     difference_pressure_curve,
-    polylog3,
-    zero_freq_gap_force,
-    zero_freq_gap_pressure,
+    reflection_coefficients,
+    _zero_freq_gap,
 )
 from .materials import (
     DrudeParams,
@@ -269,6 +268,11 @@ def _build(config: SweepConfig, name: str):
     return _build_named(name, config.drude_overrides, config.optical_table)
 
 
+def _materials(config: SweepConfig):
+    """The probe, high and low materials of a sweep config."""
+    return tuple(_build(config, name) for name in (config.probe, config.high, config.low))
+
+
 # --- output writers -------------------------------------------------------
 
 
@@ -295,25 +299,19 @@ def _emit_table(meta: dict, columns: list[str], rows: list[list], fmt: str, out:
 # --- sweep / compare ------------------------------------------------------
 
 
+def _curve(config: SweepConfig, probe, high, low, low_freq_model: str):
+    """The difference curve of a sweep config under one low-frequency model."""
+    zs, grid = config.separations(), config.grid()
+    options = dict(low_freq_model=low_freq_model, workers=config.workers)
+    if config.quantity == "force":
+        return difference_force_curve(probe, high, low, config.sphere_radius, zs, grid, **options)
+    return difference_pressure_curve(probe, high, low, zs, grid, **options)
+
+
 def run_sweep(config: SweepConfig):
     """Compute the difference curve of a sweep config and write it out."""
-    probe = _build(config, config.probe)
-    high = _build(config, config.high)
-    low = _build(config, config.low)
-    zs = config.separations()
-    grid = config.grid()
-    if config.quantity == "force":
-        curve = difference_force_curve(
-            probe, high, low, config.sphere_radius, zs, grid,
-            low_freq_model=config.low_freq_model, workers=config.workers,
-        )
-        value_col = "force_N"
-    else:
-        curve = difference_pressure_curve(
-            probe, high, low, zs, grid,
-            low_freq_model=config.low_freq_model, workers=config.workers,
-        )
-        value_col = "pressure_Pa"
+    curve = _curve(config, *_materials(config), config.low_freq_model)
+    value_col = "force_N" if config.quantity == "force" else "pressure_Pa"
     meta = config.as_metadata()
     meta["rel_tol"] = curve.metadata["rel_tol"]
     meta["nodes"] = curve.metadata["nodes"]
@@ -356,25 +354,12 @@ class ComparisonReport:
 
 def compare_models(config: SweepConfig) -> ComparisonReport:
     """Sweep under both low-frequency models and report numeric vs analytic gaps."""
-    probe = _build(config, config.probe)
-    high = _build(config, config.high)
-    low = _build(config, config.low)
+    probe, high, low = _materials(config)
     zs = config.separations()
-    grid = config.grid()
     eps0 = with_dc_conductivity(low, False).static_permittivity()
     analytic = _analytic_gap(config, probe, eps0)
-    if config.quantity == "force":
-        builder = lambda model: difference_force_curve(  # noqa: E731
-            probe, high, low, config.sphere_radius, zs, grid,
-            low_freq_model=model, workers=config.workers,
-        )
-    else:
-        builder = lambda model: difference_pressure_curve(  # noqa: E731
-            probe, high, low, zs, grid,
-            low_freq_model=model, workers=config.workers,
-        )
-    curve_a = builder("a")
-    curve_b = builder("b")
+    curve_a = _curve(config, probe, high, low, "a")
+    curve_b = _curve(config, probe, high, low, "b")
     gap_num = tuple(a - b for a, b in zip(curve_a.values, curve_b.values))
     gap_ana = tuple(analytic(z) for z in zs)
     rel_dev = tuple(abs(n - a) / abs(a) for n, a in zip(gap_num, gap_ana))
@@ -392,25 +377,15 @@ def compare_models(config: SweepConfig) -> ComparisonReport:
 def _analytic_gap(config: SweepConfig, probe, eps0_low: float):
     """Closed-form zero-frequency gap as a function of separation.
 
-    For a conducting probe this is the standard zeta(3)/trilogarithm form;
-    for a finite-permittivity probe the general trilogarithm difference with
-    the probe's zero-frequency TM amplitude keeps the report identity exact.
+    For a conducting probe (zero-frequency TM amplitude 1) this is the
+    standard zeta(3)/trilogarithm form; for a finite-permittivity probe the
+    trilogarithm difference with the probe's own amplitude keeps the report
+    identity exact.
     """
-    probe_static = probe.static_permittivity()
-    if math.isinf(probe_static):
-        if config.quantity == "force":
-            return lambda z: zero_freq_gap_force(
-                config.sphere_radius, z, config.temperature, eps0_low
-            )
-        return lambda z: zero_freq_gap_pressure(z, config.temperature, eps0_low)
-    r_probe = (probe_static - 1.0) / (probe_static + 1.0)
-    r_low = (eps0_low - 1.0) / (eps0_low + 1.0)
-    braces = polylog3(r_probe) - polylog3(r_probe * r_low)
-    if config.quantity == "force":
-        pref = -KB * config.temperature * config.sphere_radius / 8.0
-        return lambda z: pref * braces / (z * z)
-    pref = -KB * config.temperature / (8.0 * math.pi)
-    return lambda z: pref * braces / z**3
+    # the zero-frequency TM amplitude does not depend on k_perp
+    r_probe = reflection_coefficients(probe.static_permittivity(), 0.0, 1.0).r_tm
+    radius = config.sphere_radius if config.quantity == "force" else None
+    return lambda z: _zero_freq_gap(r_probe, eps0_low, z, config.temperature, radius)
 
 
 def _write_report(report: ComparisonReport, config: SweepConfig) -> None:
@@ -513,9 +488,7 @@ def cmd_shift(args) -> int:
     if args.gradient is not None:
         gradient = float(args.gradient)
     else:
-        probe = _build(config, config.probe)
-        high = _build(config, config.high)
-        low = _build(config, config.low)
+        probe, high, low = _materials(config)
         grid = MatsubaraGrid(T=config.temperature)
 
         def force(zz: float) -> float:

@@ -47,11 +47,11 @@ class CantileverParams:
 
     def __post_init__(self) -> None:
         for name in ("k", "f_r", "Q", "B", "T"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"cantilever parameter {name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"cantilever parameter {name} must be positive and finite")
         if self.M is not None:
-            if not self.M > 0.0:
-                raise ValueError("cantilever parameter M must be positive")
+            if not 0.0 < self.M < math.inf:
+                raise ValueError("cantilever parameter M must be positive and finite")
             if abs(math.sqrt(self.k / self.M) / self.omega_r - 1.0) > 1e-9:
                 raise ValueError("M inconsistent with k and f_r")
 

@@ -5,10 +5,20 @@ The free energy per unit area of two parallel half-spaces at separation z is
 a Matsubara sum over imaginary frequencies xi_l = 2 pi kB T l / hbar (the
 l = 0 term carries half weight) of a transverse-momentum integral over the
 two polarization log terms ln(1 - r_TM^a r_TM^b e^{-2 q z}) and the TE
-analog.  The sphere-plate force follows from the proximity force
-approximation F = 2 pi R E(z).  Difference quantities for a probe facing
-two plate sections are evaluated in a single pass as the log-ratio sum,
-sharing q_l and the probe reflection amplitudes between the two sections.
+analog; the pressure sums r^a r^b e^{-2 q z} / (1 - r^a r^b e^{-2 q z})
+instead.  The sphere-plate force follows from the proximity force
+approximation F = 2 pi R E(z).
+
+Every quantity is computed by one kernel, ``_thermal_sum``: a probe facing
+two plate sections, evaluated in a single pass as the difference of the two
+pairs, sharing q_l and the probe reflection amplitudes between the sections.
+A single-pair quantity is the difference against a vacuum section, whose
+amplitudes are exactly 0.  Matsubara indices l >= 1 are evaluated in fixed
+blocks, as (block x node) arrays; the terms are then added one at a time in
+index order, and the sum stops once the latest term falls below ``rel_tol``
+times the running total.  That test bounds the last term, not the
+truncation error, which can be several times larger (4.6 times for the VO2
+difference force at 100 nm with rel_tol = 1e-12).
 
 The momentum integral is evaluated after the substitution y = 2 q z, which
 maps it onto a fixed window [y_l, y_l + Y_WINDOW] with an exponentially
@@ -22,10 +32,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, NamedTuple
+from functools import lru_cache, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +45,7 @@ __all__ = [
     "MatsubaraGrid",
     "ReflectionPair",
     "HalfspacePair",
-    "ForceCurve",
-    "PressureCurve",
+    "Curve",
     "SumDiagnostics",
     "TruncationError",
     "matsubara_frequency",
@@ -67,6 +75,9 @@ DEFAULT_NODES = 120
 # PFA error is bounded by z/R; warn beyond this ratio.
 PFA_RATIO_LIMIT = 0.01
 
+# Matsubara indices l >= 1 evaluated together, as (block x node) arrays.
+_BLOCK = 32
+
 
 class TruncationError(RuntimeError):
     """Matsubara sum hit the term cap before reaching the requested tolerance."""
@@ -90,8 +101,8 @@ class MatsubaraGrid:
     l_max_cap: int = 20000
 
     def __post_init__(self) -> None:
-        if not self.T > 0.0:
-            raise ValueError("temperature must be positive")
+        if not 0.0 < self.T < math.inf:
+            raise ValueError("temperature T must be positive and finite")
         if not 0.0 < self.rel_tol < 1e-3:
             raise ValueError("rel_tol must lie in (0, 1e-3)")
         if self.l_max_cap < 100:
@@ -116,8 +127,8 @@ class HalfspacePair:
     sphere_radius: float | None = None
 
     def __post_init__(self) -> None:
-        if self.sphere_radius is not None and not self.sphere_radius > 0.0:
-            raise ValueError("sphere radius must be positive")
+        if self.sphere_radius is not None and not 0.0 < self.sphere_radius < math.inf:
+            raise ValueError("sphere radius must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -129,51 +140,31 @@ class SumDiagnostics:
     converged: bool
 
 
-def _validated_curve(separations, values, metadata):
-    separations = tuple(float(z) for z in separations)
-    values = tuple(float(v) for v in values)
-    if len(separations) != len(values):
-        raise ValueError("separations and values differ in length")
-    if any(b <= a for a, b in zip(separations, separations[1:])):
-        raise ValueError("separations must be strictly increasing")
-    if not all(math.isfinite(v) for v in values):
-        raise ValueError("curve values must be finite")
-    return separations, values, dict(metadata)
-
-
 @dataclass(frozen=True)
-class ForceCurve:
-    """Difference force (N) on a separation grid; attractive values negative."""
+class Curve:
+    """Difference force (N) or pressure (Pa) on a separation grid; attractive values negative."""
 
     separations: tuple[float, ...]
     values: tuple[float, ...]
     metadata: dict
 
     def __post_init__(self) -> None:
-        s, v, m = _validated_curve(self.separations, self.values, self.metadata)
-        object.__setattr__(self, "separations", s)
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "metadata", m)
+        separations = tuple(float(z) for z in self.separations)
+        values = tuple(float(v) for v in self.values)
+        if len(separations) != len(values):
+            raise ValueError("separations and values differ in length")
+        if any(b <= a for a, b in zip(separations, separations[1:])):
+            raise ValueError("separations must be strictly increasing")
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError("curve values must be finite")
+        object.__setattr__(self, "separations", separations)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "metadata", dict(self.metadata))
 
 
-@dataclass(frozen=True)
-class PressureCurve:
-    """Difference pressure (Pa) on a separation grid; attractive values negative."""
-
-    separations: tuple[float, ...]
-    values: tuple[float, ...]
-    metadata: dict
-
-    def __post_init__(self) -> None:
-        s, v, m = _validated_curve(self.separations, self.values, self.metadata)
-        object.__setattr__(self, "separations", s)
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "metadata", m)
-
-
-def matsubara_frequency(l: int, T: float) -> float:
-    """xi_l = 2 pi kB T l / hbar in rad/s."""
-    if l < 0:
+def matsubara_frequency(l, T: float):
+    """xi_l = 2 pi kB T l / hbar in rad/s, for an index or an array of indices."""
+    if np.any(np.less(l, 0)):
         raise ValueError("Matsubara index must be non-negative")
     if not T > 0.0:
         raise ValueError("temperature must be positive")
@@ -181,6 +172,39 @@ def matsubara_frequency(l: int, T: float) -> float:
 
 
 # --- reflection amplitudes ---------------------------------------------
+
+
+def _fresnel(eps, xi_c2, kp2):
+    """r_TM, r_TE at xi > 0 from eps(i xi), (xi/c)^2 and kp2 = k_perp^2.
+
+    Floats or broadcastable arrays.  q is built from kp2 with the same
+    expression as k, so eps = 1 gives bitwise-equal q and k, hence exactly
+    vanishing amplitudes.
+    """
+    q = (kp2 + 1.0 * xi_c2) ** 0.5
+    k = (kp2 + eps * xi_c2) ** 0.5
+    eq = eps * q
+    return (eq - k) / (eq + k), (k - q) / (k + q)
+
+
+def _zero_freq_reflections(eps0, te_zero, omega_p, kp2):
+    """The xi = 0 reflection rule: r_TM, r_TE over kp2 = k_perp^2 (float or array).
+
+    A finite static permittivity gives r_TM = (eps0 - 1)/(eps0 + 1) and
+    r_TE = 0.  ``eps0 = math.inf`` marks a dc conductor: r_TM = 1, and r_TE
+    follows ``te_zero``: 0 for ``"zero"``; for ``"plasma"`` the plasma-limit
+    value (kappa - k_perp)/(kappa + k_perp) with kappa^2 = k_perp^2 +
+    (omega_p/c)^2, which is 1 for ``omega_p = None`` (a perfect conductor).
+    """
+    if not math.isinf(eps0):
+        return (eps0 - 1.0) / (eps0 + 1.0), 0.0
+    if te_zero == "zero":
+        return 1.0, 0.0
+    if omega_p is None:
+        return 1.0, 1.0
+    q = kp2**0.5
+    kappa = (kp2 + (omega_p / C) ** 2) ** 0.5
+    return 1.0, (kappa - q) / (kappa + q)
 
 
 def reflection_coefficients(
@@ -215,77 +239,29 @@ def reflection_coefficients(
         raise ValueError("eps must be >= 1 or the 'infinite' marker math.inf")
     if te_zero not in ("zero", "plasma"):
         raise ValueError("te_zero must be 'zero' or 'plasma'")
-
     if xi == 0.0:
-        if math.isinf(eps):
-            r_tm = 1.0
-            if te_zero == "plasma":
-                if plasma_omega_p is None:
-                    r_te = 1.0
-                else:
-                    kappa = math.sqrt(k_perp * k_perp + (plasma_omega_p / C) ** 2)
-                    r_te = (kappa - k_perp) / (kappa + k_perp)
-            else:
-                r_te = 0.0
-        else:
-            r_tm = (eps - 1.0) / (eps + 1.0)
-            r_te = 0.0
-        return ReflectionPair(r_tm, r_te)
-
+        return ReflectionPair(*_zero_freq_reflections(eps, te_zero, plasma_omega_p, k_perp * k_perp))
     if math.isinf(eps):
         return ReflectionPair(1.0, 1.0)
-    # sharing the k_perp^2 + eps (xi/c)^2 expression makes eps = 1 give
-    # bitwise-equal q and k, hence exactly vanishing amplitudes
-    q = math.sqrt(k_perp * k_perp + 1.0 * (xi / C) ** 2)
-    k = math.sqrt(k_perp * k_perp + eps * (xi / C) ** 2)
-    return ReflectionPair((eps * q - k) / (eps * q + k), (k - q) / (k + q))
+    return ReflectionPair(*_fresnel(eps, (xi / C) ** 2, k_perp * k_perp))
 
 
-def _model_reflections(model: PermittivityModel, xi: float, kp2):
-    """Vectorized r_TM, r_TE of one material over transverse momenta kp2 = k_perp^2.
+def _reflections(model: PermittivityModel, xi, kp2):
+    """r_TM, r_TE of one material over a block of frequencies.
 
-    q is rebuilt from kp2 with the same expression used for k, so eps = 1
-    yields exactly vanishing amplitudes.
+    ``xi`` has shape (block,) and is either all zero or all positive;
+    ``kp2`` = k_perp^2 has shape (block, nodes).
     """
-    if xi == 0.0:
-        q = np.sqrt(kp2)
-        eps0 = model.static_permittivity()
-        if math.isinf(eps0):
-            r_tm = np.ones_like(q)
-            if model.te_zero == "plasma":
-                if model.perfect_conductor:
-                    r_te = np.ones_like(q)
-                elif model.drude is not None:
-                    kappa = np.sqrt(kp2 + (model.drude.omega_p / C) ** 2)
-                    r_te = (kappa - q) / (kappa + q)
-                else:
-                    # dc flag without free-carrier parameters: no plasma scale
-                    r_te = np.zeros_like(q)
-            else:
-                r_te = np.zeros_like(q)
-        else:
-            r_tm = np.full_like(q, (eps0 - 1.0) / (eps0 + 1.0))
-            r_te = np.zeros_like(q)
-        return r_tm, r_te
-
-    eps = model.eval(xi)
-    if math.isinf(eps):
-        ones = np.ones_like(kp2)
-        return ones, ones
-    xi_c2 = (xi / C) ** 2
-    q = np.sqrt(kp2 + 1.0 * xi_c2)
-    k = np.sqrt(kp2 + eps * xi_c2)
-    eq = eps * q
-    return (eq - k) / (eq + k), (k - q) / (k + q)
-
-
-def _zero_freq_te_vanishes(model: PermittivityModel) -> bool:
-    """True when the material's zero-frequency TE amplitude is identically 0."""
-    if not math.isinf(model.static_permittivity()):
-        return True
-    return model.te_zero == "zero" or (
-        not model.perfect_conductor and model.drude is None
-    )
+    if not xi[0]:
+        # the plasma scale of the TE rule: none for a perfect conductor, 0
+        # (hence r_TE = 0) for a dc flag without free-carrier parameters
+        omega_p = model.drude.omega_p if model.drude is not None else 0.0
+        if model.perfect_conductor:
+            omega_p = None
+        return _zero_freq_reflections(model.static_permittivity(), model.te_zero, omega_p, kp2)
+    if model.perfect_conductor:
+        return 1.0, 1.0
+    return _fresnel(model.eval(xi)[:, None], ((xi / C) ** 2)[:, None], kp2)
 
 
 # --- quadrature ---------------------------------------------------------
@@ -299,9 +275,11 @@ def _leggauss(n: int):
     return x, w
 
 
-def _momentum_grid(xi: float, z: float, nodes: int):
+def _momentum_grid(xi, z: float, nodes: int):
     """Quadrature grid in y = 2 q z together with the k_perp^2 array.
 
+    For a float xi, y and kp2 have shape (nodes,); for an array of
+    frequencies, (len(xi), nodes).  The weights, shape (nodes,), are shared.
     Nodes are placed in u with y = y_min + u^2, which clusters points at the
     lower edge; the zero-frequency integrand has a y ln y endpoint behaviour
     that the substitution turns into the quadrature-friendly u^3 ln u.
@@ -309,7 +287,7 @@ def _momentum_grid(xi: float, z: float, nodes: int):
     x, w = _leggauss(nodes)
     half = 0.5 * math.sqrt(Y_WINDOW)
     u = (x + 1.0) * half
-    y_min = 2.0 * z * xi / C
+    y_min = 2.0 * z * np.asarray(xi)[..., None] / C
     y = y_min + u * u
     weights = w * half * 2.0 * u
     # q^2 - (xi/c)^2 = u^2 (u^2 + 2 y_min) / (2 z)^2, free of cancellation
@@ -317,25 +295,77 @@ def _momentum_grid(xi: float, z: float, nodes: int):
     return y, weights, kp2
 
 
-# --- Matsubara summation engine -----------------------------------------
+# --- the thermal-sum kernel ---------------------------------------------
 
 
-def _matsubara_sum(
-    term: Callable[[int, float], float],
-    grid: MatsubaraGrid,
-    l0_value: float | None = None,
-) -> tuple[float, SumDiagnostics]:
-    """Sum term(l, xi_l) with half weight at l = 0 and adaptive truncation.
+def _energy_integrand(a, y):
+    return np.log1p(-a * np.exp(-y))
 
-    ``l0_value`` substitutes the l = 0 term (before the half weight), used
-    when it is available in closed form.
+
+def _pressure_integrand(a, y):
+    # a e^{-y} / (1 - a e^{-y}) written as a / (expm1(y) + (1 - a)) for
+    # stability near y = 0 with a = 1.
+    return a / (np.expm1(y) + (1.0 - a))
+
+
+# quantity -> (integrand g(A, y) of the amplitude product A = r_probe r_plate,
+# power of y in the measure, factor c of the closed-form zero-frequency
+# integral c Li3(A)): the integral of y ln(1 - A e^{-y}) over [0, inf) is
+# -Li3(A), that of y^2 A e^{-y}/(1 - A e^{-y}) is 2 Li3(A).
+_QUANTITIES = {
+    "energy": (_energy_integrand, 1, -1.0),
+    "pressure": (_pressure_integrand, 2, 2.0),
+}
+
+_VACUUM = PermittivityModel(label="vacuum")
+
+
+def _thermal_sum(quantity, probe, high, low, z, grid, nodes, analytic_l0=False):
+    """Matsubara sum of ``quantity`` for ``probe`` facing ``high`` minus facing ``low``.
+
+    Returns the dimensionless sum and its :class:`SumDiagnostics`.  The l = 0
+    term carries half weight; ``analytic_l0`` replaces it with its exact
+    trilogarithm value, which needs both sections to have vanishing
+    zero-frequency TE reflection.  Raises ``ValueError`` at the first
+    non-finite term and :class:`TruncationError` at the term cap.
     """
+    if not 0.0 < z < math.inf:
+        raise ValueError("separation z must be positive and finite")
+    integrand, power, l0_factor = _QUANTITIES[quantity]
+
+    def amplitudes(xi, kp2):
+        return [_reflections(model, xi, kp2) for model in (probe, high, low)]
+
+    def block_terms(xi):
+        y, weights, kp2 = _momentum_grid(xi, z, nodes)
+        (rtp, rep), (rth, reh), (rtl, rel) = amplitudes(xi, kp2)
+        # grouped per polarization: identical sections cancel exactly
+        g = (integrand(rtp * rth, y) - integrand(rtp * rtl, y)) + (
+            integrand(rep * reh, y) - integrand(rep * rel, y)
+        )
+        return ((y**power * g) @ weights).tolist()
+
+    def indexed_terms():
+        zero = np.zeros(1)
+        if analytic_l0:
+            (rtp, _), (rth, reh), (rtl, rel) = amplitudes(zero, _momentum_grid(zero, z, nodes)[2])
+            if np.any(reh) or np.any(rel):
+                raise ValueError(
+                    "analytic zero-frequency term requires both plate sections to have "
+                    "vanishing TE reflection at zero frequency"
+                )
+            t0 = l0_factor * _li3_difference(rtp, rth, rtl)
+        else:
+            t0 = block_terms(zero)[0]
+        yield 0, 0.5 * t0
+        for start in range(1, grid.l_max_cap + 1, _BLOCK):
+            ls = np.arange(start, min(start + _BLOCK, grid.l_max_cap + 1))
+            yield from zip(ls.tolist(), block_terms(matsubara_frequency(ls, grid.T)))
+
     total = 0.0
-    for l in range(grid.l_max_cap + 1):
-        xi = matsubara_frequency(l, grid.T)
-        t = l0_value if (l == 0 and l0_value is not None) else term(l, xi)
-        if l == 0:
-            t *= 0.5
+    for l, t in indexed_terms():
+        if not math.isfinite(t):
+            raise ValueError(f"Matsubara term l = {l} is not finite")
         total += t
         if l >= 1 and abs(t) <= grid.rel_tol * abs(total):
             rel = abs(t) / abs(total) if total != 0.0 else 0.0
@@ -352,6 +382,17 @@ def _matsubara_sum(
 # --- core quantities -----------------------------------------------------
 
 
+def _check_sphere(R: float, z: float) -> None:
+    if not 0.0 < R < math.inf:
+        raise ValueError("sphere radius must be positive and finite")
+    if z / R > PFA_RATIO_LIMIT:
+        warnings.warn(
+            f"z/R = {z / R:.3g} exceeds {PFA_RATIO_LIMIT}; the proximity force "
+            "approximation error grows like z/R",
+            stacklevel=3,
+        )
+
+
 def free_energy_per_area(
     pair: HalfspacePair,
     z: float,
@@ -364,19 +405,7 @@ def free_energy_per_area(
 
     Negative for attractive configurations.
     """
-    if not z > 0.0:
-        raise ValueError("separation must be positive")
-    side_a, side_b = pair.side_a, pair.side_b
-
-    def term(l: int, xi: float) -> float:
-        y, w, kp2 = _momentum_grid(xi, z, nodes)
-        rta, rea = _model_reflections(side_a, xi, kp2)
-        rtb, reb = _model_reflections(side_b, xi, kp2)
-        em = np.exp(-y)
-        g = np.log1p(-rta * rtb * em) + np.log1p(-rea * reb * em)
-        return float(np.dot(w, y * g))
-
-    s, diag = _matsubara_sum(term, grid)
+    s, diag = _thermal_sum("energy", pair.side_a, pair.side_b, _VACUUM, z, grid, nodes)
     value = KB * grid.T / (8.0 * math.pi * z * z) * s
     return (value, diag) if with_diagnostics else value
 
@@ -393,17 +422,10 @@ def sphere_plate_force(
     if pair.sphere_radius is None:
         raise ValueError("sphere_plate_force needs a sphere-plate pair")
     R = pair.sphere_radius
-    if z / R > PFA_RATIO_LIMIT:
-        warnings.warn(
-            f"z/R = {z / R:.3g} exceeds {PFA_RATIO_LIMIT}; the proximity force "
-            "approximation error grows like z/R",
-            stacklevel=2,
-        )
-    out = free_energy_per_area(pair, z, grid, nodes=nodes, with_diagnostics=with_diagnostics)
-    if with_diagnostics:
-        energy, diag = out
-        return 2.0 * math.pi * R * energy, diag
-    return 2.0 * math.pi * R * out
+    _check_sphere(R, z)
+    energy, diag = free_energy_per_area(pair, z, grid, nodes=nodes, with_diagnostics=True)
+    value = 2.0 * math.pi * R * energy
+    return (value, diag) if with_diagnostics else value
 
 
 def plate_plate_pressure(
@@ -415,26 +437,9 @@ def plate_plate_pressure(
     with_diagnostics: bool = False,
 ):
     """Pressure (Pa) between two half-space plates; negative = attractive."""
-    if not z > 0.0:
-        raise ValueError("separation must be positive")
-    side_a, side_b = pair.side_a, pair.side_b
-
-    def term(l: int, xi: float) -> float:
-        y, w, kp2 = _momentum_grid(xi, z, nodes)
-        rta, rea = _model_reflections(side_a, xi, kp2)
-        rtb, reb = _model_reflections(side_b, xi, kp2)
-        g = _pressure_kernel(rta * rtb, y) + _pressure_kernel(rea * reb, y)
-        return float(np.dot(w, y * y * g))
-
-    s, diag = _matsubara_sum(term, grid)
+    s, diag = _thermal_sum("pressure", pair.side_a, pair.side_b, _VACUUM, z, grid, nodes)
     value = -KB * grid.T / (8.0 * math.pi * z**3) * s
     return (value, diag) if with_diagnostics else value
-
-
-def _pressure_kernel(a, y):
-    # a e^{-y} / (1 - a e^{-y}) written as a / (expm1(y) + (1 - a)) for
-    # stability near y = 0 with a = 1.
-    return a / (np.expm1(y) + (1.0 - a))
 
 
 def _apply_low_freq_model(model: PermittivityModel, low_freq_model: str | None):
@@ -445,13 +450,6 @@ def _apply_low_freq_model(model: PermittivityModel, low_freq_model: str | None):
     if low_freq_model == "b":
         return with_dc_conductivity(model, True)
     raise ValueError("low_freq_model must be None, 'a' or 'b'")
-
-
-def _zero_freq_tm(model: PermittivityModel) -> float:
-    eps0 = model.static_permittivity()
-    if math.isinf(eps0):
-        return 1.0
-    return (eps0 - 1.0) / (eps0 + 1.0)
 
 
 def difference_force(
@@ -476,32 +474,9 @@ def difference_force(
     trilogarithm value (valid when both plate sections have vanishing
     zero-frequency TE reflection).
     """
-    if not R > 0.0:
-        raise ValueError("sphere radius must be positive")
-    if not z > 0.0:
-        raise ValueError("separation must be positive")
-    if z / R > PFA_RATIO_LIMIT:
-        warnings.warn(
-            f"z/R = {z / R:.3g} exceeds {PFA_RATIO_LIMIT}; the proximity force "
-            "approximation error grows like z/R",
-            stacklevel=2,
-        )
+    _check_sphere(R, z)
     mat_low = _apply_low_freq_model(mat_low, low_freq_model)
-
-    def term(l: int, xi: float) -> float:
-        y, w, kp2 = _momentum_grid(xi, z, nodes)
-        rtp, rep = _model_reflections(probe, xi, kp2)
-        rth, reh = _model_reflections(mat_high, xi, kp2)
-        rtl, rel = _model_reflections(mat_low, xi, kp2)
-        em = np.exp(-y)
-        # grouped per polarization: identical sections cancel exactly
-        g = (np.log1p(-rtp * rth * em) - np.log1p(-rtp * rtl * em)) + (
-            np.log1p(-rep * reh * em) - np.log1p(-rep * rel * em)
-        )
-        return float(np.dot(w, y * g))
-
-    l0 = _analytic_l0_energy(probe, mat_high, mat_low) if analytic_l0 else None
-    s, diag = _matsubara_sum(term, grid, l0_value=l0)
+    s, diag = _thermal_sum("energy", probe, mat_high, mat_low, z, grid, nodes, analytic_l0)
     value = KB * grid.T * R / (4.0 * z * z) * s
     return (value, diag) if with_diagnostics else value
 
@@ -519,79 +494,28 @@ def difference_pressure(
     with_diagnostics: bool = False,
 ):
     """One-pass difference pressure P_high(z) - P_low(z) between plates."""
-    if not z > 0.0:
-        raise ValueError("separation must be positive")
     mat_low = _apply_low_freq_model(mat_low, low_freq_model)
-
-    def term(l: int, xi: float) -> float:
-        y, w, kp2 = _momentum_grid(xi, z, nodes)
-        rtp, rep = _model_reflections(probe, xi, kp2)
-        rth, reh = _model_reflections(mat_high, xi, kp2)
-        rtl, rel = _model_reflections(mat_low, xi, kp2)
-        g = (_pressure_kernel(rtp * rth, y) - _pressure_kernel(rtp * rtl, y)) + (
-            _pressure_kernel(rep * reh, y) - _pressure_kernel(rep * rel, y)
-        )
-        return float(np.dot(w, y * y * g))
-
-    l0 = _analytic_l0_pressure(probe, mat_high, mat_low) if analytic_l0 else None
-    s, diag = _matsubara_sum(term, grid, l0_value=l0)
+    s, diag = _thermal_sum("pressure", probe, mat_high, mat_low, z, grid, nodes, analytic_l0)
     value = -KB * grid.T / (8.0 * math.pi * z**3) * s
     return (value, diag) if with_diagnostics else value
-
-
-def _require_te_free_l0(mat_high: PermittivityModel, mat_low: PermittivityModel):
-    if not (_zero_freq_te_vanishes(mat_high) and _zero_freq_te_vanishes(mat_low)):
-        raise ValueError(
-            "analytic zero-frequency term requires both plate sections to have "
-            "vanishing TE reflection at zero frequency"
-        )
-
-
-def _analytic_l0_energy(probe, mat_high, mat_low) -> float:
-    # integral of y ln(1 - A e^{-y}) over [0, inf) equals -Li3(A); the TE
-    # products vanish because the plate sections have r_TE(0) = 0.
-    _require_te_free_l0(mat_high, mat_low)
-    rp = _zero_freq_tm(probe)
-    return -polylog3(rp * _zero_freq_tm(mat_high)) + polylog3(rp * _zero_freq_tm(mat_low))
-
-
-def _analytic_l0_pressure(probe, mat_high, mat_low) -> float:
-    # integral of y^2 A e^{-y}/(1 - A e^{-y}) over [0, inf) equals 2 Li3(A).
-    _require_te_free_l0(mat_high, mat_low)
-    rp = _zero_freq_tm(probe)
-    return 2.0 * (
-        polylog3(rp * _zero_freq_tm(mat_high)) - polylog3(rp * _zero_freq_tm(mat_low))
-    )
 
 
 # --- separation sweeps ---------------------------------------------------
 
 
-def _sweep_point(args):
-    kind, probe, mat_high, mat_low, R, z, grid, low_freq_model, nodes = args
-    if kind == "force":
-        return difference_force(
-            probe, mat_high, mat_low, R, z, grid,
-            low_freq_model=low_freq_model, nodes=nodes, with_diagnostics=True,
-        )
-    return difference_pressure(
-        probe, mat_high, mat_low, z, grid,
-        low_freq_model=low_freq_model, nodes=nodes, with_diagnostics=True,
-    )
-
-
-def _run_sweep(kind, probe, mat_high, mat_low, R, separations, grid,
-               low_freq_model, nodes, workers):
-    jobs = [
-        (kind, probe, mat_high, mat_low, R, float(z), grid, low_freq_model, nodes)
-        for z in separations
-    ]
+def _sweep(point, separations, workers, probe, mat_high, mat_low, grid,
+           low_freq_model, nodes) -> Curve:
+    """Curve of ``point(z) -> (value, diagnostics)`` over the separations."""
+    zs = tuple(float(z) for z in separations)
     if workers > 1:
+        # imported on demand: the pool's modules add about 2 MB to every
+        # process, and most sweeps run serially
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_point, jobs))
+            results = list(pool.map(point, zs))
     else:
-        results = [_sweep_point(job) for job in jobs]
-    values = [value for value, _ in results]
+        results = [point(z) for z in zs]
     diags = [diag for _, diag in results]
     metadata = {
         "probe": probe.label,
@@ -605,7 +529,7 @@ def _run_sweep(kind, probe, mat_high, mat_low, R, separations, grid,
         "tail_rel_per_z": tuple(d.last_term_rel for d in diags),
         "max_tail_rel": max(d.last_term_rel for d in diags),
     }
-    return values, metadata
+    return Curve(zs, tuple(value for value, _ in results), metadata)
 
 
 def difference_force_curve(
@@ -619,7 +543,7 @@ def difference_force_curve(
     low_freq_model: str | None = None,
     nodes: int = DEFAULT_NODES,
     workers: int = 1,
-) -> ForceCurve:
+) -> Curve:
     """Difference force over a separation grid.
 
     Each separation is an independent work item; with ``workers > 1`` the
@@ -627,12 +551,14 @@ def difference_force_curve(
     run in fixed index order, so results are bit-identical for any worker
     count.
     """
-    values, metadata = _run_sweep(
-        "force", probe, mat_high, mat_low, R, separations, grid,
-        low_freq_model, nodes, workers,
+    point = partial(
+        difference_force, probe, mat_high, mat_low, R, grid=grid,
+        low_freq_model=low_freq_model, nodes=nodes, with_diagnostics=True,
     )
-    metadata["sphere_radius_m"] = R
-    return ForceCurve(tuple(separations), tuple(values), metadata)
+    curve = _sweep(point, separations, workers, probe, mat_high, mat_low, grid,
+                   low_freq_model, nodes)
+    curve.metadata["sphere_radius_m"] = R
+    return curve
 
 
 def difference_pressure_curve(
@@ -645,13 +571,14 @@ def difference_pressure_curve(
     low_freq_model: str | None = None,
     nodes: int = DEFAULT_NODES,
     workers: int = 1,
-) -> PressureCurve:
+) -> Curve:
     """Difference pressure over a separation grid (see difference_force_curve)."""
-    values, metadata = _run_sweep(
-        "pressure", probe, mat_high, mat_low, None, separations, grid,
-        low_freq_model, nodes, workers,
+    point = partial(
+        difference_pressure, probe, mat_high, mat_low, grid=grid,
+        low_freq_model=low_freq_model, nodes=nodes, with_diagnostics=True,
     )
-    return PressureCurve(tuple(separations), tuple(values), metadata)
+    return _sweep(point, separations, workers, probe, mat_high, mat_low, grid,
+                  low_freq_model, nodes)
 
 
 # --- trilogarithm and zero-frequency gap formulas ------------------------
@@ -700,6 +627,31 @@ def polylog3(x: float) -> float:
     )
 
 
+def _li3_difference(r_probe: float, r_high: float, r_low: float) -> float:
+    """Li3(r_probe r_high) - Li3(r_probe r_low), zero-frequency TM amplitudes.
+
+    Times the quantity's factor in ``_QUANTITIES`` it is the closed-form
+    zero-frequency integral of a probe facing two plate sections.
+    """
+    return polylog3(r_probe * r_high) - polylog3(r_probe * r_low)
+
+
+def _zero_freq_gap(r_probe: float, eps0: float, z: float, T: float, R: float | None) -> float:
+    """Model-a minus model-b value of a probe over a plate of static permittivity eps0.
+
+    Only the l = 0 term differs between the two low-frequency models: a plate
+    with dc conductivity reflects TM with 1, without it with
+    (eps0 - 1)/(eps0 + 1).  ``r_probe`` is the probe's zero-frequency TM
+    amplitude (1 for a metal).  Returns the sphere-plate force for a sphere
+    of radius ``R``, or the plate-plate pressure when ``R`` is None.
+    """
+    r_plate = _zero_freq_reflections(eps0, "zero", None, 0.0)[0]
+    li3 = _li3_difference(r_probe, 1.0, r_plate)
+    if R is None:
+        return -KB * T / (8.0 * math.pi * z**3) * li3
+    return -KB * T * R / (8.0 * z * z) * li3
+
+
 def zero_freq_gap_force(R: float, z: float, T: float, eps0: float) -> float:
     """Closed-form force gap between the two low-frequency conductivity models.
 
@@ -707,23 +659,17 @@ def zero_freq_gap_force(R: float, z: float, T: float, eps0: float) -> float:
     zero-frequency-term difference for a metallic sphere above a plate section
     of static permittivity ``eps0``.  Tends to 0 as eps0 -> inf.
     """
-    if not (R > 0.0 and z > 0.0 and T > 0.0):
-        raise ValueError("R, z, T must be positive")
+    if not all(0.0 < v < math.inf for v in (R, z, T)):
+        raise ValueError("R, z, T must be positive and finite")
     if not eps0 > 1.0:
         raise ValueError("eps0 must exceed 1")
-    if math.isinf(eps0):
-        return 0.0
-    x = (eps0 - 1.0) / (eps0 + 1.0)
-    return -KB * T * R / (8.0 * z * z) * (ZETA3 - polylog3(x))
+    return _zero_freq_gap(1.0, eps0, z, T, R)
 
 
 def zero_freq_gap_pressure(z: float, T: float, eps0: float) -> float:
     """Closed-form pressure gap, -(kB T)/(8 pi z^3) * (zeta(3) - Li3[...])."""
-    if not (z > 0.0 and T > 0.0):
-        raise ValueError("z, T must be positive")
+    if not all(0.0 < v < math.inf for v in (z, T)):
+        raise ValueError("z, T must be positive and finite")
     if not eps0 > 1.0:
         raise ValueError("eps0 must exceed 1")
-    if math.isinf(eps0):
-        return 0.0
-    x = (eps0 - 1.0) / (eps0 + 1.0)
-    return -KB * T / (8.0 * math.pi * z**3) * (ZETA3 - polylog3(x))
+    return _zero_freq_gap(1.0, eps0, z, T, None)

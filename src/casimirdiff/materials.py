@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -36,8 +37,6 @@ __all__ = [
     "catalog_names",
     "with_dc_conductivity",
     "with_te_zero",
-    "eval_permittivity",
-    "static_permittivity",
     "plasma_frequency",
     "scattering_time",
     "kk_to_imaginary_axis",
@@ -53,10 +52,10 @@ class DrudeParams:
     gamma: float
 
     def __post_init__(self) -> None:
-        if not self.omega_p > 0.0:
-            raise ValueError("plasma frequency must be positive")
-        if self.gamma < 0.0:
-            raise ValueError("relaxation parameter must be non-negative")
+        if not 0.0 < self.omega_p < math.inf:
+            raise ValueError("plasma frequency omega_p must be positive and finite")
+        if not 0.0 <= self.gamma < math.inf:
+            raise ValueError("relaxation parameter gamma must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -78,12 +77,12 @@ class OscillatorParams:
     strength: float
 
     def __post_init__(self) -> None:
-        if not self.omega > 0.0:
-            raise ValueError("oscillator frequency must be positive")
-        if self.Gamma < 0.0:
-            raise ValueError("oscillator relaxation must be non-negative")
-        if not self.strength > 0.0:
-            raise ValueError("oscillator strength must be positive")
+        if not 0.0 < self.omega < math.inf:
+            raise ValueError("oscillator frequency omega must be positive and finite")
+        if not 0.0 <= self.Gamma < math.inf:
+            raise ValueError("oscillator relaxation Gamma must be non-negative and finite")
+        if not 0.0 < self.strength < math.inf:
+            raise ValueError("oscillator strength must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -94,10 +93,10 @@ class HighFreqTail:
     omega_inf: float
 
     def __post_init__(self) -> None:
-        if self.eps_inf < 1.0:
-            raise ValueError("eps_inf must be >= 1")
-        if not self.omega_inf > 0.0:
-            raise ValueError("omega_inf must be positive")
+        if not 1.0 <= self.eps_inf < math.inf:
+            raise ValueError("eps_inf must be >= 1 and finite")
+        if not 0.0 < self.omega_inf < math.inf:
+            raise ValueError("omega_inf must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -112,10 +111,22 @@ class OpticalDataTable:
             raise ValueError("optical data table needs at least 2 rows")
         if len(self.omega) != len(self.im_eps):
             raise ValueError("omega and im_eps columns differ in length")
+        if not all(0.0 < w < math.inf for w in self.omega):
+            raise ValueError("frequencies omega must be positive and finite")
         if any(b <= a for a, b in zip(self.omega, self.omega[1:])):
             raise ValueError("frequencies must be strictly increasing")
-        if any(v < 0.0 for v in self.im_eps):
-            raise ValueError("Im eps must be non-negative")
+        if not all(0.0 <= v < math.inf for v in self.im_eps):
+            raise ValueError("im_eps must be non-negative and finite")
+
+    @cached_property
+    def _kk_weights(self):
+        """omega^2 and trapezoid-weighted omega Im eps(omega) of the grid."""
+        w = np.asarray(self.omega, dtype=float)
+        half_steps = 0.5 * np.diff(w)
+        trapezoid = np.zeros_like(w)
+        trapezoid[:-1] += half_steps
+        trapezoid[1:] += half_steps
+        return w * w, trapezoid * w * np.asarray(self.im_eps, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -127,12 +138,12 @@ class CarrierParams:
     sigma: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.n > 0.0:
-            raise ValueError("carrier density must be positive")
-        if not self.m_eff > 0.0:
-            raise ValueError("effective mass must be positive")
-        if self.sigma is not None and not self.sigma > 0.0:
-            raise ValueError("conductivity must be positive when present")
+        if not 0.0 < self.n < math.inf:
+            raise ValueError("carrier density n must be positive and finite")
+        if not 0.0 < self.m_eff < math.inf:
+            raise ValueError("effective mass m_eff must be positive and finite")
+        if self.sigma is not None and not 0.0 < self.sigma < math.inf:
+            raise ValueError("conductivity sigma must be positive and finite when present")
 
 
 @dataclass(frozen=True)
@@ -177,25 +188,32 @@ class PermittivityModel:
             return self.dc_conductor
         return self.drude is not None
 
-    def eval(self, xi: float) -> float:
+    def eval(self, xi):
         """Permittivity eps(i*xi) at angular frequency xi >= 0 (rad/s).
 
-        Raises ``ValueError`` for xi < 0, and for xi = 0 when the model has
-        dc conductivity (the permittivity diverges there; callers must use
-        the zero-frequency reflection limits instead).
+        ``xi`` is a float, giving a float, or an array of positive
+        frequencies, giving an array of the same shape.  Raises
+        ``ValueError`` for xi < 0, and for xi = 0 when the model has dc
+        conductivity (the permittivity diverges there; callers must use the
+        zero-frequency reflection limits instead).
         """
-        if xi < 0.0:
-            raise ValueError("imaginary-axis frequency must be non-negative")
+        if isinstance(xi, np.ndarray):
+            if not np.all(xi > 0.0):
+                raise ValueError("an array of imaginary-axis frequencies must be positive")
+            value = np.ones(xi.shape)
+        else:
+            if xi < 0.0:
+                raise ValueError("imaginary-axis frequency must be non-negative")
+            if xi == 0.0 and not self.perfect_conductor:
+                if self.has_dc_conductivity:
+                    raise ValueError(
+                        f"{self.label}: permittivity diverges at zero frequency; "
+                        "use static_permittivity / zero-frequency reflection limits"
+                    )
+                return self._bound_static()
+            value = 1.0
         if self.perfect_conductor:
-            return math.inf
-        if xi == 0.0:
-            if self.has_dc_conductivity:
-                raise ValueError(
-                    f"{self.label}: permittivity diverges at zero frequency; "
-                    "use static_permittivity / zero-frequency reflection limits"
-                )
-            return self._bound_static()
-        value = 1.0
+            return value * math.inf
         for osc in self.oscillators:
             ratio = xi / osc.omega
             value += osc.strength / (1.0 + ratio * ratio + osc.Gamma * ratio)
@@ -224,16 +242,6 @@ class PermittivityModel:
         if self.has_dc_conductivity:
             return math.inf
         return self._bound_static()
-
-
-def eval_permittivity(model: PermittivityModel, xi: float) -> float:
-    """Functional form of :meth:`PermittivityModel.eval`."""
-    return model.eval(xi)
-
-
-def static_permittivity(model: PermittivityModel) -> float:
-    """Functional form of :meth:`PermittivityModel.static_permittivity`."""
-    return model.static_permittivity()
 
 
 def with_dc_conductivity(model: PermittivityModel, enabled: bool) -> PermittivityModel:
@@ -410,43 +418,42 @@ def scattering_time(sigma: float, omega_p: float) -> float:
 # --- Kramers-Kronig ingestion of tabulated data ------------------------
 
 
-def _tail_factor(t: float) -> float:
-    # (1 - atan(t)/t) / t^2, the omega^-3 extrapolation integral; series
-    # branch avoids cancellation for small t.
-    if t < 1e-3:
-        t2 = t * t
-        return 1.0 / 3.0 - t2 / 5.0 + t2 * t2 / 7.0
-    return (1.0 - math.atan(t) / t) / (t * t)
-
-
-def kk_to_imaginary_axis(table: OpticalDataTable, xi: float) -> float:
+def kk_to_imaginary_axis(table: OpticalDataTable, xi):
     """eps(i*xi) from tabulated Im eps(omega) via the dispersion relation.
 
     Evaluates ``1 + (2/pi) * integral of omega Im eps(omega)/(omega^2+xi^2)``
     with the trapezoidal rule on the tabulated grid.  Im eps is extrapolated
     as a constant below the first tabulated frequency and as omega^-3 above
-    the last one; both extensions are integrated in closed form.
+    the last one; both extensions are integrated in closed form.  ``xi`` is
+    a float, giving a float, or an array, giving an array.
     """
-    if not xi > 0.0:
+    xi = np.asarray(xi, dtype=float)
+    if not np.all(xi > 0.0):
         raise ValueError("xi must be positive")
-    w = np.asarray(table.omega, dtype=float)
-    g = np.asarray(table.im_eps, dtype=float)
-    core = float(np.trapezoid(w * g / (w * w + xi * xi), w))
-    low = g[0] * 0.5 * math.log1p((w[0] / xi) ** 2)
-    high = g[-1] * _tail_factor(xi / w[-1])
-    return 1.0 + (2.0 / math.pi) * (core + low + high)
+    w2, weighted = table._kk_weights
+    # one (xi x row) matrix-vector product; its rows are the trapezoid sums
+    denom = w2 + np.square(xi)[..., None]
+    core = np.reciprocal(denom, out=denom) @ weighted
+    w, g = table.omega, table.im_eps
+    low = g[0] * 0.5 * np.log1p((w[0] / xi) ** 2)
+    # (1 - atan(t)/t) / t^2, the omega^-3 extrapolation integral; the series
+    # branch avoids cancellation for small t
+    t = xi / w[-1]
+    t2 = t * t
+    tail = np.where(t < 1e-3, 1.0 / 3.0 - t2 / 5.0 + t2 * t2 / 7.0, (1.0 - np.arctan(t) / t) / t2)
+    value = 1.0 + (2.0 / math.pi) * (core + low + g[-1] * tail)
+    return value if value.ndim else float(value)
 
 
 def _kk_static(table: OpticalDataTable) -> float:
     """xi -> 0 limit of the dispersion relation (finite for Im eps >= 0 data)."""
-    w = np.asarray(table.omega, dtype=float)
-    g = np.asarray(table.im_eps, dtype=float)
-    core = float(np.trapezoid(g / w, w))
+    w2, weighted = table._kk_weights
+    core = float(np.reciprocal(w2) @ weighted)
     # constant extension below w[0] would add g0*log(w0/0): cut it at the
     # grid instead, matching the xi->0 limit of the low-frequency term only
     # for Im eps(0) = 0 spectra; tables with nonzero Im eps at the first row
     # describe conductors and should carry an explicit dc flag.
-    high = g[-1] / 3.0
+    high = table.im_eps[-1] / 3.0
     return 1.0 + (2.0 / math.pi) * (core + high)
 
 

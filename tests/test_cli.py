@@ -141,6 +141,18 @@ def test_sweep_drude_override(tmp_path, capsys):
     assert abs(weaker) < abs(stock)
 
 
+def test_sweep_non_finite_drude_override_exit_1(tmp_path, capsys):
+    cfg = tmp_path / "gold.cfg"
+    cfg.write_text(
+        "points = 2\n"
+        "drude_omega_p.gold-drude = 1e999 eV\n"
+        "drude_gamma.gold-drude = 0.05 eV\n"
+    )
+    code, _, err = run_cli(capsys, "sweep", "--config", str(cfg), "--out", "-")
+    assert code == 1
+    assert "omega_p" in err
+
+
 def test_sweep_unknown_material_exit_1(capsys):
     code, _, err = run_cli(capsys, "sweep", "--high", "kryptonite", "--points", "2")
     assert code == 1

@@ -494,6 +494,42 @@ def test_truncation_cap_raises_with_diagnostics():
     assert diag.last_term_rel > 0.0
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_term_fails_at_once():
+    # finite parameters whose permittivity overflows to inf at xi > 0: the
+    # first Matsubara term is NaN, and the sum stops there instead of
+    # running to the term cap
+    huge = cd.OscillatorParams(omega=1e16, Gamma=0.0, strength=1e308)
+    plate = cd.PermittivityModel(label="overflow", oscillators=(huge, huge))
+    with pytest.raises(ValueError, match="l = 1 is not finite"):
+        cd.difference_force(MATS["gold"], plate, MATS["si_a"], R_SPHERE, 100e-9, GRID300)
+    with pytest.raises(ValueError, match="l = 1 is not finite"):
+        cd.plate_plate_pressure(cd.HalfspacePair(MATS["gold"], plate), 100e-9, GRID300)
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: cd.DrudeParams(omega_p=1e15, gamma=math.nan), "gamma"),
+        (lambda: cd.DrudeParams(omega_p=math.inf, gamma=1e13), "omega_p"),
+        (lambda: cd.OscillatorParams(omega=1e15, Gamma=math.nan, strength=1.0), "Gamma"),
+        (lambda: cd.HighFreqTail(eps_inf=math.nan, omega_inf=1e16), "eps_inf"),
+        (lambda: cd.OpticalDataTable(omega=(1e14, 1e15), im_eps=(math.nan, 1.0)), "im_eps"),
+        (lambda: cd.CarrierParams(n=math.inf, m_eff=1e-30), "n"),
+        (lambda: cd.MatsubaraGrid(T=math.inf), "T"),
+        (lambda: cd.CantileverParams(k=math.inf, f_r=1e3, Q=1e3, B=0.3, T=300.0), "k"),
+        (lambda: cd.HalfspacePair(MATS["gold"], MATS["si_a"], sphere_radius=math.inf), "radius"),
+        (lambda: cd.difference_force(
+            MATS["gold"], MATS["n1"], MATS["low"], math.inf, 100e-9, GRID300), "radius"),
+        (lambda: cd.difference_pressure(
+            MATS["gold"], MATS["n1"], MATS["low"], math.inf, GRID300), "separation"),
+    ],
+)
+def test_non_finite_input_rejected(build, field):
+    with pytest.raises(ValueError, match=rf"\b{field}\b"):
+        build()
+
+
 def test_low_freq_model_argument_validation():
     with pytest.raises(ValueError):
         cd.difference_force(
@@ -544,11 +580,11 @@ def test_curve_workers_bit_identical():
 
 def test_curve_validation():
     with pytest.raises(ValueError):
-        cd.ForceCurve(separations=(2e-7, 1e-7), values=(-1e-12, -2e-12), metadata={})
+        cd.Curve(separations=(2e-7, 1e-7), values=(-1e-12, -2e-12), metadata={})
     with pytest.raises(ValueError):
-        cd.ForceCurve(separations=(1e-7, 2e-7), values=(-1e-12,), metadata={})
+        cd.Curve(separations=(1e-7, 2e-7), values=(-1e-12,), metadata={})
     with pytest.raises(ValueError):
-        cd.PressureCurve(separations=(1e-7, 2e-7), values=(0.1, math.nan), metadata={})
+        cd.Curve(separations=(1e-7, 2e-7), values=(0.1, math.nan), metadata={})
 
 
 def test_halfspace_pair_validation():

@@ -301,9 +301,3 @@ def test_load_optical_table(tmp_path):
     bad.write_text("0.5 1.0 7.0\n")
     with pytest.raises(ValueError):
         cd.load_optical_table(bad)
-
-
-def test_eval_permittivity_function_form():
-    m = cd.build_material("si-dielectric")
-    assert cd.eval_permittivity(m, 1e15) == m.eval(1e15)
-    assert cd.static_permittivity(m) == m.static_permittivity()
