@@ -89,38 +89,48 @@ def _jsonable(x: float) -> float:
 
 # --- configuration -------------------------------------------------------
 
+# Every sweep setting under one name: its config-file key is its argparse
+# dest and its SweepConfig field.  key: (flag, default, parser, help), where
+# the parser is a unit table for a quantity, int for a count, or None for a
+# word or a path.
+_SETTINGS = {
+    "quantity": ("--quantity", "force", None, "'force' or 'pressure'"),
+    "z_min": ("--zmin", "100 nm", _LENGTH_UNITS, "smallest separation"),
+    "z_max": ("--zmax", "300 nm", _LENGTH_UNITS, "largest separation"),
+    "points": ("--points", "41", int, "number of separation points"),
+    "spacing": ("--spacing", "log", None, "'linear' or 'log'"),
+    "temperature": ("--temperature", "300 K", _TEMPERATURE_UNITS, "temperature"),
+    "radius": ("--radius", "100 um", _LENGTH_UNITS, "sphere radius"),
+    "probe": ("--probe", "gold-drude", None, "probe-side material"),
+    "high": ("--high", "si-doped-n1", None, "higher carrier density section"),
+    "low": ("--low", "si-doped-low", None, "lower carrier density section"),
+    "model": ("--model", "a", None, "low-frequency conductivity model, 'a' or 'b'"),
+    "format": ("--format", "csv", None, "'csv' or 'json'"),
+    "out": ("--out", None, None, "output path ('-' for stdout)"),
+    "workers": ("--workers", "1", int, "worker processes for the separation sweep"),
+    "optical_table": ("--optical-table", None, None, "two-column (omega_eV, Im eps) file"),
+}
 
-def _parse_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise UsageError(f"{path}:{lineno}: expected 'key = value'")
-            values[key.strip()] = value.strip()
-    return values
+_DRUDE_KEY = re.compile(r"^drude_(omega_p|gamma)\.(.+)$")
 
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Resolved sweep parameters (SI units)."""
+    """Resolved sweep settings (SI units), one field per key of ``_SETTINGS``."""
 
     quantity: str
     z_min: float
     z_max: float
-    n_points: int
+    points: int
     spacing: str
     temperature: float
-    sphere_radius: float
+    radius: float
     probe: str
     high: str
     low: str
-    low_freq_model: str
+    model: str
+    format: str
     out: str | None
-    fmt: str
     workers: int
     optical_table: str | None
     drude_overrides: dict
@@ -130,15 +140,15 @@ class SweepConfig:
             raise UsageError("quantity must be 'force' or 'pressure'")
         if not self.z_min < self.z_max:
             raise UsageError("z_min must be smaller than z_max")
-        if self.n_points < 2:
+        if self.points < 2:
             raise UsageError("at least 2 separation points are required")
         if self.spacing not in ("linear", "log"):
             raise UsageError("spacing must be 'linear' or 'log'")
-        if self.low_freq_model not in ("a", "b"):
+        if self.model not in ("a", "b"):
             raise UsageError("low-frequency model must be 'a' or 'b'")
-        if self.fmt not in ("csv", "json"):
+        if self.format not in ("csv", "json"):
             raise UsageError("format must be 'csv' or 'json'")
-        for name in ("z_min", "temperature", "sphere_radius"):
+        for name in ("z_min", "temperature", "radius"):
             if not getattr(self, name) > 0.0:
                 raise UsageError(f"{name} must be positive")
         if self.workers < 1:
@@ -146,13 +156,20 @@ class SweepConfig:
 
     def separations(self) -> tuple[float, ...]:
         if self.spacing == "log":
-            grid = np.logspace(math.log10(self.z_min), math.log10(self.z_max), self.n_points)
+            grid = np.logspace(math.log10(self.z_min), math.log10(self.z_max), self.points)
         else:
-            grid = np.linspace(self.z_min, self.z_max, self.n_points)
+            grid = np.linspace(self.z_min, self.z_max, self.points)
         return tuple(float(z) for z in grid)
 
     def grid(self) -> MatsubaraGrid:
         return MatsubaraGrid(T=self.temperature)
+
+    def materials(self):
+        """The probe, high and low materials."""
+        return tuple(
+            _build_named(name, self.drude_overrides, self.optical_table)
+            for name in (self.probe, self.high, self.low)
+        )
 
     def as_metadata(self) -> dict:
         return {
@@ -160,88 +177,58 @@ class SweepConfig:
             "quantity": self.quantity,
             "z_min_m": _jsonable(self.z_min),
             "z_max_m": _jsonable(self.z_max),
-            "points": self.n_points,
+            "points": self.points,
             "spacing": self.spacing,
             "temperature_K": _jsonable(self.temperature),
-            "sphere_radius_m": _jsonable(self.sphere_radius),
+            "sphere_radius_m": _jsonable(self.radius),
             "probe": self.probe,
             "material_high": self.high,
             "material_low": self.low,
-            "low_freq_model": self.low_freq_model,
+            "low_freq_model": self.model,
         }
 
 
-_SWEEP_DEFAULTS = {
-    "quantity": "force",
-    "z_min": "100 nm",
-    "z_max": "300 nm",
-    "points": "41",
-    "spacing": "log",
-    "temperature": "300 K",
-    "radius": "100 um",
-    "probe": "gold-drude",
-    "high": "si-doped-n1",
-    "low": "si-doped-low",
-    "model": "a",
-    "format": "csv",
-    "workers": "1",
-}
+def _setting(key: str, text: str | None):
+    """The value of one setting from its text."""
+    parser = _SETTINGS[key][2]
+    if text is None or parser is None:
+        return text
+    if parser is int:
+        try:
+            return int(text)
+        except ValueError:
+            raise UsageError(f"{key} must be an integer: got {text!r}") from None
+    return parse_quantity(text, parser, key)
 
 
-def _resolve_sweep_config(args) -> SweepConfig:
-    settings = dict(_SWEEP_DEFAULTS)
+def _resolve(args) -> SweepConfig:
+    """Defaults, then the --config file, then the flags; a later source wins."""
+    settings = {key: default for key, (_, default, _, _) in _SETTINGS.items()}
+    overrides: dict[str, dict[str, float]] = {}
     if args.config:
-        settings.update(_parse_config_file(args.config))
-    flag_map = {
-        "quantity": args.quantity,
-        "z_min": args.zmin,
-        "z_max": args.zmax,
-        "points": args.points,
-        "spacing": args.spacing,
-        "temperature": args.temperature,
-        "radius": args.radius,
-        "probe": args.probe,
-        "high": args.high,
-        "low": args.low,
-        "model": args.model,
-        "format": args.format,
-        "out": args.out,
-        "workers": args.workers,
-        "optical_table": getattr(args, "optical_table", None),
-    }
-    for key, value in flag_map.items():
-        if value is not None:
-            settings[key] = str(value)
-    overrides = {}
-    for key, value in settings.items():
-        m = re.match(r"^drude_(omega_p|gamma)\.(.+)$", key)
-        if m:
-            overrides.setdefault(m.group(2), {})[m.group(1)] = parse_quantity(
-                value, _ANGFREQ_UNITS, key
-            )
-    try:
-        n_points = int(settings["points"])
-        workers = int(settings["workers"])
-    except ValueError as exc:
-        raise UsageError(f"bad integer setting: {exc}") from None
-    return SweepConfig(
-        quantity=settings["quantity"],
-        z_min=parse_quantity(settings["z_min"], _LENGTH_UNITS, "z_min"),
-        z_max=parse_quantity(settings["z_max"], _LENGTH_UNITS, "z_max"),
-        n_points=n_points,
-        spacing=settings["spacing"],
-        temperature=parse_quantity(settings["temperature"], _TEMPERATURE_UNITS, "temperature"),
-        sphere_radius=parse_quantity(settings["radius"], _LENGTH_UNITS, "radius"),
-        probe=settings["probe"],
-        high=settings["high"],
-        low=settings["low"],
-        low_freq_model=settings["model"],
-        out=settings.get("out"),
-        fmt=settings["format"],
-        workers=workers,
-        optical_table=settings.get("optical_table"),
-        drude_overrides=overrides,
-    )
+        with open(args.config, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                key, sep, value = line.partition("=")
+                if not sep:
+                    raise UsageError(f"{args.config}:{lineno}: expected 'key = value'")
+                key, value = key.strip(), value.strip()
+                drude = _DRUDE_KEY.match(key)
+                if drude:
+                    overrides.setdefault(drude.group(2), {})[drude.group(1)] = parse_quantity(
+                        value, _ANGFREQ_UNITS, key
+                    )
+                elif key in _SETTINGS:
+                    settings[key] = value
+                else:
+                    raise UsageError(f"{args.config}:{lineno}: unknown setting {key!r}")
+    for key in _SETTINGS:
+        if (flag := getattr(args, key, None)) is not None:
+            settings[key] = flag
+    values = {key: _setting(key, text) for key, text in settings.items()}
+    return SweepConfig(**values, drude_overrides=overrides)
 
 
 def _build_named(name: str, drude_overrides: dict, optical_table: str | None):
@@ -262,15 +249,6 @@ def _build_named(name: str, drude_overrides: dict, optical_table: str | None):
         return build_material(name, **kwargs)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-
-
-def _build(config: SweepConfig, name: str):
-    return _build_named(name, config.drude_overrides, config.optical_table)
-
-
-def _materials(config: SweepConfig):
-    """The probe, high and low materials of a sweep config."""
-    return tuple(_build(config, name) for name in (config.probe, config.high, config.low))
 
 
 # --- output writers -------------------------------------------------------
@@ -299,25 +277,25 @@ def _emit_table(meta: dict, columns: list[str], rows: list[list], fmt: str, out:
 # --- sweep / compare ------------------------------------------------------
 
 
-def _curve(config: SweepConfig, probe, high, low, low_freq_model: str):
+def _curve(config: SweepConfig, probe, high, low, model: str):
     """The difference curve of a sweep config under one low-frequency model."""
     zs, grid = config.separations(), config.grid()
-    options = dict(low_freq_model=low_freq_model, workers=config.workers)
+    options = dict(low_freq_model=model, workers=config.workers)
     if config.quantity == "force":
-        return difference_force_curve(probe, high, low, config.sphere_radius, zs, grid, **options)
+        return difference_force_curve(probe, high, low, config.radius, zs, grid, **options)
     return difference_pressure_curve(probe, high, low, zs, grid, **options)
 
 
-def run_sweep(config: SweepConfig):
+def cmd_sweep(args) -> int:
     """Compute the difference curve of a sweep config and write it out."""
-    curve = _curve(config, *_materials(config), config.low_freq_model)
-    value_col = "force_N" if config.quantity == "force" else "pressure_Pa"
+    config = _resolve(args)
+    curve = _curve(config, *config.materials(), config.model)
     meta = config.as_metadata()
     meta["rel_tol"] = curve.metadata["rel_tol"]
     meta["nodes"] = curve.metadata["nodes"]
     meta["max_tail_rel"] = _jsonable(curve.metadata["max_tail_rel"])
-    unit = value_col.split("_")[1]
-    columns = ["z_m", value_col, f"magnitude_{unit}", "l_terms", "tail_rel"]
+    unit = "N" if config.quantity == "force" else "Pa"
+    columns = ["z_m", f"{config.quantity}_{unit}", f"magnitude_{unit}", "l_terms", "tail_rel"]
     rows = [
         [z, v, abs(v), n, _jsonable(tail)]
         for z, v, n, tail in zip(
@@ -327,96 +305,50 @@ def run_sweep(config: SweepConfig):
             curve.metadata["tail_rel_per_z"],
         )
     ]
-    _emit_table(meta, columns, rows, config.fmt, config.out)
-    return curve
+    _emit_table(meta, columns, rows, config.format, config.out)
+    return 0
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Per-separation gap between the two low-frequency conductivity models."""
+def cmd_compare(args) -> int:
+    """Sweep under both low-frequency models and report numeric vs analytic gaps.
 
-    quantity: str
-    separations: tuple[float, ...]
-    values_a: tuple[float, ...]
-    values_b: tuple[float, ...]
-    gap_numeric: tuple[float, ...]
-    gap_analytic: tuple[float, ...]
-    relative_deviation: tuple[float, ...]
-
-    @property
-    def max_relative_deviation(self) -> float:
-        return max(self.relative_deviation)
-
-    @property
-    def passed(self) -> bool:
-        return self.max_relative_deviation < GAP_IDENTITY_TOL
-
-
-def compare_models(config: SweepConfig) -> ComparisonReport:
-    """Sweep under both low-frequency models and report numeric vs analytic gaps."""
-    probe, high, low = _materials(config)
-    zs = config.separations()
-    eps0 = with_dc_conductivity(low, False).static_permittivity()
-    analytic = _analytic_gap(config, probe, eps0)
-    curve_a = _curve(config, probe, high, low, "a")
-    curve_b = _curve(config, probe, high, low, "b")
-    gap_num = tuple(a - b for a, b in zip(curve_a.values, curve_b.values))
-    gap_ana = tuple(analytic(z) for z in zs)
-    rel_dev = tuple(abs(n - a) / abs(a) for n, a in zip(gap_num, gap_ana))
-    return ComparisonReport(
-        quantity=config.quantity,
-        separations=zs,
-        values_a=curve_a.values,
-        values_b=curve_b.values,
-        gap_numeric=gap_num,
-        gap_analytic=gap_ana,
-        relative_deviation=rel_dev,
-    )
-
-
-def _analytic_gap(config: SweepConfig, probe, eps0_low: float):
-    """Closed-form zero-frequency gap as a function of separation.
-
-    For a conducting probe (zero-frequency TM amplitude 1) this is the
-    standard zeta(3)/trilogarithm form; for a finite-permittivity probe the
-    trilogarithm difference with the probe's own amplitude keeps the report
-    identity exact.
+    The analytic gap is the closed-form zero-frequency difference: the
+    standard zeta(3)/trilogarithm form for a conducting probe (zero-frequency
+    TM amplitude 1), and for a finite-permittivity probe the trilogarithm
+    difference with the probe's own amplitude, which keeps the identity exact.
     """
+    config = _resolve(args)
+    probe, high, low = config.materials()
     # the zero-frequency TM amplitude does not depend on k_perp
     r_probe = reflection_coefficients(probe.static_permittivity(), 0.0, 1.0).r_tm
-    radius = config.sphere_radius if config.quantity == "force" else None
-    return lambda z: _zero_freq_gap(r_probe, eps0_low, z, config.temperature, radius)
-
-
-def _write_report(report: ComparisonReport, config: SweepConfig) -> None:
-    unit = "N" if report.quantity == "force" else "Pa"
-    meta = config.as_metadata()
-    meta.pop("low_freq_model", None)
-    meta["static_eps_low"] = _jsonable(
-        with_dc_conductivity(_build(config, config.low), False).static_permittivity()
-    )
-    meta["max_relative_deviation"] = _jsonable(report.max_relative_deviation)
-    meta["gap_identity_ok"] = report.passed
-    columns = [
-        "z_m",
-        f"value_a_{unit}",
-        f"value_b_{unit}",
-        f"gap_numeric_{unit}",
-        f"gap_analytic_{unit}",
-        "relative_deviation",
-    ]
-    rows = [
-        [z, va, vb, gn, ga, _jsonable(rd)]
-        for z, va, vb, gn, ga, rd in zip(
-            report.separations,
-            report.values_a,
-            report.values_b,
-            report.gap_numeric,
-            report.gap_analytic,
-            report.relative_deviation,
+    if r_probe == 0.0:
+        raise UsageError(
+            f"probe {config.probe!r} does not reflect at zero frequency, "
+            "so the two low-frequency models cannot differ"
         )
+    eps0 = with_dc_conductivity(low, False).static_permittivity()
+    radius = config.radius if config.quantity == "force" else None
+    curve_a = _curve(config, probe, high, low, "a")
+    curve_b = _curve(config, probe, high, low, "b")
+    zs = curve_a.separations
+    gaps = [_zero_freq_gap(r_probe, eps0, z, config.temperature, radius) for z in zs]
+    deviations = [
+        abs((a - b) - gap) / abs(gap) for a, b, gap in zip(curve_a.values, curve_b.values, gaps)
     ]
-    _emit_table(meta, columns, rows, config.fmt, config.out)
+    meta = config.as_metadata()
+    del meta["low_freq_model"]
+    meta["static_eps_low"] = _jsonable(eps0)
+    meta["max_relative_deviation"] = _jsonable(max(deviations))
+    meta["gap_identity_ok"] = max(deviations) < GAP_IDENTITY_TOL
+    unit = "N" if config.quantity == "force" else "Pa"
+    columns = ["z_m", f"value_a_{unit}", f"value_b_{unit}", f"gap_numeric_{unit}",
+               f"gap_analytic_{unit}", "relative_deviation"]
+    rows = [
+        [z, a, b, a - b, gap, _jsonable(dev)]
+        for z, a, b, gap, dev in zip(zs, curve_a.values, curve_b.values, gaps, deviations)
+    ]
+    _emit_table(meta, columns, rows, config.format, config.out)
+    return 0
 
 
 # --- permittivity tables ---------------------------------------------------
@@ -483,18 +415,17 @@ def cmd_sensitivity(args) -> int:
 def cmd_shift(args) -> int:
     params = _cantilever_from_args(args)
     z = parse_quantity(args.z, _LENGTH_UNITS, "z")
-    config = _resolve_sweep_config(args)
-    radius = config.sphere_radius
+    config = _resolve(args)
+    radius = config.radius
     if args.gradient is not None:
         gradient = float(args.gradient)
     else:
-        probe, high, low = _materials(config)
-        grid = MatsubaraGrid(T=config.temperature)
+        probe, high, low = config.materials()
+        grid = config.grid()
 
         def force(zz: float) -> float:
             return difference_force(
-                probe, high, low, radius, zz, grid,
-                low_freq_model=config.low_freq_model,
+                probe, high, low, radius, zz, grid, low_freq_model=config.model
             )
 
         gradient = five_point_gradient(force, z)
@@ -506,18 +437,6 @@ def cmd_shift(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    run_sweep(_resolve_sweep_config(args))
-    return 0
-
-
-def cmd_compare(args) -> int:
-    config = _resolve_sweep_config(args)
-    report = compare_models(config)
-    _write_report(report, config)
-    return 0
-
-
 # --- parser -----------------------------------------------------------------
 
 
@@ -526,25 +445,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_sweep_flags(sub, include_quantity=True, include_temperature=True):
-    if include_quantity:
-        sub.add_argument("--quantity", choices=["force", "pressure"])
-    sub.add_argument("--config", help="flat key-value config file")
-    sub.add_argument("--zmin", help="smallest separation, e.g. '100 nm'")
-    sub.add_argument("--zmax", help="largest separation, e.g. '300 nm'")
-    sub.add_argument("--points", help="number of separation points")
-    sub.add_argument("--spacing", choices=["linear", "log"])
-    if include_temperature:
-        sub.add_argument("--temperature", help="e.g. '300 K'")
-    sub.add_argument("--radius", help="sphere radius, e.g. '100 um'")
-    sub.add_argument("--probe", help="probe-side material")
-    sub.add_argument("--high", help="higher carrier density section")
-    sub.add_argument("--low", help="lower carrier density section")
-    sub.add_argument("--model", choices=["a", "b"], help="low-frequency conductivity model")
-    sub.add_argument("--format", choices=["csv", "json"])
-    sub.add_argument("--out", help="output path ('-' for stdout)")
-    sub.add_argument("--workers", help="worker processes for the separation sweep")
-    sub.add_argument("--optical-table", dest="optical_table", help="two-column (omega_eV, Im eps) file")
+def _add_sweep_flags(sub, exclude=()):
+    """--config and a flag for each setting of ``_SETTINGS`` not in ``exclude``."""
+    sub.add_argument("--config", help="flat 'key = value' settings file")
+    for key, (flag, default, _, help_text) in _SETTINGS.items():
+        if key not in exclude:
+            if default is not None:
+                help_text += f" (default: {default})"
+            sub.add_argument(flag, dest=key, help=help_text)
 
 
 def _add_cantilever_flags(sub):
@@ -564,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.set_defaults(func=cmd_sweep)
 
     compare = subs.add_parser("compare", help="gap between low-frequency models vs the closed form")
-    _add_sweep_flags(compare)
+    _add_sweep_flags(compare, exclude=("model",))
     compare.set_defaults(func=cmd_compare)
 
     perm = subs.add_parser("permittivity", help="eps(i xi) table for a cataloged material")
@@ -586,9 +494,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cantilever_flags(shift)
     shift.add_argument("--z", required=True, help="separation, e.g. '150 nm'")
     shift.add_argument("--gradient", help="force gradient in N/m (skip the sweep computation)")
+    # one separation and no output file: none of the grid or output settings;
     # --temperature (from the cantilever flags) covers both the noise model
     # and the Matsubara grid of the force computation
-    _add_sweep_flags(shift, include_quantity=False, include_temperature=False)
+    grid_and_output = ("quantity", "z_min", "z_max", "points", "spacing", "temperature",
+                       "format", "out", "workers")
+    _add_sweep_flags(shift, exclude=grid_and_output)
     shift.set_defaults(func=cmd_shift)
 
     return parser
@@ -598,8 +509,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if not hasattr(args, "quantity"):
-            args.quantity = None
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

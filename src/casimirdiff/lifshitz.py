@@ -229,13 +229,13 @@ def reflection_coefficients(
     frequency is given, i.e. the perfect-conductor limit).  Finite-eps
     materials always have r_TE = 0 at zero frequency.
     """
-    if k_perp < 0.0:
-        raise ValueError("k_perp must be non-negative")
-    if xi < 0.0:
-        raise ValueError("xi must be non-negative")
+    if not 0.0 <= k_perp < math.inf:
+        raise ValueError("k_perp must be non-negative and finite")
+    if not 0.0 <= xi < math.inf:
+        raise ValueError("xi must be non-negative and finite")
     if xi == 0.0 and k_perp == 0.0:
         raise ValueError("xi and k_perp cannot both vanish (undefined direction)")
-    if not math.isinf(eps) and eps < 1.0:
+    if not eps >= 1.0:
         raise ValueError("eps must be >= 1 or the 'infinite' marker math.inf")
     if te_zero not in ("zero", "plasma"):
         raise ValueError("te_zero must be 'zero' or 'plasma'")

@@ -202,7 +202,7 @@ class PermittivityModel:
                 raise ValueError("an array of imaginary-axis frequencies must be positive")
             value = np.ones(xi.shape)
         else:
-            if xi < 0.0:
+            if not xi >= 0.0:
                 raise ValueError("imaginary-axis frequency must be non-negative")
             if xi == 0.0 and not self.perfect_conductor:
                 if self.has_dc_conductivity:

@@ -387,3 +387,70 @@ def test_shift_command_computed_gradient(capsys):
 def test_usage_error_on_bad_flag(capsys):
     code, _, err = run_cli(capsys, "sweep", "--bogus-flag", "1")
     assert code == 1
+
+
+# --- one settings table ---------------------------------------------------------
+
+_SHIFT = (
+    "shift", "--spring-constant", "0.03 N/m", "--resonance-frequency", "1130.9 Hz",
+    "--quality-factor", "5889.2", "--bandwidth", "0.3 Hz", "--z", "150 nm",
+)
+
+
+def test_compare_non_reflecting_probe_exit_1(capsys, monkeypatch):
+    def no_curve(*args, **kwargs):
+        raise AssertionError("a curve was computed")
+
+    monkeypatch.setattr(cli, "_curve", no_curve)
+    code, _, err = run_cli(capsys, "compare", "--probe", "vacuum", "--points", "2")
+    assert code == 1
+    assert "'vacuum'" in err
+    assert "does not reflect at zero frequency" in err
+
+
+def test_config_unknown_key_exit_1(tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("points = 2\ntemprature = 77 K\n")
+    code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
+    assert code == 1
+    assert out == ""
+    assert f"{cfg}:2: unknown setting 'temprature'" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("compare", "--points", "2", "--model", "a"), "--model"),
+        (_SHIFT + ("--gradient", "1e-5", "--out", "shift.txt"), "--out"),
+        (_SHIFT + ("--gradient", "1e-5", "--zmin", "300 nm"), "--zmin"),
+    ],
+)
+def test_flags_a_command_does_not_read_exit_1(argv, flag, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert f"unrecognized arguments: {flag}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_one_config_file_serves_every_command(tmp_path, capsys):
+    # every key of the settings table, the sweep-grid and output keys included
+    ignored = tmp_path / "ignored.csv"
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text(
+        "quantity = pressure\nz_min = 120 nm\nz_max = 240 nm\npoints = 2\n"
+        "spacing = linear\ntemperature = 300 K\nradius = 50 um\nprobe = gold-drude\n"
+        "high = si-doped-n1\nlow = si-doped-low\nmodel = b\nformat = json\n"
+        f"out = {ignored}\nworkers = 1\noptical_table = none.dat\n"
+        "drude_omega_p.gold-drude = 9.0 eV\ndrude_gamma.gold-drude = 0.035 eV\n"
+    )
+    code, from_file, _ = run_cli(capsys, *_SHIFT, "--config", str(cfg))
+    assert code == 0
+    assert not ignored.exists()
+    code, from_flags, _ = run_cli(capsys, *_SHIFT, "--radius", "50 um", "--model", "b")
+    assert code == 0
+    assert from_file == from_flags
+    for command in ("sweep", "compare"):
+        assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == 0
+        assert json.loads((tmp_path / command).read_text())["config"]["sphere_radius_m"] == 5e-5

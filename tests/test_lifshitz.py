@@ -523,6 +523,13 @@ def test_non_finite_term_fails_at_once():
             MATS["gold"], MATS["n1"], MATS["low"], math.inf, 100e-9, GRID300), "radius"),
         (lambda: cd.difference_pressure(
             MATS["gold"], MATS["n1"], MATS["low"], math.inf, GRID300), "separation"),
+        (lambda: cd.reflection_coefficients(math.nan, 1e15, 1e7), "eps"),
+        (lambda: cd.reflection_coefficients(11.66, math.nan, 1e7), "xi"),
+        (lambda: cd.reflection_coefficients(11.66, math.inf, 1e7), "xi"),
+        (lambda: cd.reflection_coefficients(11.66, 1e15, math.nan), "k_perp"),
+        (lambda: cd.reflection_coefficients(11.66, 1e15, math.inf), "k_perp"),
+        (lambda: MATS["gold"].eval(math.nan), "frequency"),
+        (lambda: MATS["si_a"].eval(math.nan), "frequency"),
     ],
 )
 def test_non_finite_input_rejected(build, field):
