@@ -11,21 +11,26 @@ approximation F = 2 pi R E(z).
 
 Every quantity is computed by one kernel, ``_thermal_sum``: a probe facing
 two plate sections, evaluated in a single pass as the difference of the two
-pairs, sharing q_l and the probe reflection amplitudes between the sections.
-A single-pair quantity is the difference against a vacuum section, whose
-amplitudes are exactly 0.  Matsubara indices l >= 1 are evaluated in fixed
-blocks, as (block x node) arrays; the terms are then added one at a time in
-index order, and the sum stops once the latest term falls below ``rel_tol``
-times the running total.  That test bounds the last term, not the
-truncation error, which can be several times larger (4.6 times for the VO2
-difference force at 100 nm with rel_tol = 1e-12).
+pairs, sharing the momentum grid and the probe reflection amplitudes between
+the sections.  A single-pair quantity is the difference against a vacuum
+section, whose amplitudes are exactly 0.  Matsubara indices l >= 1 are
+evaluated in fixed blocks (1-32, 33-64, ...), as (block x node) arrays; the
+terms are then added one at a time in index order, and the sum stops once
+the latest term falls below ``rel_tol`` times the running total.  That test
+bounds the last term, not the truncation error, which can be several times
+larger (4.6 times for the VO2 difference force at 100 nm with rel_tol =
+1e-12).  A curve evaluates each block's eps(i xi) once and reuses it at
+every separation, which leaves every value equal to its pointwise one.
 
 The momentum integral is evaluated after the substitution y = 2 q z, which
 maps it onto a fixed window [y_l, y_l + Y_WINDOW] with an exponentially
 decaying integrand, handled by fixed-order Gauss-Legendre quadrature
 (120 nodes by default; doubling the order changes results below 1e-5
-relative).  At zero frequency the integral reduces to trilogarithms, which
-gives the closed-form gap between the two low-frequency conductivity models.
+relative).  The Fresnel amplitudes are formed in the same scaled lengths
+(see ``_fresnel``), so no k_perp appears, and a block computes its factor
+e^{-y} (or expm1(y) for the pressure) once for all four amplitude products.
+At zero frequency the integral reduces to trilogarithms, which gives the
+closed-form gap between the two low-frequency conductivity models.
 """
 
 from __future__ import annotations
@@ -105,8 +110,9 @@ class MatsubaraGrid:
             raise ValueError("temperature T must be positive and finite")
         if not 0.0 < self.rel_tol < 1e-3:
             raise ValueError("rel_tol must lie in (0, 1e-3)")
-        if self.l_max_cap < 100:
-            raise ValueError("l_max_cap must be at least 100")
+        cap = self.l_max_cap
+        if isinstance(cap, bool) or not isinstance(cap, int) or cap < 100:
+            raise ValueError("l_max_cap must be an int of at least 100")
 
 
 class ReflectionPair(NamedTuple):
@@ -174,27 +180,32 @@ def matsubara_frequency(l, T: float):
 # --- reflection amplitudes ---------------------------------------------
 
 
-def _fresnel(eps, xi_c2, kp2):
-    """r_TM, r_TE at xi > 0 from eps(i xi), (xi/c)^2 and kp2 = k_perp^2.
+def _fresnel(eps, y, ymin2):
+    """r_TM, r_TE at xi > 0 from eps(i xi), y = s q and ymin2 = (s xi/c)^2.
 
-    Floats or broadcastable arrays.  q is built from kp2 with the same
-    expression as k, so eps = 1 gives bitwise-equal q and k, hence exactly
-    vanishing amplitudes.
+    Lengths are scaled by any s > 0 (s = 2z in the kernel, 1 for a single
+    amplitude); floats or broadcastable arrays.  With K = s k,
+
+        K = sqrt(y^2 + (eps - 1) ymin2),
+        r_TM = (eps y - K)/(eps y + K),  r_TE = (eps - 1) ymin2/(K + y)^2,
+
+    the latter being (K - y)/(K + y) without its cancellation.  eps = 1
+    gives K = sqrt(fl(y^2)) = y, hence exactly vanishing amplitudes.
     """
-    q = (kp2 + 1.0 * xi_c2) ** 0.5
-    k = (kp2 + eps * xi_c2) ** 0.5
-    eq = eps * q
-    return (eq - k) / (eq + k), (k - q) / (k + q)
+    d = (eps - 1.0) * ymin2
+    K = (y * y + d) ** 0.5
+    ey = eps * y
+    return (ey - K) / (ey + K), d / (K + y) ** 2
 
 
-def _zero_freq_reflections(eps0, te_zero, omega_p, kp2):
-    """The xi = 0 reflection rule: r_TM, r_TE over kp2 = k_perp^2 (float or array).
+def _zero_freq_reflections(eps0, te_zero, omega_p, y, s=1.0):
+    """The xi = 0 reflection rule: r_TM, r_TE over y = s k_perp (float or array).
 
     A finite static permittivity gives r_TM = (eps0 - 1)/(eps0 + 1) and
     r_TE = 0.  ``eps0 = math.inf`` marks a dc conductor: r_TM = 1, and r_TE
     follows ``te_zero``: 0 for ``"zero"``; for ``"plasma"`` the plasma-limit
-    value (kappa - k_perp)/(kappa + k_perp) with kappa^2 = k_perp^2 +
-    (omega_p/c)^2, which is 1 for ``omega_p = None`` (a perfect conductor).
+    value (kappa - y)/(kappa + y) = p^2/(kappa + y)^2 with p = s omega_p/c and
+    kappa^2 = y^2 + p^2, which is 1 for ``omega_p = None`` (a perfect conductor).
     """
     if not math.isinf(eps0):
         return (eps0 - 1.0) / (eps0 + 1.0), 0.0
@@ -202,9 +213,8 @@ def _zero_freq_reflections(eps0, te_zero, omega_p, kp2):
         return 1.0, 0.0
     if omega_p is None:
         return 1.0, 1.0
-    q = kp2**0.5
-    kappa = (kp2 + (omega_p / C) ** 2) ** 0.5
-    return 1.0, (kappa - q) / (kappa + q)
+    p2 = (s * omega_p / C) ** 2
+    return 1.0, p2 / ((y * y + p2) ** 0.5 + y) ** 2
 
 
 def reflection_coefficients(
@@ -240,115 +250,126 @@ def reflection_coefficients(
     if te_zero not in ("zero", "plasma"):
         raise ValueError("te_zero must be 'zero' or 'plasma'")
     if xi == 0.0:
-        return ReflectionPair(*_zero_freq_reflections(eps, te_zero, plasma_omega_p, k_perp * k_perp))
+        return ReflectionPair(*_zero_freq_reflections(eps, te_zero, plasma_omega_p, k_perp))
     if math.isinf(eps):
         return ReflectionPair(1.0, 1.0)
-    return ReflectionPair(*_fresnel(eps, (xi / C) ** 2, k_perp * k_perp))
+    xi_c2 = (xi / C) ** 2
+    return ReflectionPair(*_fresnel(eps, (k_perp * k_perp + xi_c2) ** 0.5, xi_c2))
 
 
-def _reflections(model: PermittivityModel, xi, kp2):
+def _reflections(model: PermittivityModel, eps, y, ymin2, s):
     """r_TM, r_TE of one material over a block of frequencies.
 
-    ``xi`` has shape (block,) and is either all zero or all positive;
-    ``kp2`` = k_perp^2 has shape (block, nodes).
+    ``eps`` is None for the zero-frequency block, else eps(i xi) of the
+    block's positive frequencies with shape (block, 1); ``y`` = s q has shape
+    (block, nodes), ``ymin2`` = (s xi/c)^2 shape (block, 1), and s = 2z.
     """
-    if not xi[0]:
+    if eps is None:
         # the plasma scale of the TE rule: none for a perfect conductor, 0
         # (hence r_TE = 0) for a dc flag without free-carrier parameters
         omega_p = model.drude.omega_p if model.drude is not None else 0.0
         if model.perfect_conductor:
             omega_p = None
-        return _zero_freq_reflections(model.static_permittivity(), model.te_zero, omega_p, kp2)
+        return _zero_freq_reflections(model.static_permittivity(), model.te_zero, omega_p, y, s)
     if model.perfect_conductor:
         return 1.0, 1.0
-    return _fresnel(model.eval(xi)[:, None], ((xi / C) ** 2)[:, None], kp2)
+    return _fresnel(eps, y, ymin2)
 
 
 # --- quadrature ---------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
-def _leggauss(n: int):
+def _nodes(n: int):
+    """u^2 and the weights of the n-node rule on y = y_min + u^2, u^2 in [0, Y_WINDOW]."""
     x, w = np.polynomial.legendre.leggauss(n)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
+    half = 0.5 * math.sqrt(Y_WINDOW)
+    u = (x + 1.0) * half
+    u2, weights = u * u, w * half * 2.0 * u
+    u2.setflags(write=False)
+    weights.setflags(write=False)
+    return u2, weights
 
 
 def _momentum_grid(xi, z: float, nodes: int):
-    """Quadrature grid in y = 2 q z together with the k_perp^2 array.
+    """Quadrature grid in y = 2 q z: ``(y_min, y, weights)``.
 
-    For a float xi, y and kp2 have shape (nodes,); for an array of
-    frequencies, (len(xi), nodes).  The weights, shape (nodes,), are shared.
-    Nodes are placed in u with y = y_min + u^2, which clusters points at the
-    lower edge; the zero-frequency integrand has a y ln y endpoint behaviour
-    that the substitution turns into the quadrature-friendly u^3 ln u.
+    y_min = 2 z xi/c has shape (1,) for a float xi and (len(xi), 1) for an
+    array of frequencies; y has shape (nodes,) or (len(xi), nodes), and the
+    weights, shape (nodes,), are shared.  Nodes are placed in u with
+    y = y_min + u^2, which clusters points at the lower edge; the
+    zero-frequency integrand has a y ln y endpoint behaviour that the
+    substitution turns into the quadrature-friendly u^3 ln u.
     """
-    x, w = _leggauss(nodes)
-    half = 0.5 * math.sqrt(Y_WINDOW)
-    u = (x + 1.0) * half
+    u2, weights = _nodes(nodes)
     y_min = 2.0 * z * np.asarray(xi)[..., None] / C
-    y = y_min + u * u
-    weights = w * half * 2.0 * u
-    # q^2 - (xi/c)^2 = u^2 (u^2 + 2 y_min) / (2 z)^2, free of cancellation
-    kp2 = u * u * (u * u + 2.0 * y_min) / (4.0 * z * z)
-    return y, weights, kp2
+    return y_min, y_min + u2, weights
 
 
 # --- the thermal-sum kernel ---------------------------------------------
 
 
-def _energy_integrand(a, y):
-    return np.log1p(-a * np.exp(-y))
+def _energy_integrand(a, f):
+    # ln(1 - a e^{-y}), with f = -e^{-y}
+    return np.log1p(a * f)
 
 
-def _pressure_integrand(a, y):
-    # a e^{-y} / (1 - a e^{-y}) written as a / (expm1(y) + (1 - a)) for
-    # stability near y = 0 with a = 1.
-    return a / (np.expm1(y) + (1.0 - a))
+def _pressure_integrand(a, f):
+    # a e^{-y} / (1 - a e^{-y}) written as a / (expm1(y) + (1 - a)), with
+    # f = expm1(y), for stability near y = 0 with a = 1.
+    return a / (f + (1.0 - a))
 
 
-# quantity -> (integrand g(A, y) of the amplitude product A = r_probe r_plate,
-# power of y in the measure, factor c of the closed-form zero-frequency
-# integral c Li3(A)): the integral of y ln(1 - A e^{-y}) over [0, inf) is
-# -Li3(A), that of y^2 A e^{-y}/(1 - A e^{-y}) is 2 Li3(A).
+# quantity -> (factor f(y) shared by a block's four integrands, integrand
+# g(A, f) of the amplitude product A = r_probe r_plate, power of y in the
+# measure, factor c of the closed-form zero-frequency integral c Li3(A)):
+# the integral of y ln(1 - A e^{-y}) over [0, inf) is -Li3(A), that of
+# y^2 A e^{-y}/(1 - A e^{-y}) is 2 Li3(A).
 _QUANTITIES = {
-    "energy": (_energy_integrand, 1, -1.0),
-    "pressure": (_pressure_integrand, 2, 2.0),
+    "energy": (lambda y: -np.exp(-y), _energy_integrand, 1, -1.0),
+    "pressure": (np.expm1, _pressure_integrand, 2, 2.0),
 }
 
 _VACUUM = PermittivityModel(label="vacuum")
 
 
-def _thermal_sum(quantity, probe, high, low, z, grid, nodes, analytic_l0=False):
+def _thermal_sum(quantity, probe, high, low, z, grid, nodes, analytic_l0, eps_blocks):
     """Matsubara sum of ``quantity`` for ``probe`` facing ``high`` minus facing ``low``.
 
     Returns the dimensionless sum and its :class:`SumDiagnostics`.  The l = 0
     term carries half weight; ``analytic_l0`` replaces it with its exact
     trilogarithm value, which needs both sections to have vanishing
-    zero-frequency TE reflection.  Raises ``ValueError`` at the first
-    non-finite term and :class:`TruncationError` at the term cap.
+    zero-frequency TE reflection.  ``eps_blocks`` maps a block's first
+    index to the three materials' eps(i xi) over that block; blocks are the
+    same index ranges at every z, so a curve passes one dict to all its
+    points and each permittivity is evaluated once.  Raises ``ValueError``
+    at the first non-finite term and :class:`TruncationError` at the term
+    cap.
     """
     if not 0.0 < z < math.inf:
         raise ValueError("separation z must be positive and finite")
-    integrand, power, l0_factor = _QUANTITIES[quantity]
+    shared, integrand, power, l0_factor = _QUANTITIES[quantity]
+    models = (probe, high, low)
 
-    def amplitudes(xi, kp2):
-        return [_reflections(model, xi, kp2) for model in (probe, high, low)]
+    def amplitudes(xi, block_eps):
+        y_min, y, weights = _momentum_grid(xi, z, nodes)
+        ymin2 = y_min * y_min
+        rs = [_reflections(m, e, y, ymin2, 2.0 * z) for m, e in zip(models, block_eps)]
+        return y, weights, rs
 
-    def block_terms(xi):
-        y, weights, kp2 = _momentum_grid(xi, z, nodes)
-        (rtp, rep), (rth, reh), (rtl, rel) = amplitudes(xi, kp2)
+    def block_terms(xi, block_eps):
+        y, weights, ((rtp, rep), (rth, reh), (rtl, rel)) = amplitudes(xi, block_eps)
+        f = shared(y)
         # grouped per polarization: identical sections cancel exactly
-        g = (integrand(rtp * rth, y) - integrand(rtp * rtl, y)) + (
-            integrand(rep * reh, y) - integrand(rep * rel, y)
+        g = (integrand(rtp * rth, f) - integrand(rtp * rtl, f)) + (
+            integrand(rep * reh, f) - integrand(rep * rel, f)
         )
         return ((y**power * g) @ weights).tolist()
 
     def indexed_terms():
-        zero = np.zeros(1)
+        zero, static = np.zeros(1), (None,) * 3
         if analytic_l0:
-            (rtp, _), (rth, reh), (rtl, rel) = amplitudes(zero, _momentum_grid(zero, z, nodes)[2])
+            _, _, ((rtp, _), (rth, reh), (rtl, rel)) = amplitudes(zero, static)
             if np.any(reh) or np.any(rel):
                 raise ValueError(
                     "analytic zero-frequency term requires both plate sections to have "
@@ -356,11 +377,14 @@ def _thermal_sum(quantity, probe, high, low, z, grid, nodes, analytic_l0=False):
                 )
             t0 = l0_factor * _li3_difference(rtp, rth, rtl)
         else:
-            t0 = block_terms(zero)[0]
+            t0 = block_terms(zero, static)[0]
         yield 0, 0.5 * t0
         for start in range(1, grid.l_max_cap + 1, _BLOCK):
             ls = np.arange(start, min(start + _BLOCK, grid.l_max_cap + 1))
-            yield from zip(ls.tolist(), block_terms(matsubara_frequency(ls, grid.T)))
+            xi = matsubara_frequency(ls, grid.T)
+            if start not in eps_blocks:
+                eps_blocks[start] = [m.eval(xi)[:, None] for m in models]
+            yield from zip(ls.tolist(), block_terms(xi, eps_blocks[start]))
 
     total = 0.0
     for l, t in indexed_terms():
@@ -382,14 +406,14 @@ def _thermal_sum(quantity, probe, high, low, z, grid, nodes, analytic_l0=False):
 # --- core quantities -----------------------------------------------------
 
 
-def _check_sphere(R: float, z: float) -> None:
+def _check_sphere(R: float, z: float, stacklevel: int = 3) -> None:
     if not 0.0 < R < math.inf:
         raise ValueError("sphere radius must be positive and finite")
     if z / R > PFA_RATIO_LIMIT:
         warnings.warn(
             f"z/R = {z / R:.3g} exceeds {PFA_RATIO_LIMIT}; the proximity force "
             "approximation error grows like z/R",
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
 
 
@@ -405,7 +429,8 @@ def free_energy_per_area(
 
     Negative for attractive configurations.
     """
-    s, diag = _thermal_sum("energy", pair.side_a, pair.side_b, _VACUUM, z, grid, nodes)
+    s, diag = _thermal_sum("energy", pair.side_a, pair.side_b, _VACUUM, z, grid, nodes,
+                           False, {})
     value = KB * grid.T / (8.0 * math.pi * z * z) * s
     return (value, diag) if with_diagnostics else value
 
@@ -437,7 +462,8 @@ def plate_plate_pressure(
     with_diagnostics: bool = False,
 ):
     """Pressure (Pa) between two half-space plates; negative = attractive."""
-    s, diag = _thermal_sum("pressure", pair.side_a, pair.side_b, _VACUUM, z, grid, nodes)
+    s, diag = _thermal_sum("pressure", pair.side_a, pair.side_b, _VACUUM, z, grid, nodes,
+                           False, {})
     value = -KB * grid.T / (8.0 * math.pi * z**3) * s
     return (value, diag) if with_diagnostics else value
 
@@ -474,10 +500,8 @@ def difference_force(
     trilogarithm value (valid when both plate sections have vanishing
     zero-frequency TE reflection).
     """
-    _check_sphere(R, z)
-    mat_low = _apply_low_freq_model(mat_low, low_freq_model)
-    s, diag = _thermal_sum("energy", probe, mat_high, mat_low, z, grid, nodes, analytic_l0)
-    value = KB * grid.T * R / (4.0 * z * z) * s
+    value, diag = _difference(probe, mat_high, mat_low, R, grid, low_freq_model, nodes,
+                              analytic_l0, {}, z)
     return (value, diag) if with_diagnostics else value
 
 
@@ -494,10 +518,24 @@ def difference_pressure(
     with_diagnostics: bool = False,
 ):
     """One-pass difference pressure P_high(z) - P_low(z) between plates."""
-    mat_low = _apply_low_freq_model(mat_low, low_freq_model)
-    s, diag = _thermal_sum("pressure", probe, mat_high, mat_low, z, grid, nodes, analytic_l0)
-    value = -KB * grid.T / (8.0 * math.pi * z**3) * s
+    value, diag = _difference(probe, mat_high, mat_low, None, grid, low_freq_model, nodes,
+                              analytic_l0, {}, z)
     return (value, diag) if with_diagnostics else value
+
+
+def _difference(probe, mat_high, mat_low, R, grid, low_freq_model, nodes, analytic_l0,
+                eps_blocks, z):
+    """(value, diagnostics) of the difference force on a sphere of radius R,
+    or of the difference pressure for R = None; ``eps_blocks`` as in _thermal_sum."""
+    if R is not None:
+        _check_sphere(R, z, stacklevel=4)
+    mat_low = _apply_low_freq_model(mat_low, low_freq_model)
+    quantity = "pressure" if R is None else "energy"
+    s, diag = _thermal_sum(quantity, probe, mat_high, mat_low, z, grid, nodes, analytic_l0,
+                           eps_blocks)
+    if R is None:
+        return -KB * grid.T / (8.0 * math.pi * z**3) * s, diag
+    return KB * grid.T * R / (4.0 * z * z) * s, diag
 
 
 # --- separation sweeps ---------------------------------------------------
@@ -551,10 +589,9 @@ def difference_force_curve(
     run in fixed index order, so results are bit-identical for any worker
     count.
     """
-    point = partial(
-        difference_force, probe, mat_high, mat_low, R, grid=grid,
-        low_freq_model=low_freq_model, nodes=nodes, with_diagnostics=True,
-    )
+    # one permittivity dict for every point; each pool task pickles its own copy
+    point = partial(_difference, probe, mat_high, mat_low, R, grid, low_freq_model, nodes,
+                    False, {})
     curve = _sweep(point, separations, workers, probe, mat_high, mat_low, grid,
                    low_freq_model, nodes)
     curve.metadata["sphere_radius_m"] = R
@@ -573,10 +610,8 @@ def difference_pressure_curve(
     workers: int = 1,
 ) -> Curve:
     """Difference pressure over a separation grid (see difference_force_curve)."""
-    point = partial(
-        difference_pressure, probe, mat_high, mat_low, grid=grid,
-        low_freq_model=low_freq_model, nodes=nodes, with_diagnostics=True,
-    )
+    point = partial(_difference, probe, mat_high, mat_low, None, grid, low_freq_model, nodes,
+                    False, {})
     return _sweep(point, separations, workers, probe, mat_high, mat_low, grid,
                   low_freq_model, nodes)
 

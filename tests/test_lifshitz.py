@@ -8,7 +8,8 @@ import pytest
 import scipy.constants
 
 import casimirdiff as cd
-from casimirdiff.lifshitz import SumDiagnostics, Y_WINDOW, _momentum_grid
+from casimirdiff.lifshitz import SumDiagnostics, Y_WINDOW, _fresnel, _momentum_grid
+from test_golden import _lorentz_table
 
 R_SPHERE = 100e-6
 GRID300 = cd.MatsubaraGrid(T=300.0)
@@ -68,6 +69,11 @@ def test_grid_validation():
         cd.MatsubaraGrid(T=300.0, rel_tol=1e-2)
     with pytest.raises(ValueError):
         cd.MatsubaraGrid(T=300.0, l_max_cap=10)
+    # the cap is a term count: a NaN, fractional, float or bool cap fails here,
+    # not at the first sum
+    for cap in (math.nan, 150.5, 1e9, True):
+        with pytest.raises(ValueError, match="l_max_cap"):
+            cd.MatsubaraGrid(T=300.0, l_max_cap=cap)
 
 
 # --- reflection amplitudes --------------------------------------------------
@@ -124,11 +130,35 @@ def test_reflection_errors():
 
 def test_momentum_grid_covers_window():
     z = 100e-9
-    y, w, kp2 = _momentum_grid(0.0, z, 120)
+    _, y, _ = _momentum_grid(0.0, z, 120)
     assert y[0] > 0.0 and y[-1] < Y_WINDOW
     assert np.all(np.diff(y) > 0)
-    # with xi = 0, k_perp equals q = y/(2z)
-    assert np.allclose(kp2, (y / (2 * z)) ** 2, rtol=1e-13)
+
+
+def test_block_amplitudes_against_mpmath():
+    # the kernel's y-form amplitudes over one block of 32 frequencies at a
+    # random z, against the same expressions at 40 digits; tolerances fixed
+    # beforehand: r_TM 1e-12, r_TE 1e-14 relative
+    rng = np.random.default_rng(20261018)
+    z = 10 ** rng.uniform(-8, -6)
+    xi = np.sort(10 ** rng.uniform(12, 17, size=32))
+    eps = (1.0 + 10 ** rng.uniform(-2, 4, size=32))[:, None]
+    y_min, y, _ = _momentum_grid(xi, z, 120)
+    ymin2 = y_min * y_min
+    r_tm, r_te = _fresnel(eps, y, ymin2)
+    with mpmath.workdps(40):
+        for i in range(32):
+            e, m2 = mpmath.mpf(eps[i, 0]), mpmath.mpf(ymin2[i, 0])
+            for j in range(y.shape[1]):
+                yy = mpmath.mpf(y[i, j])
+                K = mpmath.sqrt(yy * yy + (e - 1) * m2)
+                tm = (e * yy - K) / (e * yy + K)
+                te = (e - 1) * m2 / (K + yy) ** 2
+                assert abs(r_tm[i, j] / tm - 1) <= 1e-12, (i, j)
+                assert abs(r_te[i, j] / te - 1) <= 1e-14, (i, j)
+    # eps = 1 gives exact zeros over the whole block
+    zero_tm, zero_te = _fresnel(np.ones((32, 1)), y, ymin2)
+    assert not np.any(zero_tm) and not np.any(zero_te)
 
 
 # --- trilogarithm ----------------------------------------------------------
@@ -560,29 +590,44 @@ def test_force_curve_builder():
     assert curve.metadata["max_tail_rel"] <= GRID300.rel_tol
 
 
-def test_pressure_curve_matches_pointwise():
+# a curve reuses each block's permittivities across its separations; a
+# tabulated probe makes that reuse a Kramers-Kronig product per block
+TABULATED = cd.build_material("tabulated", table=_lorentz_table(600))
+CURVE_MATERIALS = {
+    "si": ((MATS["gold"], MATS["n1"], MATS["low"]), GRID300),
+    "vo2-tabulated": ((TABULATED, MATS["vo2m"], MATS["vo2i"]), GRID340),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CURVE_MATERIALS))
+def test_pressure_curve_matches_pointwise(case):
+    mats, grid = CURVE_MATERIALS[case]
+    model = "b" if case == "si" else None
     zs = (100e-9, 200e-9)
-    curve = cd.difference_pressure_curve(
-        MATS["gold"], MATS["n1"], MATS["low"], zs, GRID300, low_freq_model="b"
-    )
-    for z, v in zip(zs, curve.values):
-        direct = cd.difference_pressure(
-            MATS["gold"], MATS["n1"], MATS["low"], z, GRID300, low_freq_model="b"
+    for workers in (1, 2):
+        curve = cd.difference_pressure_curve(
+            *mats, zs, grid, low_freq_model=model, workers=workers
         )
-        assert v == direct
+        for z, v in zip(zs, curve.values):
+            assert v == cd.difference_pressure(*mats, z, grid, low_freq_model=model)
 
 
-def test_curve_workers_bit_identical():
+@pytest.mark.parametrize("case", sorted(CURVE_MATERIALS))
+def test_curve_workers_bit_identical(case):
+    mats, grid = CURVE_MATERIALS[case]
+    model = "a" if case == "si" else None
     zs = (100e-9, 160e-9, 240e-9, 300e-9)
     serial = cd.difference_force_curve(
-        MATS["gold"], MATS["n1"], MATS["low"], R_SPHERE, zs, GRID300,
-        low_freq_model="a", workers=1,
+        *mats, R_SPHERE, zs, grid, low_freq_model=model, workers=1,
     )
     parallel = cd.difference_force_curve(
-        MATS["gold"], MATS["n1"], MATS["low"], R_SPHERE, zs, GRID300,
-        low_freq_model="a", workers=2,
+        *mats, R_SPHERE, zs, grid, low_freq_model=model, workers=2,
     )
     assert serial.values == parallel.values
+    pointwise = tuple(
+        cd.difference_force(*mats, R_SPHERE, z, grid, low_freq_model=model) for z in zs
+    )
+    assert serial.values == pointwise
 
 
 def test_curve_validation():

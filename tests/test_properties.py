@@ -1,0 +1,86 @@
+"""Exact invariants of the difference kernel over random Drude/oscillator materials.
+
+For ``difference_force`` and ``difference_pressure``, with the numerically
+integrated and with the closed-form (``analytic_l0``) zero-frequency term:
+
+* identical plate sections give exactly 0.0;
+* swapping the sections gives exactly the negated value;
+* a vacuum probe, or vacuum on both sides, gives exactly 0.0.
+
+The kernel groups the integrand per polarization as (high - low) terms, so
+these hold bit for bit, not just to a tolerance.
+"""
+
+from functools import partial
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+import casimirdiff as cd  # noqa: E402
+
+R = 100e-6
+VACUUM = cd.build_material("vacuum")
+
+
+def _log_uniform(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+drudes = st.builds(
+    cd.DrudeParams, omega_p=_log_uniform(14.0, 16.3), gamma=_log_uniform(12.0, 14.5)
+)
+oscillators = st.builds(
+    cd.OscillatorParams,
+    omega=_log_uniform(14.5, 16.5),
+    Gamma=st.floats(0.0, 2.0),
+    strength=_log_uniform(-1.0, 1.3),
+)
+
+
+@st.composite
+def sections(draw):
+    """A plate section with finite static permittivity (valid for analytic_l0)."""
+    oscs = tuple(draw(st.lists(oscillators, min_size=1, max_size=2)))
+    drude = draw(st.none() | drudes)
+    return cd.PermittivityModel(label="section", oscillators=oscs, drude=drude, dc_conductor=False)
+
+
+@st.composite
+def setups(draw):
+    probe = cd.PermittivityModel(label="probe", drude=draw(drudes))
+    grid = cd.MatsubaraGrid(T=draw(st.floats(200.0, 400.0)))
+    z = draw(st.floats(80e-9, 400e-9))
+    quantity = draw(st.sampled_from(("force", "pressure")))
+    if quantity == "force":
+        fn = partial(cd.difference_force, R=R, z=z, grid=grid)
+    else:
+        fn = partial(cd.difference_pressure, z=z, grid=grid)
+    fn = partial(fn, analytic_l0=draw(st.booleans()))
+    return fn, probe, draw(sections()), draw(sections())
+
+
+PROPERTY_SETTINGS = settings(max_examples=50, deadline=None, database=None)
+
+
+@PROPERTY_SETTINGS
+@given(setups())
+def test_identical_sections_give_zero(setup):
+    fn, probe, high, _ = setup
+    assert fn(probe, high, high) == 0.0
+
+
+@PROPERTY_SETTINGS
+@given(setups())
+def test_swapped_sections_negate(setup):
+    fn, probe, high, low = setup
+    assert fn(probe, low, high) == -fn(probe, high, low)
+
+
+@PROPERTY_SETTINGS
+@given(setups())
+def test_vacuum_gives_zero(setup):
+    fn, probe, high, low = setup
+    assert fn(VACUUM, high, low) == 0.0
+    assert fn(probe, VACUUM, VACUUM) == 0.0
