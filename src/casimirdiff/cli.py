@@ -133,7 +133,7 @@ class SweepConfig:
     out: str | None
     workers: int
     optical_table: str | None
-    drude_overrides: dict
+    drude_overrides: dict[str, DrudeParams]
 
     def __post_init__(self) -> None:
         if self.quantity not in ("force", "pressure"):
@@ -204,7 +204,7 @@ def _setting(key: str, text: str | None):
 def _resolve(args) -> SweepConfig:
     """Defaults, then the --config file, then the flags; a later source wins."""
     settings = {key: default for key, (_, default, _, _) in _SETTINGS.items()}
-    overrides: dict[str, dict[str, float]] = {}
+    overrides: dict[str, dict[str, float]] = {}  # NAME -> {"omega_p": x, "gamma": y}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
@@ -228,25 +228,37 @@ def _resolve(args) -> SweepConfig:
         if (flag := getattr(args, key, None)) is not None:
             settings[key] = flag
     values = {key: _setting(key, text) for key, text in settings.items()}
-    return SweepConfig(**values, drude_overrides=overrides)
+    drude = {name: _drude_override(name, pair) for name, pair in overrides.items()}
+    return SweepConfig(**values, drude_overrides=drude)
+
+
+def _drude_override(name: str, pair: dict[str, float]) -> DrudeParams:
+    """The DrudeParams of a drude_omega_p.NAME / drude_gamma.NAME pair.
+
+    Checked whether or not the run uses NAME: the pair must be complete and
+    the catalog entry NAME must take a free-carrier override.
+    """
+    if len(pair) != 2:
+        raise UsageError(
+            f"drude override for {name!r} needs both drude_omega_p.{name} "
+            f"and drude_gamma.{name}"
+        )
+    try:
+        params = DrudeParams(**pair)
+        build_material(name, drude=params)
+    except ValueError as exc:
+        raise UsageError(f"drude override for {name!r}: {exc}") from None
+    return params
 
 
 def _build_named(name: str, drude_overrides: dict, optical_table: str | None):
-    kwargs = {}
-    if name in drude_overrides:
-        ov = drude_overrides[name]
-        if "omega_p" not in ov or "gamma" not in ov:
-            raise UsageError(
-                f"drude override for {name!r} needs both drude_omega_p.{name} "
-                f"and drude_gamma.{name}"
-            )
-        kwargs["drude"] = DrudeParams(omega_p=ov["omega_p"], gamma=ov["gamma"])
+    table = None
     if name == "tabulated":
         if not optical_table:
             raise UsageError("material 'tabulated' requires --optical-table PATH")
-        kwargs["table"] = load_optical_table(optical_table)
+        table = load_optical_table(optical_table)
     try:
-        return build_material(name, **kwargs)
+        return build_material(name, drude=drude_overrides.get(name), table=table)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 

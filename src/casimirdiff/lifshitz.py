@@ -110,9 +110,13 @@ class MatsubaraGrid:
             raise ValueError("temperature T must be positive and finite")
         if not 0.0 < self.rel_tol < 1e-3:
             raise ValueError("rel_tol must lie in (0, 1e-3)")
-        cap = self.l_max_cap
-        if isinstance(cap, bool) or not isinstance(cap, int) or cap < 100:
-            raise ValueError("l_max_cap must be an int of at least 100")
+        _check_count("l_max_cap", self.l_max_cap, least=100)
+
+
+def _check_count(name: str, value, least: int = 1) -> None:
+    """Reject anything but an int (a bool included) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(f"{name} must be an int of at least {least}")
 
 
 class ReflectionPair(NamedTuple):
@@ -155,17 +159,27 @@ class Curve:
     metadata: dict
 
     def __post_init__(self) -> None:
-        separations = tuple(float(z) for z in self.separations)
+        separations = _separation_grid(self.separations)
         values = tuple(float(v) for v in self.values)
         if len(separations) != len(values):
             raise ValueError("separations and values differ in length")
-        if any(b <= a for a, b in zip(separations, separations[1:])):
-            raise ValueError("separations must be strictly increasing")
         if not all(math.isfinite(v) for v in values):
             raise ValueError("curve values must be finite")
         object.__setattr__(self, "separations", separations)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "metadata", dict(self.metadata))
+
+
+def _separation_grid(separations) -> tuple[float, ...]:
+    """The separations as floats: at least one, positive, finite and increasing."""
+    zs = tuple(float(z) for z in separations)
+    if not zs:
+        raise ValueError("separations must not be empty")
+    if not all(0.0 < z < math.inf for z in zs):
+        raise ValueError("separations must be positive and finite")
+    if any(b <= a for a, b in zip(zs, zs[1:])):
+        raise ValueError("separations must be strictly increasing")
+    return zs
 
 
 def matsubara_frequency(l, T: float):
@@ -348,6 +362,7 @@ def _thermal_sum(quantity, probe, high, low, z, grid, nodes, analytic_l0, eps_bl
     """
     if not 0.0 < z < math.inf:
         raise ValueError("separation z must be positive and finite")
+    _check_count("nodes", nodes)
     shared, integrand, power, l0_factor = _QUANTITIES[quantity]
     models = (probe, high, low)
 
@@ -544,14 +559,17 @@ def _difference(probe, mat_high, mat_low, R, grid, low_freq_model, nodes, analyt
 def _sweep(point, separations, workers, probe, mat_high, mat_low, grid,
            low_freq_model, nodes) -> Curve:
     """Curve of ``point(z) -> (value, diagnostics)`` over the separations."""
-    zs = tuple(float(z) for z in separations)
+    zs = _separation_grid(separations)
+    _check_count("workers", workers)
     if workers > 1:
         # imported on demand: the pool's modules add about 2 MB to every
         # process, and most sweeps run serially
         from concurrent.futures import ProcessPoolExecutor
 
+        # one chunk of separations per worker: a task unpickles the
+        # materials and the per-curve permittivity dict once for its chunk
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(point, zs))
+            results = list(pool.map(point, zs, chunksize=-(-len(zs) // workers)))
     else:
         results = [point(z) for z in zs]
     diags = [diag for _, diag in results]
@@ -585,11 +603,11 @@ def difference_force_curve(
     """Difference force over a separation grid.
 
     Each separation is an independent work item; with ``workers > 1`` the
-    points are dispatched to a process pool.  The per-point Matsubara sums
-    run in fixed index order, so results are bit-identical for any worker
-    count.
+    points are dispatched to a process pool, one chunk per worker.  The
+    per-point Matsubara sums run in fixed index order, so results are
+    bit-identical for any worker count.
     """
-    # one permittivity dict for every point; each pool task pickles its own copy
+    # one permittivity dict for every point; each pool task gets its own copy
     point = partial(_difference, probe, mat_high, mat_low, R, grid, low_freq_model, nodes,
                     False, {})
     curve = _sweep(point, separations, workers, probe, mat_high, mat_low, grid,

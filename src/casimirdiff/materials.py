@@ -261,79 +261,74 @@ def with_te_zero(model: PermittivityModel, rule: str) -> PermittivityModel:
 
 # --- catalog -----------------------------------------------------------
 
-# Gold probe: Drude parameters (eV).  Stand-in for tabulated optical data;
-# users may substitute an OpticalDataTable via build_material("tabulated").
-_GOLD_OMEGA_P_EV = 9.0
-_GOLD_GAMMA_EV = 0.035
 
-# Dielectric silicon: single-term approximation pinning eps(0) = 11.66.
-_SI_EPS_STATIC = 11.66
-_SI_OMEGA_UV = 6.6e15  # rad/s
-
-# Phosphorus-doped silicon sections (rad/s): two high carrier densities and
-# the low-density section whose dc conductivity is the model switch.
-_SI_DRUDE = {
-    "si-doped-n1": DrudeParams(omega_p=2.0e15, gamma=2.4e14),
-    "si-doped-n2": DrudeParams(omega_p=6.3e14, gamma=1.8e13),
-    "si-doped-low": DrudeParams(omega_p=3.5e13, gamma=1.8e13),
-}
-
-# VO2 half-space (substrate not modelled), insulating phase: oscillators
-# (omega eV, Gamma, s).
-_VO2_INSULATOR_OSC = (
-    (1.02, 0.55, 0.79),
-    (1.30, 0.55, 0.474),
-    (1.50, 0.50, 0.483),
-    (2.75, 0.22, 0.536),
-    (3.49, 0.47, 1.316),
-    (3.76, 0.38, 1.060),
-    (5.1, 0.385, 0.99),
-)
-_VO2_INSULATOR_EPS_INF = 4.26
-
-# VO2 half-space (substrate not modelled), metallic phase: oscillators plus a
-# free-carrier term.
-_VO2_METAL_OSC = (
-    (0.86, 0.95, 1.816),
-    (2.8, 0.23, 0.972),
-    (3.48, 0.28, 1.04),
-    (4.6, 0.34, 1.05),
-)
-_VO2_METAL_EPS_INF = 3.95
-_VO2_METAL_OMEGA_P_EV = 3.33
-_VO2_METAL_GAMMA_EV = 0.66
-
-_VO2_OMEGA_INF_EV = 15.0
-
-
-def _osc_from_ev(rows) -> tuple[OscillatorParams, ...]:
+def _osc_from_ev(*rows) -> tuple[OscillatorParams, ...]:
+    """Oscillators from (omega eV, Gamma, strength) rows."""
     return tuple(
         OscillatorParams(omega=ev_to_rad_s(w), Gamma=g, strength=s) for w, g, s in rows
     )
 
 
-def _si_core_tail() -> HighFreqTail:
-    return HighFreqTail(eps_inf=_SI_EPS_STATIC, omega_inf=_SI_OMEGA_UV)
+def _drude_from_ev(omega_p: float, gamma: float) -> DrudeParams:
+    return DrudeParams(omega_p=ev_to_rad_s(omega_p), gamma=ev_to_rad_s(gamma))
 
 
-_CATALOG_NAMES = (
-    "gold-drude",
-    "si-dielectric",
-    "si-doped-n1",
-    "si-doped-n2",
-    "si-doped-low",
-    "si-doped",
-    "vo2-insulator",
-    "vo2-metal",
-    "tabulated",
-    "ideal-metal",
-    "vacuum",
-)
+# name -> PermittivityModel fields.  An entry with a "drude" or "table" field
+# accepts that override in build_material; a None value there makes the
+# override required.
+_CATALOG = {
+    # Gold probe (eV).  Stand-in for tabulated optical data; users may
+    # substitute an OpticalDataTable via build_material("tabulated").
+    "gold-drude": {"drude": _drude_from_ev(9.0, 0.035)},
+    # Silicon: a single-term approximation pinning eps(0) = 11.66 (cutoff in
+    # rad/s).  The phosphorus-doped sections (rad/s) are two high carrier
+    # densities and the low-density section whose dc conductivity is the
+    # model switch.
+    **{
+        name: {"tail": HighFreqTail(eps_inf=11.66, omega_inf=6.6e15), **free_carriers}
+        for name, free_carriers in (
+            ("si-dielectric", {}),
+            ("si-doped-n1", {"drude": DrudeParams(omega_p=2.0e15, gamma=2.4e14)}),
+            ("si-doped-n2", {"drude": DrudeParams(omega_p=6.3e14, gamma=1.8e13)}),
+            ("si-doped-low", {"drude": DrudeParams(omega_p=3.5e13, gamma=1.8e13)}),
+            ("si-doped", {"drude": None}),
+        )
+    },
+    # VO2 half-space (substrate not modelled), insulating phase.
+    "vo2-insulator": {
+        "oscillators": _osc_from_ev(
+            (1.02, 0.55, 0.79),
+            (1.30, 0.55, 0.474),
+            (1.50, 0.50, 0.483),
+            (2.75, 0.22, 0.536),
+            (3.49, 0.47, 1.316),
+            (3.76, 0.38, 1.060),
+            (5.1, 0.385, 0.99),
+        ),
+        "tail": HighFreqTail(eps_inf=4.26, omega_inf=ev_to_rad_s(15.0)),
+    },
+    # VO2 half-space (substrate not modelled), metallic phase: oscillators
+    # plus a free-carrier term.
+    "vo2-metal": {
+        "oscillators": _osc_from_ev(
+            (0.86, 0.95, 1.816),
+            (2.8, 0.23, 0.972),
+            (3.48, 0.28, 1.04),
+            (4.6, 0.34, 1.05),
+        ),
+        "tail": HighFreqTail(eps_inf=3.95, omega_inf=ev_to_rad_s(15.0)),
+        "drude": _drude_from_ev(3.33, 0.66),
+    },
+    "tabulated": {"table": None},
+    # eps -> inf at every frequency; limiting oracle, not a physical entry.
+    "ideal-metal": {"perfect_conductor": True, "te_zero": "plasma"},
+    "vacuum": {},
+}
 
 
 def catalog_names() -> tuple[str, ...]:
     """Names accepted by :func:`build_material`."""
-    return _CATALOG_NAMES
+    return tuple(_CATALOG)
 
 
 def build_material(
@@ -347,55 +342,21 @@ def build_material(
 
     ``drude`` replaces the preset free-carrier parameters of a Drude-bearing
     entry (and is required for the generic ``"si-doped"``); ``table`` is
-    required for ``"tabulated"``.
+    required for ``"tabulated"``.  Either one given to an entry that does
+    not use it raises ``ValueError``.
     """
-    label = label or name
-    if name == "gold-drude":
-        dr = drude or DrudeParams(
-            omega_p=ev_to_rad_s(_GOLD_OMEGA_P_EV), gamma=ev_to_rad_s(_GOLD_GAMMA_EV)
-        )
-        return PermittivityModel(label=label, drude=dr)
-    if name == "si-dielectric":
-        return PermittivityModel(label=label, tail=_si_core_tail())
-    if name in _SI_DRUDE:
-        return PermittivityModel(
-            label=label, tail=_si_core_tail(), drude=drude or _SI_DRUDE[name]
-        )
-    if name == "si-doped":
-        if drude is None:
-            raise ValueError("'si-doped' requires explicit DrudeParams")
-        return PermittivityModel(label=label, tail=_si_core_tail(), drude=drude)
-    if name == "vo2-insulator":
-        return PermittivityModel(
-            label=label,
-            oscillators=_osc_from_ev(_VO2_INSULATOR_OSC),
-            tail=HighFreqTail(
-                eps_inf=_VO2_INSULATOR_EPS_INF, omega_inf=ev_to_rad_s(_VO2_OMEGA_INF_EV)
-            ),
-        )
-    if name == "vo2-metal":
-        dr = drude or DrudeParams(
-            omega_p=ev_to_rad_s(_VO2_METAL_OMEGA_P_EV),
-            gamma=ev_to_rad_s(_VO2_METAL_GAMMA_EV),
-        )
-        return PermittivityModel(
-            label=label,
-            oscillators=_osc_from_ev(_VO2_METAL_OSC),
-            tail=HighFreqTail(
-                eps_inf=_VO2_METAL_EPS_INF, omega_inf=ev_to_rad_s(_VO2_OMEGA_INF_EV)
-            ),
-            drude=dr,
-        )
-    if name == "tabulated":
-        if table is None:
-            raise ValueError("'tabulated' requires an OpticalDataTable")
-        return PermittivityModel(label=label, table=table)
-    if name == "ideal-metal":
-        # eps -> inf at every frequency; limiting oracle, not a physical entry.
-        return PermittivityModel(label=label, perfect_conductor=True, te_zero="plasma")
-    if name == "vacuum":
-        return PermittivityModel(label=label)
-    raise ValueError(f"unknown material {name!r}; known: {', '.join(_CATALOG_NAMES)}")
+    if name not in _CATALOG:
+        raise ValueError(f"unknown material {name!r}; known: {', '.join(_CATALOG)}")
+    fields = dict(_CATALOG[name])
+    for key, override in (("drude", drude), ("table", table)):
+        if override is not None:
+            if key not in fields:
+                raise ValueError(f"{name!r} takes no {key} override")
+            fields[key] = override
+    missing = [key for key, value in fields.items() if value is None]
+    if missing:
+        raise ValueError(f"{name!r} requires a {missing[0]} argument")
+    return PermittivityModel(label=label or name, **fields)
 
 
 # --- carrier relations -------------------------------------------------

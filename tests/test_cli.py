@@ -167,6 +167,20 @@ def test_sweep_config_validation_exit_1(capsys):
     assert "z_min" in err
     code, _, err = run_cli(capsys, "sweep", "--points", "1")
     assert code == 1
+    for flag, value, field in (
+        ("--quantity", "energy", "quantity"),
+        ("--spacing", "cubic", "spacing"),
+        ("--model", "c", "model"),
+        ("--format", "xml", "format"),
+        ("--zmin", "-50 nm", "z_min"),
+        ("--temperature", "0 K", "temperature"),
+        ("--radius", "0 um", "radius"),
+        ("--workers", "0", "workers"),
+        ("--workers", "two", "workers must be an integer"),
+    ):
+        code, out, err = run_cli(capsys, "sweep", "--points", "2", flag, value)
+        assert (code, out) == (1, "")
+        assert field in err
 
 
 def test_sweep_output_is_self_describing(capsys):
@@ -324,6 +338,16 @@ def test_permittivity_tabulated(tmp_path, capsys):
 def test_permittivity_requires_material(capsys):
     code, _, err = run_cli(capsys, "permittivity")
     assert code == 1
+    for argv, message in (
+        (("--material", "tabulated"), "--optical-table"),
+        (("--material", "vacuum", "--ximin", "1 eV", "--ximax", "1 eV"), "ximin < ximax"),
+        (("--material", "vacuum", "--points", "1"), "at least 2 grid points"),
+    ):
+        code, out, err = run_cli(capsys, "permittivity", *argv)
+        assert (code, out) == (1, "")
+        assert message in err
+    with pytest.raises(ValueError, match="must be positive"):
+        cli.permittivity_table(cd.build_material("vacuum"), [1e15, 0.0])
 
 
 # --- cantilever commands ----------------------------------------------------------
@@ -415,6 +439,31 @@ def test_config_unknown_key_exit_1(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert f"{cfg}:2: unknown setting 'temprature'" in err
+    cfg.write_text("points = 2\ntemperature 77 K\n")
+    code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert f"{cfg}:2: expected 'key = value'" in err
+
+
+@pytest.mark.parametrize(
+    "lines, entry",
+    [
+        # a typo for gold-drude
+        ("drude_omega_p.gold = 8.5 eV\ndrude_gamma.gold = 0.05 eV\n", "'gold'"),
+        # an entry without free carriers
+        ("drude_omega_p.si-dielectric = 1 eV\ndrude_gamma.si-dielectric = 0.1 eV\n",
+         "'si-dielectric'"),
+        # half a pair, for an entry this run does not use
+        ("drude_omega_p.si-doped-n2 = 1 eV\n", "'si-doped-n2'"),
+    ],
+    ids=["typo", "no-free-carriers", "lone-key-unused-entry"],
+)
+def test_drude_override_checked_for_every_entry_exit_1(lines, entry, tmp_path, capsys):
+    cfg = tmp_path / "drude.cfg"
+    cfg.write_text("points = 2\n" + lines)
+    code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert f"drude override for {entry}" in err
 
 
 @pytest.mark.parametrize(

@@ -119,6 +119,8 @@ def test_cantilever_validation():
     assert good.mass == pytest.approx(good.k / good.omega_r**2, rel=1e-12)
     with pytest.raises(ValueError):
         cd.CantileverParams(k=0.03, f_r=1130.9, Q=5889.2, B=0.3, T=77.0, M=1e-9)
+    with pytest.raises(ValueError, match="parameter M must be positive"):
+        cd.CantileverParams(k=0.03, f_r=1130.9, Q=5889.2, B=0.3, T=77.0, M=-1e-9)
 
 
 def test_derived_mass():

@@ -8,6 +8,7 @@ import pytest
 import scipy.constants
 
 import casimirdiff as cd
+from casimirdiff import lifshitz
 from casimirdiff.lifshitz import SumDiagnostics, Y_WINDOW, _fresnel, _momentum_grid
 from test_golden import _lorentz_table
 
@@ -96,6 +97,8 @@ def test_reflection_static_conductor():
     assert 0.0 < r_plasma.r_te < 1.0
     r_perfect = cd.reflection_coefficients(math.inf, 0.0, 1e6, te_zero="plasma")
     assert r_perfect.r_te == 1.0
+    # a diverging permittivity reflects both polarizations fully at xi > 0
+    assert cd.reflection_coefficients(math.inf, 1e15, 1e6) == (1.0, 1.0)
 
 
 def test_reflection_vacuum():
@@ -126,6 +129,8 @@ def test_reflection_errors():
         cd.reflection_coefficients(11.66, -1.0, 1e6)
     with pytest.raises(ValueError):
         cd.reflection_coefficients(11.66, 1e15, -1.0)
+    with pytest.raises(ValueError, match="te_zero"):
+        cd.reflection_coefficients(math.inf, 0.0, 1e6, te_zero="drude")
 
 
 def test_momentum_grid_covers_window():
@@ -236,6 +241,8 @@ def test_gap_errors():
         cd.zero_freq_gap_force(R_SPHERE, 100e-9, 300.0, 0.9)
     with pytest.raises(ValueError):
         cd.zero_freq_gap_pressure(0.0, 300.0, 11.66)
+    with pytest.raises(ValueError, match="eps0"):
+        cd.zero_freq_gap_pressure(100e-9, 300.0, 1.0)
 
 
 # --- free energy, force, pressure -------------------------------------------
@@ -414,6 +421,12 @@ def test_numeric_l0_close_to_analytic():
     )
     exact = cd.zero_freq_gap_force(R_SPHERE, 100e-9, 300.0, 11.66)
     assert abs(gap_numeric / exact - 1.0) < 1e-6
+    # the closed form has no zero-frequency TE term to offer
+    with pytest.raises(ValueError, match="vanishing TE reflection"):
+        cd.difference_force(
+            MATS["gold"], cd.with_te_zero(MATS["n1"], "plasma"), MATS["low"], R_SPHERE,
+            100e-9, GRID300, analytic_l0=True,
+        )
 
 
 def test_te_convention_has_no_effect_on_differences():
@@ -560,6 +573,24 @@ def test_non_finite_term_fails_at_once():
         (lambda: cd.reflection_coefficients(11.66, 1e15, math.inf), "k_perp"),
         (lambda: MATS["gold"].eval(math.nan), "frequency"),
         (lambda: MATS["si_a"].eval(math.nan), "frequency"),
+        # counts: an int of at least 1, never a bool or a float
+        (lambda: cd.difference_force(
+            MATS["gold"], MATS["n1"], MATS["low"], R_SPHERE, 100e-9, GRID300, nodes=True),
+         "nodes"),
+        (lambda: cd.difference_force(
+            MATS["gold"], MATS["n1"], MATS["low"], R_SPHERE, 100e-9, GRID300, nodes=0),
+         "nodes"),
+        (lambda: cd.difference_pressure(
+            MATS["gold"], MATS["n1"], MATS["low"], 100e-9, GRID300, nodes=-5), "nodes"),
+        (lambda: cd.difference_force_curve(
+            MATS["gold"], MATS["n1"], MATS["low"], R_SPHERE, (1e-7, 2e-7), GRID300,
+            workers=0), "workers"),
+        (lambda: cd.difference_pressure_curve(
+            MATS["gold"], MATS["n1"], MATS["low"], (1e-7, 2e-7), GRID300, workers=2.5),
+         "workers"),
+        (lambda: cd.difference_pressure_curve(
+            MATS["gold"], MATS["n1"], MATS["low"], (1e-7, 2e-7), GRID300, workers=True),
+         "workers"),
     ],
 )
 def test_non_finite_input_rejected(build, field):
@@ -628,6 +659,21 @@ def test_curve_workers_bit_identical(case):
         cd.difference_force(*mats, R_SPHERE, z, grid, low_freq_model=model) for z in zs
     )
     assert serial.values == pointwise
+
+
+@pytest.mark.parametrize("separations", [(3e-7, 2e-7, 1e-7), (), (1e-7, math.nan)])
+def test_curve_separations_checked_before_any_sum(separations, monkeypatch):
+    def no_sum(*args, **kwargs):
+        raise AssertionError("a Matsubara sum ran")
+
+    monkeypatch.setattr(lifshitz, "_thermal_sum", no_sum)
+    with pytest.raises(ValueError, match="separations"):
+        cd.difference_force_curve(
+            MATS["gold"], MATS["n1"], MATS["low"], R_SPHERE, separations, GRID300
+        )
+    with pytest.raises(ValueError, match="separations"):
+        cd.difference_pressure_curve(MATS["gold"], MATS["n1"], MATS["low"], separations,
+                                     GRID300, workers=2)
 
 
 def test_curve_validation():

@@ -32,6 +32,8 @@ def test_constants_positive_and_consistent():
 def test_inconsistent_conversion_rejected():
     with pytest.raises(ValueError):
         cd.PhysicalConstants(eV_to_rad_s=1.0e15)
+    with pytest.raises(ValueError, match="constant c must be strictly positive"):
+        cd.PhysicalConstants(c=0.0)
 
 
 @pytest.mark.parametrize(
@@ -89,6 +91,47 @@ def test_build_material_errors():
         cd.build_material("tabulated")
 
 
+def test_catalog_order():
+    assert cd.catalog_names() == (
+        "gold-drude", "si-dielectric", "si-doped-n1", "si-doped-n2", "si-doped-low",
+        "si-doped", "vo2-insulator", "vo2-metal", "tabulated", "ideal-metal", "vacuum",
+    )
+
+
+OVERRIDES = {
+    "drude": cd.DrudeParams(omega_p=1e15, gamma=1e13),
+    "table": cd.OpticalDataTable(omega=(1e14, 1e15), im_eps=(1.0, 0.5)),
+}
+
+
+@pytest.mark.parametrize(
+    "name, key",
+    [
+        ("si-dielectric", "drude"),
+        ("vo2-insulator", "drude"),
+        ("tabulated", "drude"),
+        ("ideal-metal", "drude"),
+        ("vacuum", "table"),
+        ("gold-drude", "table"),
+        ("si-doped", "table"),
+    ],
+)
+def test_override_not_used_by_entry_rejected(name, key):
+    with pytest.raises(ValueError, match=rf"^'{name}' takes no {key} override$"):
+        cd.build_material(name, **{key: OVERRIDES[key]})
+
+
+@pytest.mark.parametrize(
+    "name, key",
+    [(name, "drude") for name in
+     ("gold-drude", "si-doped-n1", "si-doped-n2", "si-doped-low", "si-doped", "vo2-metal")]
+    + [("tabulated", "table")],
+)
+def test_override_applies(name, key):
+    model = cd.build_material(name, **{key: OVERRIDES[key]})
+    assert getattr(model, key) is OVERRIDES[key]
+
+
 def test_static_permittivity_vo2():
     m = cd.build_material("vo2-insulator")
     eps0 = m.static_permittivity()
@@ -134,6 +177,8 @@ def test_eval_domain_errors():
     assert lossless.eval(1e14) > 1.0
     with pytest.raises(ValueError):
         lossless.eval(0.0)
+    with pytest.raises(ValueError, match="array of imaginary-axis frequencies"):
+        doped.eval(np.array([1e14, 0.0]))
 
 
 def test_model_b_matches_closed_form_at_first_matsubara():
@@ -192,10 +237,14 @@ def test_parameter_validation():
         cd.OscillatorParams(omega=1e15, Gamma=0.1, strength=0.0)
     with pytest.raises(ValueError):
         cd.HighFreqTail(eps_inf=0.5, omega_inf=1e15)
+    with pytest.raises(ValueError, match="omega_inf"):
+        cd.HighFreqTail(eps_inf=5.0, omega_inf=0.0)
     with pytest.raises(ValueError):
         cd.CarrierParams(n=-1e20, m_eff=1e-30)
     with pytest.raises(ValueError):
         cd.CarrierParams(n=1e20, m_eff=1e-30, sigma=0.0)
+    with pytest.raises(ValueError, match="m_eff"):
+        cd.CarrierParams(n=1e20, m_eff=-1e-30)
 
 
 def test_plasma_frequency_reproduces_quoted_value():
@@ -279,6 +328,8 @@ def test_optical_table_validation():
         cd.OpticalDataTable(omega=(1e14, 1e15), im_eps=(1.0, -0.1))
     with pytest.raises(ValueError):
         cd.OpticalDataTable(omega=(1e14, 1e15), im_eps=(1.0,))
+    with pytest.raises(ValueError, match="positive and finite"):
+        cd.OpticalDataTable(omega=(0.0, 1e15), im_eps=(1.0, 1.0))
 
 
 def test_load_optical_table(tmp_path):
