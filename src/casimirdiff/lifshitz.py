@@ -14,13 +14,17 @@ two plate sections, evaluated in a single pass as the difference of the two
 pairs, sharing the momentum grid and the probe reflection amplitudes between
 the sections.  A single-pair quantity is the difference against a vacuum
 section, whose amplitudes are exactly 0.  Matsubara indices l >= 1 are
-evaluated in fixed blocks (1-32, 33-64, ...), as (block x node) arrays; the
+evaluated in blocks, as (rows x node) arrays in a reused workspace; the
 terms are then added one at a time in index order, and the sum stops once
 the latest term falls below ``rel_tol`` times the running total.  That test
 bounds the last term, not the truncation error, which can be several times
 larger (4.6 times for the VO2 difference force at 100 nm with rel_tol =
-1e-12).  A curve evaluates each block's eps(i xi) once and reuses it at
-every separation, which leaves every value equal to its pointwise one.
+1e-12).  Blocks are sized to the sum they finish, from the previous curve
+point's term count and then from the decay of the terms, in multiples of 4
+rows, for which each row's value does not depend on its block.  A curve
+keeps one spectrum of eps(i xi) that every block slices, evaluated once
+and reused at every separation, which leaves every value equal to its
+pointwise one.
 
 The momentum integral is evaluated after the substitution y = 2 q z, which
 maps it onto a fixed window [y_l, y_l + Y_WINDOW] with an exponentially
@@ -36,6 +40,8 @@ closed-form gap between the two low-frequency conductivity models.
 from __future__ import annotations
 
 import math
+import operator
+import threading
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -80,8 +86,16 @@ DEFAULT_NODES = 120
 # PFA error is bounded by z/R; warn beyond this ratio.
 PFA_RATIO_LIMIT = 0.01
 
-# Matsubara indices l >= 1 evaluated together, as (block x node) arrays.
-_BLOCK = 32
+# Matsubara indices l >= 1 whose eps(i xi) a spectrum adds at a time, in
+# aligned chunks (1-32, 33-64, ...), so that a tabulated probe's
+# Kramers-Kronig product always sees the same rows; also the first block of
+# a sum with no earlier point to size it by.
+_CHUNK = 32
+
+# Rows of a block (Matsubara indices evaluated together, as (rows x nodes)
+# arrays) come in multiples of 4, at most _MAX_ROWS: the node reduction
+# ``@ weights`` then gives each row the same result in any block.
+_MAX_ROWS = 64
 
 
 class TruncationError(RuntimeError):
@@ -194,7 +208,18 @@ def matsubara_frequency(l, T: float):
 # --- reflection amplitudes ---------------------------------------------
 
 
-def _fresnel(eps, y, ymin2):
+# the ufunc of each binary operator, for a result written into a given array
+_UFUNCS = {operator.add: np.add, operator.sub: np.subtract, operator.mul: np.multiply,
+           operator.truediv: np.divide}
+
+
+def _into(out, op, a, b):
+    """op(a, b) written into the array ``out``, or a new value for ``out = None``
+    (a float for floats, where a ufunc call would cost 20 times more)."""
+    return op(a, b) if out is None else _UFUNCS[op](a, b, out=out)
+
+
+def _fresnel(eps, y, ymin2, out=(None,) * 4):
     """r_TM, r_TE at xi > 0 from eps(i xi), y = s q and ymin2 = (s xi/c)^2.
 
     Lengths are scaled by any s > 0 (s = 2z in the kernel, 1 for a single
@@ -205,11 +230,21 @@ def _fresnel(eps, y, ymin2):
 
     the latter being (K - y)/(K + y) without its cancellation.  eps = 1
     gives K = sqrt(fl(y^2)) = y, hence exactly vanishing amplitudes.
+    ``out`` holds four arrays of y's shape that receive r_TM, r_TE, K and
+    eps y, or Nones for new values.
     """
+    tm_out, te_out, K, ey = out
     d = (eps - 1.0) * ymin2
-    K = (y * y + d) ** 0.5
-    ey = eps * y
-    return (ey - K) / (ey + K), d / (K + y) ** 2
+    K = _into(K, operator.mul, y, y)
+    K += d
+    K **= 0.5
+    ey = _into(ey, operator.mul, eps, y)
+    r_tm = _into(tm_out, operator.sub, ey, K)
+    ey += K
+    r_tm /= ey
+    r_te = _into(te_out, operator.add, K, y)
+    r_te **= 2
+    return r_tm, _into(te_out, operator.truediv, d, r_te)
 
 
 def _zero_freq_reflections(eps0, te_zero, omega_p, y, s=1.0):
@@ -271,12 +306,13 @@ def reflection_coefficients(
     return ReflectionPair(*_fresnel(eps, (k_perp * k_perp + xi_c2) ** 0.5, xi_c2))
 
 
-def _reflections(model: PermittivityModel, eps, y, ymin2, s):
+def _reflections(model: PermittivityModel, eps, y, ymin2, s, out):
     """r_TM, r_TE of one material over a block of frequencies.
 
     ``eps`` is None for the zero-frequency block, else eps(i xi) of the
-    block's positive frequencies with shape (block, 1); ``y`` = s q has shape
-    (block, nodes), ``ymin2`` = (s xi/c)^2 shape (block, 1), and s = 2z.
+    block's positive frequencies with shape (rows, 1); ``y`` = s q has shape
+    (rows, nodes), ``ymin2`` = (s xi/c)^2 shape (rows, 1), and s = 2z.
+    ``out`` is the buffers of ``_fresnel``.
     """
     if eps is None:
         # the plasma scale of the TE rule: none for a perfect conductor, 0
@@ -287,7 +323,7 @@ def _reflections(model: PermittivityModel, eps, y, ymin2, s):
         return _zero_freq_reflections(model.static_permittivity(), model.te_zero, omega_p, y, s)
     if model.perfect_conductor:
         return 1.0, 1.0
-    return _fresnel(eps, y, ymin2)
+    return _fresnel(eps, y, ymin2, out)
 
 
 # --- quadrature ---------------------------------------------------------
@@ -305,110 +341,187 @@ def _nodes(n: int):
     return u2, weights
 
 
-def _momentum_grid(xi, z: float, nodes: int):
+def _momentum_grid(xi, z: float, nodes: int, out=None):
     """Quadrature grid in y = 2 q z: ``(y_min, y, weights)``.
 
     y_min = 2 z xi/c has shape (1,) for a float xi and (len(xi), 1) for an
-    array of frequencies; y has shape (nodes,) or (len(xi), nodes), and the
-    weights, shape (nodes,), are shared.  Nodes are placed in u with
-    y = y_min + u^2, which clusters points at the lower edge; the
-    zero-frequency integrand has a y ln y endpoint behaviour that the
-    substitution turns into the quadrature-friendly u^3 ln u.
+    array of frequencies; y has shape (nodes,) or (len(xi), nodes), written
+    into ``out`` if given, and the weights, shape (nodes,), are shared.
+    Nodes are placed in u with y = y_min + u^2, which clusters points at the
+    lower edge; the zero-frequency integrand has a y ln y endpoint behaviour
+    that the substitution turns into the quadrature-friendly u^3 ln u.
     """
     u2, weights = _nodes(nodes)
     y_min = 2.0 * z * np.asarray(xi)[..., None] / C
-    return y_min, y_min + u2, weights
+    return y_min, np.add(y_min, u2, out=out), weights
 
 
 # --- the thermal-sum kernel ---------------------------------------------
 
 
-def _energy_integrand(a, f):
+def _energy_integrand(a, f, out):
     # ln(1 - a e^{-y}), with f = -e^{-y}
-    return np.log1p(a * f)
+    return np.log1p(np.multiply(a, f, out=out), out=out)
 
 
-def _pressure_integrand(a, f):
+def _pressure_integrand(a, f, out):
     # a e^{-y} / (1 - a e^{-y}) written as a / (expm1(y) + (1 - a)), with
-    # f = expm1(y), for stability near y = 0 with a = 1.
-    return a / (f + (1.0 - a))
+    # f = expm1(y), for stability near y = 0 with a = 1; ``out`` is not a.
+    return np.divide(a, np.add(f, np.subtract(1.0, a, out=out), out=out), out=out)
 
 
 # quantity -> (factor f(y) shared by a block's four integrands, integrand
-# g(A, f) of the amplitude product A = r_probe r_plate, power of y in the
-# measure, factor c of the closed-form zero-frequency integral c Li3(A)):
-# the integral of y ln(1 - A e^{-y}) over [0, inf) is -Li3(A), that of
+# g(A, f) of the amplitude product A = r_probe r_plate, measure m(y) of the
+# y integral, factor c of the closed-form zero-frequency integral c Li3(A)),
+# the functions writing into the array ``out``: the integral of
+# y ln(1 - A e^{-y}) over [0, inf) is -Li3(A), that of
 # y^2 A e^{-y}/(1 - A e^{-y}) is 2 Li3(A).
 _QUANTITIES = {
-    "energy": (lambda y: -np.exp(-y), _energy_integrand, 1, -1.0),
-    "pressure": (np.expm1, _pressure_integrand, 2, 2.0),
+    "energy": (lambda y, out: np.negative(np.exp(np.negative(y, out=out), out=out), out=out),
+               _energy_integrand, lambda y, out: y, -1.0),
+    "pressure": (np.expm1, _pressure_integrand, np.square, 2.0),
 }
 
 _VACUUM = PermittivityModel(label="vacuum")
 
 
-def _thermal_sum(quantity, probe, high, low, z, grid, nodes, analytic_l0, eps_blocks):
+class _Spectrum:
+    """xi_l and the eps(i xi_l) of a sum's three materials, for l = 1..len(xi).
+
+    A curve passes one spectrum to all its points, so each permittivity is
+    evaluated once.  It grows in aligned chunks of _CHUNK indices, and every
+    block slices it.  ``last_terms`` is the term count of the latest sum
+    that used it: a curve's next point lies further out and needs no more.
+    """
+
+    def __init__(self):
+        self.xi = np.empty(0)
+        self.eps = (self.xi,) * 3
+        self.last_terms = None
+
+    def block(self, start: int, stop: int, models, grid: MatsubaraGrid):
+        """xi of l = start..stop-1 and the three materials' eps there, shape (rows, 1)."""
+        while len(self.xi) < stop - 1:
+            first = len(self.xi) + 1
+            ls = np.arange(first, min(first + _CHUNK, grid.l_max_cap + 1))
+            xi = matsubara_frequency(ls, grid.T)
+            self.xi = np.concatenate((self.xi, xi))
+            self.eps = tuple(np.concatenate((e, m.eval(xi))) for e, m in zip(self.eps, models))
+        rows = slice(start - 1, stop - 1)
+        return self.xi[rows], [e[rows, None] for e in self.eps]
+
+
+def _block_rows(count) -> int:
+    """``count`` rounded up to a multiple of 4, at most _MAX_ROWS."""
+    return min(_MAX_ROWS, 4 * math.ceil(count / 4))
+
+
+def _next_rows(terms, total: float, rel_tol: float) -> int:
+    """Rows of the next block: as many as the geometric decay of the last two
+    ``terms`` takes to meet the stopping test, or _CHUNK if they do not decay."""
+    if len(terms) < 2 or not terms[-2]:
+        return _CHUNK
+    last = abs(terms[-1])
+    ratio, goal = last / abs(terms[-2]), rel_tol * abs(total) / last
+    if not (0.0 < ratio < 1.0 and goal > 0.0):
+        return _CHUNK
+    return _block_rows(math.log(goal) / math.log(ratio))
+
+
+# (rows x nodes) arrays of one block: y, the shared factor, two scratch
+# arrays (K and eps y in _fresnel, then an amplitude product and the last
+# integrand), two integrand sums, and r_TM, r_TE of each material
+_BUFFERS = 12
+_per_thread = threading.local()
+
+
+def _workspace(nodes: int):
+    """This thread's (_BUFFERS, _MAX_ROWS, nodes) block buffers.
+
+    Kept from sum to sum, because fresh arrays of a block's size cost a page
+    fault per page on every block.  A block writes every buffer it reads, so
+    nothing carries over from one block to the next.
+    """
+    ws = getattr(_per_thread, "workspace", None)
+    if ws is None or ws.shape[2] != nodes:
+        ws = _per_thread.workspace = np.empty((_BUFFERS, _MAX_ROWS, nodes))
+    return ws
+
+
+def _thermal_sum(quantity, probe, high, low, z, grid, nodes, analytic_l0, spectrum):
     """Matsubara sum of ``quantity`` for ``probe`` facing ``high`` minus facing ``low``.
 
     Returns the dimensionless sum and its :class:`SumDiagnostics`.  The l = 0
     term carries half weight; ``analytic_l0`` replaces it with its exact
     trilogarithm value, which needs both sections to have vanishing
-    zero-frequency TE reflection.  ``eps_blocks`` maps a block's first
-    index to the three materials' eps(i xi) over that block; blocks are the
-    same index ranges at every z, so a curve passes one dict to all its
-    points and each permittivity is evaluated once.  Raises ``ValueError``
-    at the first non-finite term and :class:`TruncationError` at the term
-    cap.
+    zero-frequency TE reflection.  ``spectrum`` (a :class:`_Spectrum`)
+    supplies eps(i xi); a curve passes one to its points in increasing z.
+    A block's rows are sized to the sum it finishes: the first block
+    covers the term count of the spectrum's previous sum (_CHUNK without
+    one), later ones follow the decay of the last two terms.  The terms are
+    then added one at a time in index order.  Raises ``ValueError`` at the
+    first non-finite term and :class:`TruncationError` at the term cap.
     """
     if not 0.0 < z < math.inf:
         raise ValueError("separation z must be positive and finite")
     _check_count("nodes", nodes)
-    shared, integrand, power, l0_factor = _QUANTITIES[quantity]
+    shared, integrand, measure, l0_factor = _QUANTITIES[quantity]
     models = (probe, high, low)
+    ws = _workspace(nodes)
 
     def amplitudes(xi, block_eps):
-        y_min, y, weights = _momentum_grid(xi, z, nodes)
+        y_b, _, k_b, e_b, _, _, *r_b = ws[:, : len(xi)]
+        y_min, y, weights = _momentum_grid(xi, z, nodes, out=y_b)
         ymin2 = y_min * y_min
-        rs = [_reflections(m, e, y, ymin2, 2.0 * z) for m, e in zip(models, block_eps)]
+        rs = [_reflections(m, e, y, ymin2, 2.0 * z, (r_b[2 * k], r_b[2 * k + 1], k_b, e_b))
+              for k, (m, e) in enumerate(zip(models, block_eps))]
         return y, weights, rs
 
     def block_terms(xi, block_eps):
         y, weights, ((rtp, rep), (rth, reh), (rtl, rel)) = amplitudes(xi, block_eps)
-        f = shared(y)
+        _, f_b, k_b, e_b, g_b, h_b = ws[:6, : len(xi)]
+        f = shared(y, out=f_b)
+
+        def integral(r_probe, r_plate, out):
+            return integrand(np.multiply(r_probe, r_plate, out=k_b), f, out=out)
+
         # grouped per polarization: identical sections cancel exactly
-        g = (integrand(rtp * rth, f) - integrand(rtp * rtl, f)) + (
-            integrand(rep * reh, f) - integrand(rep * rel, f)
-        )
-        return ((y**power * g) @ weights).tolist()
+        g = integral(rtp, rth, g_b)
+        g -= integral(rtp, rtl, h_b)
+        h = integral(rep, reh, h_b)
+        h -= integral(rep, rel, e_b)
+        g += h
+        g *= measure(y, out=k_b)
+        return (g @ weights).tolist()
 
-    def indexed_terms():
-        zero, static = np.zeros(1), (None,) * 3
-        if analytic_l0:
-            _, _, ((rtp, _), (rth, reh), (rtl, rel)) = amplitudes(zero, static)
-            if np.any(reh) or np.any(rel):
-                raise ValueError(
-                    "analytic zero-frequency term requires both plate sections to have "
-                    "vanishing TE reflection at zero frequency"
-                )
-            t0 = l0_factor * _li3_difference(rtp, rth, rtl)
-        else:
-            t0 = block_terms(zero, static)[0]
-        yield 0, 0.5 * t0
-        for start in range(1, grid.l_max_cap + 1, _BLOCK):
-            ls = np.arange(start, min(start + _BLOCK, grid.l_max_cap + 1))
-            xi = matsubara_frequency(ls, grid.T)
-            if start not in eps_blocks:
-                eps_blocks[start] = [m.eval(xi)[:, None] for m in models]
-            yield from zip(ls.tolist(), block_terms(xi, eps_blocks[start]))
-
-    total = 0.0
-    for l, t in indexed_terms():
-        if not math.isfinite(t):
-            raise ValueError(f"Matsubara term l = {l} is not finite")
-        total += t
-        if l >= 1 and abs(t) <= grid.rel_tol * abs(total):
-            rel = abs(t) / abs(total) if total != 0.0 else 0.0
-            return total, SumDiagnostics(n_terms=l + 1, last_term_rel=rel, converged=True)
+    zero, static = np.zeros(1), (None,) * 3
+    if analytic_l0:
+        _, _, ((rtp, _), (rth, reh), (rtl, rel)) = amplitudes(zero, static)
+        if np.any(reh) or np.any(rel):
+            raise ValueError(
+                "analytic zero-frequency term requires both plate sections to have "
+                "vanishing TE reflection at zero frequency"
+            )
+        t0 = l0_factor * _li3_difference(rtp, rth, rtl)
+    else:
+        t0 = block_terms(zero, static)[0]
+    total = t = 0.5 * t0
+    if not math.isfinite(t):
+        raise ValueError("Matsubara term l = 0 is not finite")
+    start = 1
+    rows = _CHUNK if spectrum.last_terms is None else _block_rows(spectrum.last_terms - 1)
+    while start <= grid.l_max_cap:
+        stop = min(start + rows, grid.l_max_cap + 1)
+        terms = block_terms(*spectrum.block(start, stop, models, grid))
+        for l, t in enumerate(terms, start):
+            if not math.isfinite(t):
+                raise ValueError(f"Matsubara term l = {l} is not finite")
+            total += t
+            if abs(t) <= grid.rel_tol * abs(total):
+                spectrum.last_terms = l + 1
+                rel = abs(t) / abs(total) if total != 0.0 else 0.0
+                return total, SumDiagnostics(n_terms=l + 1, last_term_rel=rel, converged=True)
+        start, rows = stop, _next_rows(terms, total, grid.rel_tol)
     rel = abs(t) / abs(total) if total != 0.0 else math.inf
     diag = SumDiagnostics(n_terms=grid.l_max_cap + 1, last_term_rel=rel, converged=False)
     raise TruncationError(
@@ -445,7 +558,7 @@ def free_energy_per_area(
     Negative for attractive configurations.
     """
     s, diag = _thermal_sum("energy", pair.side_a, pair.side_b, _VACUUM, z, grid, nodes,
-                           False, {})
+                           False, _Spectrum())
     value = KB * grid.T / (8.0 * math.pi * z * z) * s
     return (value, diag) if with_diagnostics else value
 
@@ -478,7 +591,7 @@ def plate_plate_pressure(
 ):
     """Pressure (Pa) between two half-space plates; negative = attractive."""
     s, diag = _thermal_sum("pressure", pair.side_a, pair.side_b, _VACUUM, z, grid, nodes,
-                           False, {})
+                           False, _Spectrum())
     value = -KB * grid.T / (8.0 * math.pi * z**3) * s
     return (value, diag) if with_diagnostics else value
 
@@ -516,7 +629,7 @@ def difference_force(
     zero-frequency TE reflection).
     """
     value, diag = _difference(probe, mat_high, mat_low, R, grid, low_freq_model, nodes,
-                              analytic_l0, {}, z)
+                              analytic_l0, _Spectrum(), z)
     return (value, diag) if with_diagnostics else value
 
 
@@ -534,20 +647,20 @@ def difference_pressure(
 ):
     """One-pass difference pressure P_high(z) - P_low(z) between plates."""
     value, diag = _difference(probe, mat_high, mat_low, None, grid, low_freq_model, nodes,
-                              analytic_l0, {}, z)
+                              analytic_l0, _Spectrum(), z)
     return (value, diag) if with_diagnostics else value
 
 
 def _difference(probe, mat_high, mat_low, R, grid, low_freq_model, nodes, analytic_l0,
-                eps_blocks, z):
+                spectrum, z):
     """(value, diagnostics) of the difference force on a sphere of radius R,
-    or of the difference pressure for R = None; ``eps_blocks`` as in _thermal_sum."""
+    or of the difference pressure for R = None; ``spectrum`` as in _thermal_sum."""
     if R is not None:
         _check_sphere(R, z, stacklevel=4)
     mat_low = _apply_low_freq_model(mat_low, low_freq_model)
     quantity = "pressure" if R is None else "energy"
     s, diag = _thermal_sum(quantity, probe, mat_high, mat_low, z, grid, nodes, analytic_l0,
-                           eps_blocks)
+                           spectrum)
     if R is None:
         return -KB * grid.T / (8.0 * math.pi * z**3) * s, diag
     return KB * grid.T * R / (4.0 * z * z) * s, diag
@@ -567,7 +680,7 @@ def _sweep(point, separations, workers, probe, mat_high, mat_low, grid,
         from concurrent.futures import ProcessPoolExecutor
 
         # one chunk of separations per worker: a task unpickles the
-        # materials and the per-curve permittivity dict once for its chunk
+        # materials and the curve's spectrum once for its chunk
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(point, zs, chunksize=-(-len(zs) // workers)))
     else:
@@ -607,9 +720,9 @@ def difference_force_curve(
     per-point Matsubara sums run in fixed index order, so results are
     bit-identical for any worker count.
     """
-    # one permittivity dict for every point; each pool task gets its own copy
+    # one spectrum for every point; each pool task gets its own copy
     point = partial(_difference, probe, mat_high, mat_low, R, grid, low_freq_model, nodes,
-                    False, {})
+                    False, _Spectrum())
     curve = _sweep(point, separations, workers, probe, mat_high, mat_low, grid,
                    low_freq_model, nodes)
     curve.metadata["sphere_radius_m"] = R
@@ -629,7 +742,7 @@ def difference_pressure_curve(
 ) -> Curve:
     """Difference pressure over a separation grid (see difference_force_curve)."""
     point = partial(_difference, probe, mat_high, mat_low, None, grid, low_freq_model, nodes,
-                    False, {})
+                    False, _Spectrum())
     return _sweep(point, separations, workers, probe, mat_high, mat_low, grid,
                   low_freq_model, nodes)
 

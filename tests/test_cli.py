@@ -484,14 +484,17 @@ def test_flags_a_command_does_not_read_exit_1(argv, flag, tmp_path, monkeypatch,
 
 
 def test_one_config_file_serves_every_command(tmp_path, capsys):
-    # every key of the settings table, the sweep-grid and output keys included
+    # every key of the settings table, the sweep-grid and output keys included;
+    # the optical table is read although no material of the run is tabulated
     ignored = tmp_path / "ignored.csv"
+    table = tmp_path / "table.dat"
+    table.write_text("0.5 3.0\n1.0 1.5\n")
     cfg = tmp_path / "all.cfg"
     cfg.write_text(
         "quantity = pressure\nz_min = 120 nm\nz_max = 240 nm\npoints = 2\n"
         "spacing = linear\ntemperature = 300 K\nradius = 50 um\nprobe = gold-drude\n"
         "high = si-doped-n1\nlow = si-doped-low\nmodel = b\nformat = json\n"
-        f"out = {ignored}\nworkers = 1\noptical_table = none.dat\n"
+        f"out = {ignored}\nworkers = 1\noptical_table = {table}\n"
         "drude_omega_p.gold-drude = 9.0 eV\ndrude_gamma.gold-drude = 0.035 eV\n"
     )
     code, from_file, _ = run_cli(capsys, *_SHIFT, "--config", str(cfg))
@@ -503,3 +506,23 @@ def test_one_config_file_serves_every_command(tmp_path, capsys):
     for command in ("sweep", "compare"):
         assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == 0
         assert json.loads((tmp_path / command).read_text())["config"]["sphere_radius_m"] == 5e-5
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "No such file"),
+    ("0.5 3.0\n1.0\n", "expected two columns"),
+    ("1.0 3.0\n0.5 1.5\n", "strictly increasing"),
+], ids=["missing", "one-column", "decreasing"])
+def test_optical_table_read_whenever_given_exit_1(content, message, tmp_path, capsys):
+    table = tmp_path / "table.dat"
+    if content is not None:
+        table.write_text(content)
+    for argv in (
+        ("sweep", "--points", "2"),
+        ("compare", "--points", "2"),
+        _SHIFT,
+        ("permittivity", "--material", "gold-drude", "--points", "2"),
+    ):
+        code, out, err = run_cli(capsys, *argv, "--optical-table", str(table))
+        assert (code, out) == (1, ""), argv
+        assert message in err

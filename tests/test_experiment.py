@@ -102,6 +102,26 @@ def test_gradient_pressure_cross_module_consistency():
     assert abs(p_mapped / p_direct - 1.0) < 1e-3
 
 
+@pytest.mark.parametrize("T", [300.0, 77.0])
+@pytest.mark.parametrize("z", [100e-9, 300e-9, 1e-6])
+@pytest.mark.filterwarnings("ignore:z/R")  # the stencil reaches z/R = 0.0102 at 1 um
+def test_stencil_gradient_equals_pressure_identity(T, z):
+    # within the PFA F = 2 pi R E(z), so dF/dz = -2 pi R P(z) exactly; the
+    # stencil of four force sums and the one pressure sum differ only by
+    # their truncation errors, measured at 5.5e-8 at most over these cases
+    grid = cd.MatsubaraGrid(T=T)
+    gold, high, low = (cd.build_material(n) for n in ("gold-drude", "si-doped-n1", "si-doped-low"))
+    R = 100e-6
+    for model in ("a", "b"):
+        stencil = cd.five_point_gradient(
+            lambda zz: cd.difference_force(gold, high, low, R, zz, grid, low_freq_model=model), z
+        )
+        identity = -2.0 * math.pi * R * cd.difference_pressure(
+            gold, high, low, z, grid, low_freq_model=model
+        )
+        assert abs(stencil / identity - 1.0) < 1e-7, model
+
+
 def test_five_point_gradient_on_polynomial():
     assert cd.five_point_gradient(lambda x: x**4, 2.0, step=1e-3) == pytest.approx(32.0, rel=1e-9)
     with pytest.raises(ValueError):

@@ -621,20 +621,26 @@ def test_force_curve_builder():
     assert curve.metadata["max_tail_rel"] <= GRID300.rel_tol
 
 
-# a curve reuses each block's permittivities across its separations; a
-# tabulated probe makes that reuse a Kramers-Kronig product per block
+# a curve reuses its spectrum's permittivities across its separations; a
+# tabulated probe makes that reuse a Kramers-Kronig product per chunk
 TABULATED = cd.build_material("tabulated", table=_lorentz_table(600))
-CURVE_MATERIALS = {
-    "si": ((MATS["gold"], MATS["n1"], MATS["low"]), GRID300),
-    "vo2-tabulated": ((TABULATED, MATS["vo2m"], MATS["vo2i"]), GRID340),
+SI = (MATS["gold"], MATS["n1"], MATS["low"])
+ZS_41 = tuple(np.logspace(math.log10(100e-9), math.log10(300e-9), 41))
+# case -> (materials, grid, force separations, pressure separations); the
+# 41-point cases size every block after the first from the previous point
+CURVE_CASES = {
+    "si": (SI, GRID300, (100e-9, 160e-9, 240e-9, 300e-9), (100e-9, 200e-9)),
+    "vo2-tabulated": ((TABULATED, MATS["vo2m"], MATS["vo2i"]), GRID340,
+                      (100e-9, 160e-9, 240e-9, 300e-9), (100e-9, 200e-9)),
+    "si-41-300K": (SI, GRID300, ZS_41, ZS_41),
+    "si-41-77K": (SI, cd.MatsubaraGrid(T=77.0), ZS_41, ZS_41),
 }
 
 
-@pytest.mark.parametrize("case", sorted(CURVE_MATERIALS))
+@pytest.mark.parametrize("case", sorted(CURVE_CASES))
 def test_pressure_curve_matches_pointwise(case):
-    mats, grid = CURVE_MATERIALS[case]
-    model = "b" if case == "si" else None
-    zs = (100e-9, 200e-9)
+    mats, grid, _, zs = CURVE_CASES[case]
+    model = "b" if case.startswith("si") else None
     for workers in (1, 2):
         curve = cd.difference_pressure_curve(
             *mats, zs, grid, low_freq_model=model, workers=workers
@@ -643,11 +649,10 @@ def test_pressure_curve_matches_pointwise(case):
             assert v == cd.difference_pressure(*mats, z, grid, low_freq_model=model)
 
 
-@pytest.mark.parametrize("case", sorted(CURVE_MATERIALS))
+@pytest.mark.parametrize("case", sorted(CURVE_CASES))
 def test_curve_workers_bit_identical(case):
-    mats, grid = CURVE_MATERIALS[case]
-    model = "a" if case == "si" else None
-    zs = (100e-9, 160e-9, 240e-9, 300e-9)
+    mats, grid, zs, _ = CURVE_CASES[case]
+    model = "a" if case.startswith("si") else None
     serial = cd.difference_force_curve(
         *mats, R_SPHERE, zs, grid, low_freq_model=model, workers=1,
     )
@@ -655,10 +660,31 @@ def test_curve_workers_bit_identical(case):
         *mats, R_SPHERE, zs, grid, low_freq_model=model, workers=2,
     )
     assert serial.values == parallel.values
-    pointwise = tuple(
-        cd.difference_force(*mats, R_SPHERE, z, grid, low_freq_model=model) for z in zs
-    )
-    assert serial.values == pointwise
+    assert serial.metadata["l_terms_per_z"] == parallel.metadata["l_terms_per_z"]
+    pointwise = [
+        cd.difference_force(*mats, R_SPHERE, z, grid, low_freq_model=model, with_diagnostics=True)
+        for z in zs
+    ]
+    assert serial.values == tuple(value for value, _ in pointwise)
+    assert serial.metadata["l_terms_per_z"] == tuple(diag.n_terms for _, diag in pointwise)
+
+
+def test_curve_evaluates_few_terms_past_the_stop(monkeypatch):
+    # blocks are sized to the sum they finish; fixed blocks of 32 evaluated
+    # 3136 terms in 98 blocks where the 41 sums need 2451 (1.28x)
+    rows = []
+    fresnel = lifshitz._fresnel
+
+    def counting(eps, y, ymin2, *args):
+        rows.append(y.shape[0])
+        return fresnel(eps, y, ymin2, *args)
+
+    monkeypatch.setattr(lifshitz, "_fresnel", counting)
+    curve = cd.difference_force_curve(*SI, R_SPHERE, ZS_41, GRID300, low_freq_model="a")
+    needed = sum(n - 1 for n in curve.metadata["l_terms_per_z"])  # l >= 1
+    # one _fresnel call per block for each of the three materials
+    assert sum(rows) / 3 <= 1.10 * needed
+    assert len(rows) / 3 <= 65
 
 
 @pytest.mark.parametrize("separations", [(3e-7, 2e-7, 1e-7), (), (1e-7, math.nan)])

@@ -9,10 +9,16 @@ integrated and with the closed-form (``analytic_l0``) zero-frequency term:
 
 The kernel groups the integrand per polarization as (high - low) terms, so
 these hold bit for bit, not just to a tolerance.
+
+For ``PermittivityModel.eval`` over random Drude, oscillator, tail and
+tabulated models, eps(i xi) >= 1 and eps(i xi) is non-increasing in xi.
+Every term of the model is a positive, non-increasing function of xi, and
+correctly rounded arithmetic keeps both properties exactly.
 """
 
 from functools import partial
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -84,3 +90,38 @@ def test_vacuum_gives_zero(setup):
     fn, probe, high, low = setup
     assert fn(VACUUM, high, low) == 0.0
     assert fn(probe, VACUUM, VACUUM) == 0.0
+
+
+tails = st.builds(cd.HighFreqTail, eps_inf=st.floats(1.0, 20.0), omega_inf=_log_uniform(15.0, 17.0))
+
+
+@st.composite
+def tables(draw):
+    """Im eps >= 0 on a random increasing grid."""
+    omega = sorted(set(draw(st.lists(_log_uniform(12.0, 17.5), min_size=2, max_size=40))))
+    if len(omega) < 2:
+        omega.append(omega[0] * 2.0)
+    im_eps = draw(st.lists(st.floats(0.0, 50.0), min_size=len(omega), max_size=len(omega)))
+    return cd.OpticalDataTable(omega=tuple(omega), im_eps=tuple(im_eps))
+
+
+@st.composite
+def permittivities(draw):
+    return cd.PermittivityModel(
+        label="random",
+        oscillators=tuple(draw(st.lists(oscillators, max_size=3))),
+        tail=draw(st.none() | tails),
+        drude=draw(st.none() | drudes),
+        table=draw(st.none() | tables()),
+    )
+
+
+@PROPERTY_SETTINGS
+@given(permittivities(), st.lists(_log_uniform(10.0, 18.5), min_size=2, max_size=12))
+def test_permittivity_at_least_one_and_non_increasing(model, xis):
+    # each xi on its own: a table's array evaluation is one matrix-vector
+    # product, whose rows may differ in the last bit with their position
+    eps = [model.eval(xi) for xi in sorted(xis)]
+    assert all(e >= 1.0 for e in eps)
+    assert all(b <= a for a, b in zip(eps, eps[1:]))
+    assert np.all(model.eval(np.array(xis)) >= 1.0)
