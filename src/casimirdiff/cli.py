@@ -529,19 +529,11 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except TruncationError as exc:
-        diag = exc.diagnostics
-        print(
-            f"error: not converged: terms={diag.n_terms} "
-            f"tail_rel={diag.last_term_rel:.3e}",
-            file=sys.stderr,
-        )
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

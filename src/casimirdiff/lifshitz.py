@@ -20,11 +20,11 @@ the latest term falls below ``rel_tol`` times the running total.  That test
 bounds the last term, not the truncation error, which can be several times
 larger (4.6 times for the VO2 difference force at 100 nm with rel_tol =
 1e-12).  Blocks are sized to the sum they finish, from the previous curve
-point's term count and then from the decay of the terms, in multiples of 4
-rows, for which each row's value does not depend on its block.  A curve
-keeps one spectrum of eps(i xi) that every block slices, evaluated once
-and reused at every separation, which leaves every value equal to its
-pointwise one.
+point's term count and then from the decay of the terms.  Every step of a
+block is elementwise or a per-row sum over the nodes, so a row's value does
+not depend on the block it falls in.  A curve keeps one spectrum of
+eps(i xi) that every block slices, evaluated once and reused at every
+separation, which leaves every value equal to its pointwise one.
 
 The momentum integral is evaluated after the substitution y = 2 q z, which
 maps it onto a fixed window [y_l, y_l + Y_WINDOW] with an exponentially
@@ -40,7 +40,6 @@ closed-form gap between the two low-frequency conductivity models.
 from __future__ import annotations
 
 import math
-import operator
 import threading
 import warnings
 from dataclasses import dataclass
@@ -87,14 +86,14 @@ DEFAULT_NODES = 120
 PFA_RATIO_LIMIT = 0.01
 
 # Matsubara indices l >= 1 whose eps(i xi) a spectrum adds at a time, in
-# aligned chunks (1-32, 33-64, ...), so that a tabulated probe's
-# Kramers-Kronig product always sees the same rows; also the first block of
-# a sum with no earlier point to size it by.
+# aligned chunks (1-32, 33-64, ...): a tabulated probe's Kramers-Kronig
+# product is a matrix product whose row values depend on the chunk, so it
+# must always see the same rows.  Also the first block of a sum with no
+# earlier point to size it by.
 _CHUNK = 32
 
-# Rows of a block (Matsubara indices evaluated together, as (rows x nodes)
-# arrays) come in multiples of 4, at most _MAX_ROWS: the node reduction
-# ``@ weights`` then gives each row the same result in any block.
+# Most rows of a block (Matsubara indices evaluated together, as
+# (rows x nodes) arrays): the size of the workspace.
 _MAX_ROWS = 64
 
 
@@ -104,6 +103,10 @@ class TruncationError(RuntimeError):
     def __init__(self, message: str, diagnostics: "SumDiagnostics"):
         super().__init__(message)
         self.diagnostics = diagnostics
+
+    def __reduce__(self):
+        # raised in a pool worker, it is pickled back to the caller
+        return type(self), (self.args[0], self.diagnostics)
 
 
 @dataclass(frozen=True)
@@ -208,17 +211,6 @@ def matsubara_frequency(l, T: float):
 # --- reflection amplitudes ---------------------------------------------
 
 
-# the ufunc of each binary operator, for a result written into a given array
-_UFUNCS = {operator.add: np.add, operator.sub: np.subtract, operator.mul: np.multiply,
-           operator.truediv: np.divide}
-
-
-def _into(out, op, a, b):
-    """op(a, b) written into the array ``out``, or a new value for ``out = None``
-    (a float for floats, where a ufunc call would cost 20 times more)."""
-    return op(a, b) if out is None else _UFUNCS[op](a, b, out=out)
-
-
 def _fresnel(eps, y, ymin2, out=(None,) * 4):
     """r_TM, r_TE at xi > 0 from eps(i xi), y = s q and ymin2 = (s xi/c)^2.
 
@@ -231,20 +223,16 @@ def _fresnel(eps, y, ymin2, out=(None,) * 4):
     the latter being (K - y)/(K + y) without its cancellation.  eps = 1
     gives K = sqrt(fl(y^2)) = y, hence exactly vanishing amplitudes.
     ``out`` holds four arrays of y's shape that receive r_TM, r_TE, K and
-    eps y, or Nones for new values.
+    eps y, or Nones for new values.  Every step is a ufunc, so floats and
+    arrays get the same bits.
     """
-    tm_out, te_out, K, ey = out
+    tm_out, te_out, k_out, ey_out = out
     d = (eps - 1.0) * ymin2
-    K = _into(K, operator.mul, y, y)
-    K += d
-    K **= 0.5
-    ey = _into(ey, operator.mul, eps, y)
-    r_tm = _into(tm_out, operator.sub, ey, K)
-    ey += K
-    r_tm /= ey
-    r_te = _into(te_out, operator.add, K, y)
-    r_te **= 2
-    return r_tm, _into(te_out, operator.truediv, d, r_te)
+    K = np.sqrt(np.add(np.multiply(y, y, out=k_out), d, out=k_out), out=k_out)
+    ey = np.multiply(eps, y, out=ey_out)
+    r_tm = np.divide(np.subtract(ey, K, out=tm_out), np.add(ey, K, out=ey_out), out=tm_out)
+    r_te = np.square(np.add(K, y, out=te_out), out=te_out)
+    return r_tm, np.divide(d, r_te, out=te_out)
 
 
 def _zero_freq_reflections(eps0, te_zero, omega_p, y, s=1.0):
@@ -262,8 +250,9 @@ def _zero_freq_reflections(eps0, te_zero, omega_p, y, s=1.0):
         return 1.0, 0.0
     if omega_p is None:
         return 1.0, 1.0
-    p2 = (s * omega_p / C) ** 2
-    return 1.0, p2 / ((y * y + p2) ** 0.5 + y) ** 2
+    # ufuncs, not ** (pow on floats): a float y gets the bits of an array
+    p2 = np.square(s * omega_p / C)
+    return 1.0, p2 / np.square(np.sqrt(y * y + p2) + y)
 
 
 def reflection_coefficients(
@@ -286,7 +275,8 @@ def reflection_coefficients(
     such a material follows ``te_zero``: 0 for the default prescription, or
     the plasma-limit value computed from ``plasma_omega_p`` (1 if no plasma
     frequency is given, i.e. the perfect-conductor limit).  Finite-eps
-    materials always have r_TE = 0 at zero frequency.
+    materials always have r_TE = 0 at zero frequency.  The amplitudes are
+    those of the kernel's block arithmetic, bit for bit.
     """
     if not 0.0 <= k_perp < math.inf:
         raise ValueError("k_perp must be non-negative and finite")
@@ -299,11 +289,13 @@ def reflection_coefficients(
     if te_zero not in ("zero", "plasma"):
         raise ValueError("te_zero must be 'zero' or 'plasma'")
     if xi == 0.0:
-        return ReflectionPair(*_zero_freq_reflections(eps, te_zero, plasma_omega_p, k_perp))
-    if math.isinf(eps):
-        return ReflectionPair(1.0, 1.0)
-    xi_c2 = (xi / C) ** 2
-    return ReflectionPair(*_fresnel(eps, (k_perp * k_perp + xi_c2) ** 0.5, xi_c2))
+        r = _zero_freq_reflections(eps, te_zero, plasma_omega_p, k_perp)
+    elif math.isinf(eps):
+        r = 1.0, 1.0
+    else:
+        xi_c2 = np.square(xi / C)
+        r = _fresnel(eps, np.sqrt(k_perp * k_perp + xi_c2), xi_c2)
+    return ReflectionPair(*map(float, r))
 
 
 def _reflections(model: PermittivityModel, eps, y, ymin2, s, out):
@@ -389,9 +381,10 @@ class _Spectrum:
     """xi_l and the eps(i xi_l) of a sum's three materials, for l = 1..len(xi).
 
     A curve passes one spectrum to all its points, so each permittivity is
-    evaluated once.  It grows in aligned chunks of _CHUNK indices, and every
-    block slices it.  ``last_terms`` is the term count of the latest sum
-    that used it: a curve's next point lies further out and needs no more.
+    evaluated once.  It grows in aligned chunks of _CHUNK indices, for the
+    Kramers-Kronig product of a tabulated model, and every block slices it.
+    ``last_terms`` is the term count of the latest sum that used it: a
+    curve's next point lies further out and needs no more.
     """
 
     def __init__(self):
@@ -412,12 +405,12 @@ class _Spectrum:
 
 
 def _block_rows(count) -> int:
-    """``count`` rounded up to a multiple of 4, at most _MAX_ROWS."""
-    return min(_MAX_ROWS, 4 * math.ceil(count / 4))
+    """``count`` rows rounded up to a whole row, at most _MAX_ROWS."""
+    return min(_MAX_ROWS, math.ceil(count))
 
 
-def _next_rows(terms, total: float, rel_tol: float) -> int:
-    """Rows of the next block: as many as the geometric decay of the last two
+def _next_rows(terms, total: float, rel_tol: float) -> float:
+    """Rows the next block needs: as many as the geometric decay of the last two
     ``terms`` takes to meet the stopping test, or _CHUNK if they do not decay."""
     if len(terms) < 2 or not terms[-2]:
         return _CHUNK
@@ -425,7 +418,7 @@ def _next_rows(terms, total: float, rel_tol: float) -> int:
     ratio, goal = last / abs(terms[-2]), rel_tol * abs(total) / last
     if not (0.0 < ratio < 1.0 and goal > 0.0):
         return _CHUNK
-    return _block_rows(math.log(goal) / math.log(ratio))
+    return math.log(goal) / math.log(ratio)
 
 
 # (rows x nodes) arrays of one block: y, the shared factor, two scratch
@@ -443,7 +436,7 @@ def _workspace(nodes: int):
     nothing carries over from one block to the next.
     """
     ws = getattr(_per_thread, "workspace", None)
-    if ws is None or ws.shape[2] != nodes:
+    if ws is None or ws.shape[1:] != (_MAX_ROWS, nodes):
         ws = _per_thread.workspace = np.empty((_BUFFERS, _MAX_ROWS, nodes))
     return ws
 
@@ -458,7 +451,9 @@ def _thermal_sum(quantity, probe, high, low, z, grid, nodes, analytic_l0, spectr
     supplies eps(i xi); a curve passes one to its points in increasing z.
     A block's rows are sized to the sum it finishes: the first block
     covers the term count of the spectrum's previous sum (_CHUNK without
-    one), later ones follow the decay of the last two terms.  The terms are
+    one), later ones follow the decay of the last two terms.  The node sum
+    is numpy's own einsum loop, which gives each row the same bits in any
+    block, where a BLAS product ``g @ weights`` does not.  The terms are
     then added one at a time in index order.  Raises ``ValueError`` at the
     first non-finite term and :class:`TruncationError` at the term cap.
     """
@@ -492,7 +487,7 @@ def _thermal_sum(quantity, probe, high, low, z, grid, nodes, analytic_l0, spectr
         h -= integral(rep, rel, e_b)
         g += h
         g *= measure(y, out=k_b)
-        return (g @ weights).tolist()
+        return np.einsum("ij,j->i", g, weights).tolist()
 
     zero, static = np.zeros(1), (None,) * 3
     if analytic_l0:
@@ -509,7 +504,7 @@ def _thermal_sum(quantity, probe, high, low, z, grid, nodes, analytic_l0, spectr
     if not math.isfinite(t):
         raise ValueError("Matsubara term l = 0 is not finite")
     start = 1
-    rows = _CHUNK if spectrum.last_terms is None else _block_rows(spectrum.last_terms - 1)
+    rows = _block_rows(_CHUNK if spectrum.last_terms is None else spectrum.last_terms - 1)
     while start <= grid.l_max_cap:
         stop = min(start + rows, grid.l_max_cap + 1)
         terms = block_terms(*spectrum.block(start, stop, models, grid))
@@ -521,12 +516,13 @@ def _thermal_sum(quantity, probe, high, low, z, grid, nodes, analytic_l0, spectr
                 spectrum.last_terms = l + 1
                 rel = abs(t) / abs(total) if total != 0.0 else 0.0
                 return total, SumDiagnostics(n_terms=l + 1, last_term_rel=rel, converged=True)
-        start, rows = stop, _next_rows(terms, total, grid.rel_tol)
+        start, rows = stop, _block_rows(_next_rows(terms, total, grid.rel_tol))
     rel = abs(t) / abs(total) if total != 0.0 else math.inf
     diag = SumDiagnostics(n_terms=grid.l_max_cap + 1, last_term_rel=rel, converged=False)
     raise TruncationError(
-        f"Matsubara sum not converged after {diag.n_terms} terms "
-        f"(last term {rel:.3e} of total, tolerance {grid.rel_tol:.1e})",
+        f"not converged at T = {grid.T:g} K, z = {z * 1e9:g} nm: this temperature needs "
+        f"more Matsubara terms than l_max_cap = {grid.l_max_cap} (terms={diag.n_terms}, "
+        f"tail_rel={rel:.3e}, rel_tol={grid.rel_tol:.1e})",
         diag,
     )
 
@@ -574,10 +570,8 @@ def sphere_plate_force(
     """Sphere-plate force (N) via the proximity force approximation 2 pi R E(z)."""
     if pair.sphere_radius is None:
         raise ValueError("sphere_plate_force needs a sphere-plate pair")
-    R = pair.sphere_radius
-    _check_sphere(R, z)
-    energy, diag = free_energy_per_area(pair, z, grid, nodes=nodes, with_diagnostics=True)
-    value = 2.0 * math.pi * R * energy
+    value, diag = _difference(pair.side_a, pair.side_b, _VACUUM, pair.sphere_radius, grid,
+                              None, nodes, False, _Spectrum(), z)
     return (value, diag) if with_diagnostics else value
 
 
@@ -590,9 +584,8 @@ def plate_plate_pressure(
     with_diagnostics: bool = False,
 ):
     """Pressure (Pa) between two half-space plates; negative = attractive."""
-    s, diag = _thermal_sum("pressure", pair.side_a, pair.side_b, _VACUUM, z, grid, nodes,
-                           False, _Spectrum())
-    value = -KB * grid.T / (8.0 * math.pi * z**3) * s
+    value, diag = _difference(pair.side_a, pair.side_b, _VACUUM, None, grid, None, nodes,
+                              False, _Spectrum(), z)
     return (value, diag) if with_diagnostics else value
 
 
@@ -661,9 +654,16 @@ def _difference(probe, mat_high, mat_low, R, grid, low_freq_model, nodes, analyt
     quantity = "pressure" if R is None else "energy"
     s, diag = _thermal_sum(quantity, probe, mat_high, mat_low, z, grid, nodes, analytic_l0,
                            spectrum)
+    return _scale(grid.T, z, R) * s, diag
+
+
+def _scale(T: float, z: float, R: float | None) -> float:
+    """The sphere-plate force (N) per unit of the energy sum for a sphere of
+    radius R, or the plate-plate pressure (Pa) per unit of the pressure sum for
+    R = None: 2 pi R kB T/(8 pi z^2) and -kB T/(8 pi z^3)."""
     if R is None:
-        return -KB * grid.T / (8.0 * math.pi * z**3) * s, diag
-    return KB * grid.T * R / (4.0 * z * z) * s, diag
+        return -KB * T / (8.0 * math.pi * z**3)
+    return KB * T * R / (4.0 * z * z)
 
 
 # --- separation sweeps ---------------------------------------------------
@@ -812,10 +812,9 @@ def _zero_freq_gap(r_probe: float, eps0: float, z: float, T: float, R: float | N
     of radius ``R``, or the plate-plate pressure when ``R`` is None.
     """
     r_plate = _zero_freq_reflections(eps0, "zero", None, 0.0)[0]
-    li3 = _li3_difference(r_probe, 1.0, r_plate)
-    if R is None:
-        return -KB * T / (8.0 * math.pi * z**3) * li3
-    return -KB * T * R / (8.0 * z * z) * li3
+    l0_factor = _QUANTITIES["pressure" if R is None else "energy"][3]
+    # the half-weight l = 0 term of the sum, in the quantity's scale
+    return _scale(T, z, R) * (0.5 * l0_factor * _li3_difference(r_probe, 1.0, r_plate))
 
 
 def zero_freq_gap_force(R: float, z: float, T: float, eps0: float) -> float:

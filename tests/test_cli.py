@@ -218,6 +218,21 @@ def test_sweep_nonconvergent_exit_2(capsys):
     assert "not converged" in err
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_term_cap_message_names_temperature_separation_and_cap(workers, capsys):
+    # below about 1 K the sum needs more than the default 20000 terms; the
+    # message says so, also when the sum ran in a pool worker
+    code, out, err = run_cli(
+        capsys, "sweep", "--temperature", "0.5 K", "--points", "2", "--workers", workers,
+        "--out", "-",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: not converged at T = 0.5 K, z = 100 nm: ")
+    assert "this temperature needs more Matsubara terms than l_max_cap = 20000" in err
+    assert "Traceback" not in err
+
+
 # --- compare ------------------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 """Matsubara sums, reflection amplitudes, forces, pressures, gap identities."""
 
 import math
+import pickle
 
 import mpmath
 import numpy as np
@@ -9,7 +10,14 @@ import scipy.constants
 
 import casimirdiff as cd
 from casimirdiff import lifshitz
-from casimirdiff.lifshitz import SumDiagnostics, Y_WINDOW, _fresnel, _momentum_grid
+from casimirdiff.constants import C
+from casimirdiff.lifshitz import (
+    SumDiagnostics,
+    Y_WINDOW,
+    _fresnel,
+    _momentum_grid,
+    _zero_freq_reflections,
+)
 from test_golden import _lorentz_table
 
 R_SPHERE = 100e-6
@@ -131,6 +139,26 @@ def test_reflection_errors():
         cd.reflection_coefficients(11.66, 1e15, -1.0)
     with pytest.raises(ValueError, match="te_zero"):
         cd.reflection_coefficients(math.inf, 0.0, 1e6, te_zero="drude")
+
+
+def test_reflection_coefficients_are_the_kernel_amplitudes():
+    # the scalar function and the kernel's block arithmetic (here on 1 x 1
+    # arrays) compute each amplitude the same way, bit for bit
+    rng = np.random.default_rng(20261019)
+    n = 20000
+    eps = (1.0 + 10 ** rng.uniform(-3, 5, n)).tolist()
+    xi = (10 ** rng.uniform(11, 18, n)).tolist()
+    kp = (10 ** rng.uniform(0, 9, n)).tolist()
+    omega_p = (10 ** rng.uniform(13, 17, n)).tolist()
+    for e, x, k, w in zip(eps, xi, kp, omega_p):
+        r = cd.reflection_coefficients(e, x, k)
+        ymin2 = np.square(np.full((1, 1), x / C))
+        r_tm, r_te = _fresnel(np.full((1, 1), e), np.sqrt(k * k + ymin2), ymin2)
+        assert r == (r_tm[0, 0], r_te[0, 0]), (e, x, k)
+        r0 = cd.reflection_coefficients(math.inf, 0.0, k, te_zero="plasma", plasma_omega_p=w)
+        r0_tm, r0_te = _zero_freq_reflections(math.inf, "plasma", w, np.full((1, 1), k))
+        assert r0 == (r0_tm, r0_te[0, 0]), (k, w)
+        assert all(type(v) is float for v in r + r0)
 
 
 def test_momentum_grid_covers_window():
@@ -535,6 +563,10 @@ def test_truncation_cap_raises_with_diagnostics():
     assert diag.n_terms == 201
     assert not diag.converged
     assert diag.last_term_rel > 0.0
+    assert "T = 1 K, z = 100 nm" in str(err.value) and "l_max_cap = 200" in str(err.value)
+    # a pool worker pickles it back to the caller
+    copy = pickle.loads(pickle.dumps(err.value))
+    assert (str(copy), copy.diagnostics) == (str(err.value), diag)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -685,6 +717,31 @@ def test_curve_evaluates_few_terms_past_the_stop(monkeypatch):
     # one _fresnel call per block for each of the three materials
     assert sum(rows) / 3 <= 1.10 * needed
     assert len(rows) / 3 <= 65
+
+
+def _split_battery():
+    results = []
+    for T in (77.0, 300.0):
+        grid = cd.MatsubaraGrid(T=T)
+        zs = (100e-9, 170e-9, 300e-9)
+        for z in zs:
+            results.append(cd.difference_force(
+                *SI, R_SPHERE, z, grid, low_freq_model="a", with_diagnostics=True))
+            results.append(cd.difference_pressure(
+                *SI, z, grid, low_freq_model="a", with_diagnostics=True))
+        for curve in (cd.difference_force_curve(*SI, R_SPHERE, zs, grid, low_freq_model="a"),
+                      cd.difference_pressure_curve(*SI, zs, grid, low_freq_model="a")):
+            results.append((curve.values, curve.metadata["l_terms_per_z"]))
+    return results
+
+
+@pytest.mark.parametrize("max_rows", [5, 7, 13, 30])
+def test_values_do_not_depend_on_block_split(max_rows, monkeypatch):
+    # capping the rows of a block splits every sum at other indices; each
+    # term, hence every value and term count, must stay the same bits
+    reference = _split_battery()
+    monkeypatch.setattr(lifshitz, "_MAX_ROWS", max_rows)
+    assert _split_battery() == reference
 
 
 @pytest.mark.parametrize("separations", [(3e-7, 2e-7, 1e-7), (), (1e-7, math.nan)])
