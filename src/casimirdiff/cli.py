@@ -396,7 +396,7 @@ def cmd_permittivity(args) -> int:
     xi_max = parse_quantity(args.ximax, _ANGFREQ_UNITS, "ximax")
     if not 0.0 < xi_min < xi_max:
         raise UsageError("need 0 < ximin < ximax")
-    points = int(args.points)
+    points = _setting("points", args.points)
     if points < 2:
         raise UsageError("at least 2 grid points are required")
     grid = np.logspace(math.log10(xi_min), math.log10(xi_max), points)

@@ -14,17 +14,17 @@ two plate sections, evaluated in a single pass as the difference of the two
 pairs, sharing the momentum grid and the probe reflection amplitudes between
 the sections.  A single-pair quantity is the difference against a vacuum
 section, whose amplitudes are exactly 0.  Matsubara indices l >= 1 are
-evaluated in blocks, as (rows x node) arrays in a reused workspace; the
-terms are then added one at a time in index order, and the sum stops once
-the latest term falls below ``rel_tol`` times the running total.  That test
-bounds the last term, not the truncation error, which can be several times
-larger (4.6 times for the VO2 difference force at 100 nm with rel_tol =
-1e-12).  Blocks are sized to the sum they finish, from the previous curve
-point's term count and then from the decay of the terms.  Every step of a
-block is elementwise or a per-row sum over the nodes, so a row's value does
-not depend on the block it falls in.  A curve keeps one spectrum of
-eps(i xi) that every block slices, evaluated once and reused at every
-separation, which leaves every value equal to its pointwise one.
+evaluated in blocks, as fresh (rows x node) arrays; the terms are then added
+one at a time in index order, and the sum stops once the latest term falls
+below ``rel_tol`` times the running total.  That test bounds the last term,
+not the truncation error, which can be several times larger (4.6 times for
+the VO2 difference force at 100 nm with rel_tol = 1e-12).  Blocks are sized
+to the sum they finish, from the previous curve point's term count and then
+from the decay of the terms.  Every step of a block is elementwise or a
+per-row sum over the nodes, so a row's value does not depend on the block
+it falls in.  A curve keeps one spectrum of eps(i xi) that every block
+slices, evaluated once and reused at every separation, which leaves every
+value equal to its pointwise one.
 
 The momentum integral is evaluated after the substitution y = 2 q z, which
 maps it onto a fixed window [y_l, y_l + Y_WINDOW] with an exponentially
@@ -40,7 +40,6 @@ closed-form gap between the two low-frequency conductivity models.
 from __future__ import annotations
 
 import math
-import threading
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -93,7 +92,7 @@ PFA_RATIO_LIMIT = 0.01
 _CHUNK = 32
 
 # Most rows of a block (Matsubara indices evaluated together, as
-# (rows x nodes) arrays): the size of the workspace.
+# (rows x nodes) arrays): a bound on a block's memory.
 _MAX_ROWS = 64
 
 
@@ -211,7 +210,7 @@ def matsubara_frequency(l, T: float):
 # --- reflection amplitudes ---------------------------------------------
 
 
-def _fresnel(eps, y, ymin2, out=(None,) * 4):
+def _fresnel(eps, y, ymin2):
     """r_TM, r_TE at xi > 0 from eps(i xi), y = s q and ymin2 = (s xi/c)^2.
 
     Lengths are scaled by any s > 0 (s = 2z in the kernel, 1 for a single
@@ -221,18 +220,14 @@ def _fresnel(eps, y, ymin2, out=(None,) * 4):
         r_TM = (eps y - K)/(eps y + K),  r_TE = (eps - 1) ymin2/(K + y)^2,
 
     the latter being (K - y)/(K + y) without its cancellation.  eps = 1
-    gives K = sqrt(fl(y^2)) = y, hence exactly vanishing amplitudes.
-    ``out`` holds four arrays of y's shape that receive r_TM, r_TE, K and
-    eps y, or Nones for new values.  Every step is a ufunc, so floats and
-    arrays get the same bits.
+    gives K = sqrt(fl(y^2)) = y, hence exactly vanishing amplitudes.  Every
+    step is an IEEE operation or a ufunc (np.sqrt and np.square, not pow), so
+    floats and arrays get the same bits.
     """
-    tm_out, te_out, k_out, ey_out = out
     d = (eps - 1.0) * ymin2
-    K = np.sqrt(np.add(np.multiply(y, y, out=k_out), d, out=k_out), out=k_out)
-    ey = np.multiply(eps, y, out=ey_out)
-    r_tm = np.divide(np.subtract(ey, K, out=tm_out), np.add(ey, K, out=ey_out), out=tm_out)
-    r_te = np.square(np.add(K, y, out=te_out), out=te_out)
-    return r_tm, np.divide(d, r_te, out=te_out)
+    K = np.sqrt(y * y + d)
+    ey = eps * y
+    return (ey - K) / (ey + K), d / np.square(K + y)
 
 
 def _zero_freq_reflections(eps0, te_zero, omega_p, y, s=1.0):
@@ -298,13 +293,12 @@ def reflection_coefficients(
     return ReflectionPair(*map(float, r))
 
 
-def _reflections(model: PermittivityModel, eps, y, ymin2, s, out):
+def _reflections(model: PermittivityModel, eps, y, ymin2, s):
     """r_TM, r_TE of one material over a block of frequencies.
 
     ``eps`` is None for the zero-frequency block, else eps(i xi) of the
     block's positive frequencies with shape (rows, 1); ``y`` = s q has shape
     (rows, nodes), ``ymin2`` = (s xi/c)^2 shape (rows, 1), and s = 2z.
-    ``out`` is the buffers of ``_fresnel``.
     """
     if eps is None:
         # the plasma scale of the TE rule: none for a perfect conductor, 0
@@ -315,7 +309,7 @@ def _reflections(model: PermittivityModel, eps, y, ymin2, s, out):
         return _zero_freq_reflections(model.static_permittivity(), model.te_zero, omega_p, y, s)
     if model.perfect_conductor:
         return 1.0, 1.0
-    return _fresnel(eps, y, ymin2, out)
+    return _fresnel(eps, y, ymin2)
 
 
 # --- quadrature ---------------------------------------------------------
@@ -333,45 +327,35 @@ def _nodes(n: int):
     return u2, weights
 
 
-def _momentum_grid(xi, z: float, nodes: int, out=None):
+def _momentum_grid(xi, z: float, nodes: int):
     """Quadrature grid in y = 2 q z: ``(y_min, y, weights)``.
 
     y_min = 2 z xi/c has shape (1,) for a float xi and (len(xi), 1) for an
-    array of frequencies; y has shape (nodes,) or (len(xi), nodes), written
-    into ``out`` if given, and the weights, shape (nodes,), are shared.
+    array of frequencies; y has shape (nodes,) or (len(xi), nodes), and the
+    weights, shape (nodes,), are shared.
     Nodes are placed in u with y = y_min + u^2, which clusters points at the
     lower edge; the zero-frequency integrand has a y ln y endpoint behaviour
     that the substitution turns into the quadrature-friendly u^3 ln u.
     """
     u2, weights = _nodes(nodes)
     y_min = 2.0 * z * np.asarray(xi)[..., None] / C
-    return y_min, np.add(y_min, u2, out=out), weights
+    return y_min, y_min + u2, weights
 
 
 # --- the thermal-sum kernel ---------------------------------------------
 
 
-def _energy_integrand(a, f, out):
-    # ln(1 - a e^{-y}), with f = -e^{-y}
-    return np.log1p(np.multiply(a, f, out=out), out=out)
-
-
-def _pressure_integrand(a, f, out):
-    # a e^{-y} / (1 - a e^{-y}) written as a / (expm1(y) + (1 - a)), with
-    # f = expm1(y), for stability near y = 0 with a = 1; ``out`` is not a.
-    return np.divide(a, np.add(f, np.subtract(1.0, a, out=out), out=out), out=out)
-
-
 # quantity -> (factor f(y) shared by a block's four integrands, integrand
 # g(A, f) of the amplitude product A = r_probe r_plate, measure m(y) of the
-# y integral, factor c of the closed-form zero-frequency integral c Li3(A)),
-# the functions writing into the array ``out``: the integral of
+# y integral, factor c of the closed-form zero-frequency integral c Li3(A)).
+# The energy integrand ln(1 - A e^{-y}) takes f = -e^{-y}; the pressure one,
+# A e^{-y}/(1 - A e^{-y}), is written as A/(expm1(y) + (1 - A)) with
+# f = expm1(y), for stability near y = 0 with A = 1.  The integral of
 # y ln(1 - A e^{-y}) over [0, inf) is -Li3(A), that of
 # y^2 A e^{-y}/(1 - A e^{-y}) is 2 Li3(A).
 _QUANTITIES = {
-    "energy": (lambda y, out: np.negative(np.exp(np.negative(y, out=out), out=out), out=out),
-               _energy_integrand, lambda y, out: y, -1.0),
-    "pressure": (np.expm1, _pressure_integrand, np.square, 2.0),
+    "energy": (lambda y: -np.exp(-y), lambda a, f: np.log1p(a * f), lambda y: y, -1.0),
+    "pressure": (np.expm1, lambda a, f: a / (f + (1.0 - a)), np.square, 2.0),
 }
 
 _VACUUM = PermittivityModel(label="vacuum")
@@ -411,34 +395,16 @@ def _block_rows(count) -> int:
 
 def _next_rows(terms, total: float, rel_tol: float) -> float:
     """Rows the next block needs: as many as the geometric decay of the last two
-    ``terms`` takes to meet the stopping test, or _CHUNK if they do not decay."""
+    ``terms`` takes to meet the stopping test, plus one, or _CHUNK if they do
+    not decay.  The margin row spares most sums a 1-3-row last block when the
+    decay estimate falls just short of the stop."""
     if len(terms) < 2 or not terms[-2]:
         return _CHUNK
     last = abs(terms[-1])
     ratio, goal = last / abs(terms[-2]), rel_tol * abs(total) / last
     if not (0.0 < ratio < 1.0 and goal > 0.0):
         return _CHUNK
-    return math.log(goal) / math.log(ratio)
-
-
-# (rows x nodes) arrays of one block: y, the shared factor, two scratch
-# arrays (K and eps y in _fresnel, then an amplitude product and the last
-# integrand), two integrand sums, and r_TM, r_TE of each material
-_BUFFERS = 12
-_per_thread = threading.local()
-
-
-def _workspace(nodes: int):
-    """This thread's (_BUFFERS, _MAX_ROWS, nodes) block buffers.
-
-    Kept from sum to sum, because fresh arrays of a block's size cost a page
-    fault per page on every block.  A block writes every buffer it reads, so
-    nothing carries over from one block to the next.
-    """
-    ws = getattr(_per_thread, "workspace", None)
-    if ws is None or ws.shape[1:] != (_MAX_ROWS, nodes):
-        ws = _per_thread.workspace = np.empty((_BUFFERS, _MAX_ROWS, nodes))
-    return ws
+    return math.log(goal) / math.log(ratio) + 1.0
 
 
 def _thermal_sum(quantity, probe, high, low, z, grid, nodes, analytic_l0, spectrum):
@@ -462,32 +428,20 @@ def _thermal_sum(quantity, probe, high, low, z, grid, nodes, analytic_l0, spectr
     _check_count("nodes", nodes)
     shared, integrand, measure, l0_factor = _QUANTITIES[quantity]
     models = (probe, high, low)
-    ws = _workspace(nodes)
 
     def amplitudes(xi, block_eps):
-        y_b, _, k_b, e_b, _, _, *r_b = ws[:, : len(xi)]
-        y_min, y, weights = _momentum_grid(xi, z, nodes, out=y_b)
+        y_min, y, weights = _momentum_grid(xi, z, nodes)
         ymin2 = y_min * y_min
-        rs = [_reflections(m, e, y, ymin2, 2.0 * z, (r_b[2 * k], r_b[2 * k + 1], k_b, e_b))
-              for k, (m, e) in enumerate(zip(models, block_eps))]
+        rs = [_reflections(m, e, y, ymin2, 2.0 * z) for m, e in zip(models, block_eps)]
         return y, weights, rs
 
     def block_terms(xi, block_eps):
         y, weights, ((rtp, rep), (rth, reh), (rtl, rel)) = amplitudes(xi, block_eps)
-        _, f_b, k_b, e_b, g_b, h_b = ws[:6, : len(xi)]
-        f = shared(y, out=f_b)
-
-        def integral(r_probe, r_plate, out):
-            return integrand(np.multiply(r_probe, r_plate, out=k_b), f, out=out)
-
+        f = shared(y)
         # grouped per polarization: identical sections cancel exactly
-        g = integral(rtp, rth, g_b)
-        g -= integral(rtp, rtl, h_b)
-        h = integral(rep, reh, h_b)
-        h -= integral(rep, rel, e_b)
-        g += h
-        g *= measure(y, out=k_b)
-        return np.einsum("ij,j->i", g, weights).tolist()
+        g = integrand(rtp * rth, f) - integrand(rtp * rtl, f)
+        h = integrand(rep * reh, f) - integrand(rep * rel, f)
+        return np.einsum("ij,j->i", (g + h) * measure(y), weights).tolist()
 
     zero, static = np.zeros(1), (None,) * 3
     if analytic_l0:
@@ -530,14 +484,16 @@ def _thermal_sum(quantity, probe, high, low, z, grid, nodes, analytic_l0, spectr
 # --- core quantities -----------------------------------------------------
 
 
-def _check_sphere(R: float, z: float, stacklevel: int = 3) -> None:
+def _check_sphere(R: float, z: float) -> None:
+    """Reject a bad radius and warn, at the public function's caller, beyond
+    z/R = PFA_RATIO_LIMIT."""
     if not 0.0 < R < math.inf:
         raise ValueError("sphere radius must be positive and finite")
     if z / R > PFA_RATIO_LIMIT:
         warnings.warn(
             f"z/R = {z / R:.3g} exceeds {PFA_RATIO_LIMIT}; the proximity force "
             "approximation error grows like z/R",
-            stacklevel=stacklevel,
+            stacklevel=3,
         )
 
 
@@ -570,6 +526,7 @@ def sphere_plate_force(
     """Sphere-plate force (N) via the proximity force approximation 2 pi R E(z)."""
     if pair.sphere_radius is None:
         raise ValueError("sphere_plate_force needs a sphere-plate pair")
+    _check_sphere(pair.sphere_radius, z)
     value, diag = _difference(pair.side_a, pair.side_b, _VACUUM, pair.sphere_radius, grid,
                               None, nodes, False, _Spectrum(), z)
     return (value, diag) if with_diagnostics else value
@@ -621,6 +578,7 @@ def difference_force(
     trilogarithm value (valid when both plate sections have vanishing
     zero-frequency TE reflection).
     """
+    _check_sphere(R, z)
     value, diag = _difference(probe, mat_high, mat_low, R, grid, low_freq_model, nodes,
                               analytic_l0, _Spectrum(), z)
     return (value, diag) if with_diagnostics else value
@@ -647,9 +605,8 @@ def difference_pressure(
 def _difference(probe, mat_high, mat_low, R, grid, low_freq_model, nodes, analytic_l0,
                 spectrum, z):
     """(value, diagnostics) of the difference force on a sphere of radius R,
-    or of the difference pressure for R = None; ``spectrum`` as in _thermal_sum."""
-    if R is not None:
-        _check_sphere(R, z, stacklevel=4)
+    or of the difference pressure for R = None; ``spectrum`` as in _thermal_sum.
+    The caller has checked R."""
     mat_low = _apply_low_freq_model(mat_low, low_freq_model)
     quantity = "pressure" if R is None else "energy"
     s, diag = _thermal_sum(quantity, probe, mat_high, mat_low, z, grid, nodes, analytic_l0,
@@ -718,8 +675,11 @@ def difference_force_curve(
     Each separation is an independent work item; with ``workers > 1`` the
     points are dispatched to a process pool, one chunk per worker.  The
     per-point Matsubara sums run in fixed index order, so results are
-    bit-identical for any worker count.
+    bit-identical for any worker count.  The z/R warning is given once, for
+    the largest separation, before any point runs, so a pool cannot lose it.
     """
+    separations = _separation_grid(separations)
+    _check_sphere(R, separations[-1])
     # one spectrum for every point; each pool task gets its own copy
     point = partial(_difference, probe, mat_high, mat_low, R, grid, low_freq_model, nodes,
                     False, _Spectrum())

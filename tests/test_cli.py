@@ -357,6 +357,7 @@ def test_permittivity_requires_material(capsys):
         (("--material", "tabulated"), "--optical-table"),
         (("--material", "vacuum", "--ximin", "1 eV", "--ximax", "1 eV"), "ximin < ximax"),
         (("--material", "vacuum", "--points", "1"), "at least 2 grid points"),
+        (("--material", "vacuum", "--points", "abc"), "points must be an integer: got 'abc'"),
     ):
         code, out, err = run_cli(capsys, "permittivity", *argv)
         assert (code, out) == (1, "")

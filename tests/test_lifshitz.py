@@ -2,6 +2,8 @@
 
 import math
 import pickle
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -336,10 +338,22 @@ def test_sphere_force_regression_gold_vo2_metal():
 
 def test_pfa_validity_warning():
     pair = cd.HalfspacePair(MATS["gold"], MATS["si_a"], sphere_radius=1e-6)
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning) as record:
         cd.sphere_plate_force(pair, 100e-9, GRID300)
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning) as more:
         cd.difference_force(MATS["gold"], MATS["n1"], MATS["low"], 1e-6, 100e-9, GRID300)
+    assert {w.filename for w in (*record, *more)} == {__file__}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_curve_pfa_warning_points_at_caller(workers):
+    # one warning per curve, for the largest separation only (z/R = 0.0125),
+    # raised before the points are dispatched, so a pool cannot swallow it
+    with pytest.warns(UserWarning, match="z/R") as record:
+        cd.difference_force_curve(MATS["gold"], MATS["n1"], MATS["low"], 20e-6,
+                                  (100e-9, 150e-9, 250e-9), GRID300, workers=workers)
+    assert [w.filename for w in record] == [__file__]
+    assert "z/R = 0.0125" in str(record[0].message)
 
 
 def test_sphere_force_requires_radius():
@@ -701,22 +715,73 @@ def test_curve_workers_bit_identical(case):
     assert serial.metadata["l_terms_per_z"] == tuple(diag.n_terms for _, diag in pointwise)
 
 
-def test_curve_evaluates_few_terms_past_the_stop(monkeypatch):
-    # blocks are sized to the sum they finish; fixed blocks of 32 evaluated
-    # 3136 terms in 98 blocks where the 41 sums need 2451 (1.28x)
+def _block_rows(monkeypatch):
+    """A list that receives the rows of every _fresnel call: one call per
+    block for each of a sum's three materials."""
     rows = []
     fresnel = lifshitz._fresnel
 
-    def counting(eps, y, ymin2, *args):
+    def counting(eps, y, ymin2):
         rows.append(y.shape[0])
-        return fresnel(eps, y, ymin2, *args)
+        return fresnel(eps, y, ymin2)
 
     monkeypatch.setattr(lifshitz, "_fresnel", counting)
+    return rows
+
+
+def test_curve_evaluates_few_terms_past_the_stop(monkeypatch):
+    # blocks are sized to the sum they finish; fixed blocks of 32 evaluated
+    # 3136 terms in 98 blocks where the 41 sums need 2451 (1.28x)
+    rows = _block_rows(monkeypatch)
     curve = cd.difference_force_curve(*SI, R_SPHERE, ZS_41, GRID300, low_freq_model="a")
     needed = sum(n - 1 for n in curve.metadata["l_terms_per_z"])  # l >= 1
-    # one _fresnel call per block for each of the three materials
     assert sum(rows) / 3 <= 1.10 * needed
     assert len(rows) / 3 <= 65
+
+
+def test_single_sums_take_few_tail_blocks(monkeypatch):
+    # a later block gets one row beyond the decay estimate, so a sum rarely
+    # ends in a 1-3-row block: 160 single 77 K stencil sums at 100-400 nm take
+    # 594 blocks (6 of 1-3 rows), against 624 (37) without the margin row
+    rows = _block_rows(monkeypatch)
+    grid = cd.MatsubaraGrid(T=77.0)
+    for z in np.linspace(100e-9, 400e-9, 40):
+        cd.five_point_gradient(
+            lambda x: cd.difference_force(*SI, R_SPHERE, x, grid, low_freq_model="a"), float(z))
+    assert len(rows) / 3 <= 600
+
+
+def _thread_battery(configs):
+    results = []
+    for quantity, T, nodes in configs:
+        grid = cd.MatsubaraGrid(T=T)
+        if quantity == "force":
+            curve = cd.difference_force_curve(*SI, R_SPHERE, ZS_41, grid, low_freq_model="a",
+                                              nodes=nodes)
+        else:
+            curve = cd.difference_pressure_curve(*SI, ZS_41, grid, low_freq_model="b",
+                                                 nodes=nodes)
+        results.append((curve.values, curve.metadata["l_terms_per_z"]))
+    return results
+
+
+def test_threads_bit_identical():
+    # the kernel holds no state between threads: four threads running the
+    # curves in different orders get the serial bits
+    configs = [(q, T, n) for q in ("force", "pressure") for T in (77.0, 300.0)
+               for n in (60, 120)]
+    serial = dict(zip(configs, _thread_battery(configs)))
+    orders = [configs[k:] + configs[:k] for k in (0, 2, 4, 6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(_thread_battery, order) for order in orders]
+            threaded = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for order, results in zip(orders, threaded):
+        assert dict(zip(order, results)) == serial
 
 
 def _split_battery():
