@@ -23,8 +23,10 @@ to the sum they finish, from the previous curve point's term count and then
 from the decay of the terms.  Every step of a block is elementwise or a
 per-row sum over the nodes, so a row's value does not depend on the block
 it falls in.  A curve keeps one spectrum of eps(i xi) that every block
-slices, evaluated once and reused at every separation, which leaves every
-value equal to its pointwise one.
+slices, reused at every separation, which leaves every value equal to its
+pointwise one.  The spectrum takes its permittivities from each material's
+memo (see ``_matsubara_eps``), so a material is evaluated once per
+temperature and term cap, not once per sum or curve.
 
 The momentum integral is evaluated after the substitution y = 2 q z, which
 maps it onto a fixed window [y_l, y_l + Y_WINDOW] with an exponentially
@@ -84,11 +86,11 @@ DEFAULT_NODES = 120
 # PFA error is bounded by z/R; warn beyond this ratio.
 PFA_RATIO_LIMIT = 0.01
 
-# Matsubara indices l >= 1 whose eps(i xi) a spectrum adds at a time, in
-# aligned chunks (1-32, 33-64, ...): a tabulated probe's Kramers-Kronig
-# product is a matrix product whose row values depend on the chunk, so it
-# must always see the same rows.  Also the first block of a sum with no
-# earlier point to size it by.
+# Matsubara indices l >= 1 whose eps(i xi) a spectrum, and a material's
+# memo, adds at a time, in aligned chunks (1-32, 33-64, ..., the last cut at
+# l_max_cap): a tabulated probe's Kramers-Kronig product is a matrix product
+# whose row values depend on the chunk, so it must always see the same rows.
+# Also the first block of a sum with no earlier point to size it by.
 _CHUNK = 32
 
 # Most rows of a block (Matsubara indices evaluated together, as
@@ -199,11 +201,16 @@ def _separation_grid(separations) -> tuple[float, ...]:
 
 
 def matsubara_frequency(l, T: float):
-    """xi_l = 2 pi kB T l / hbar in rad/s, for an index or an array of indices."""
-    if np.any(np.less(l, 0)):
-        raise ValueError("Matsubara index must be non-negative")
-    if not T > 0.0:
-        raise ValueError("temperature must be positive")
+    """xi_l = 2 pi kB T l / hbar in rad/s, for an index or an array of indices.
+
+    Raises ``ValueError`` unless every index is a non-negative integer (an
+    integral float counts) and T is positive and finite.
+    """
+    ls = np.asarray(l)
+    if not np.all(np.isfinite(ls) & (ls >= 0) & (np.floor(ls) == ls)):
+        raise ValueError("Matsubara index must be a non-negative integer")
+    if not 0.0 < T < math.inf:
+        raise ValueError("temperature must be positive and finite")
     return 2.0 * math.pi * KB * T * l / HBAR
 
 
@@ -318,6 +325,14 @@ def _reflections(model: PermittivityModel, eps, y, ymin2, s):
 @lru_cache(maxsize=None)
 def _nodes(n: int):
     """u^2 and the weights of the n-node rule on y = y_min + u^2, u^2 in [0, Y_WINDOW]."""
+    # Allocate and free one 1 MB array.  Freeing an mmapped block raises
+    # glibc's mmap threshold to its size and the heap trim threshold to twice
+    # that (mallopt(3), "dynamic mmap threshold"), so the arrays of a block
+    # (at most 0.7 MB at a time) stay on a resident heap instead of being
+    # trimmed after each block and faulted back in: a warm 41-point 300 K
+    # curve in a fresh process went from 1000-1550 minor faults to 0.1.
+    # Another C library just allocates and frees it.
+    np.empty(1 << 17)
     x, w = np.polynomial.legendre.leggauss(n)
     half = 0.5 * math.sqrt(Y_WINDOW)
     u = (x + 1.0) * half
@@ -358,17 +373,44 @@ _QUANTITIES = {
     "pressure": (np.expm1, lambda a, f: a / (f + (1.0 - a)), np.square, 2.0),
 }
 
-_VACUUM = PermittivityModel(label="vacuum")
+
+def _vacuum() -> PermittivityModel:
+    """The section a single-pair quantity is taken against; built per call,
+    so that no module-level model holds a memo."""
+    return PermittivityModel(label="vacuum")
+
+
+def _matsubara_eps(model: PermittivityModel, grid: MatsubaraGrid, xi):
+    """eps(i xi_l) of ``model`` for l = 1..len(xi) or more, where ``xi`` holds
+    the Matsubara frequencies xi_1, xi_2, ... of ``grid``.
+
+    Served from the model's memo, which is extended in the aligned _CHUNKs
+    of a spectrum, so each value has the bits of evaluating its chunk
+    afresh.  The memo is keyed by (T, l_max_cap), since the cap cuts the
+    last chunk short.  It is read and replaced as one entry, with no lock: a
+    thread that loses a race to another only evaluates again.
+    """
+    key = (grid.T, grid.l_max_cap)
+    memo_key, eps = model._eps_memo.entry
+    if memo_key != key:
+        eps = np.empty(0)
+    if len(eps) < len(xi):
+        chunks = [model.eval(xi[l:l + _CHUNK]) for l in range(len(eps), len(xi), _CHUNK)]
+        eps = np.concatenate([eps, *chunks])
+        eps.setflags(write=False)
+        model._eps_memo.entry = (key, eps)
+    return eps
 
 
 class _Spectrum:
     """xi_l and the eps(i xi_l) of a sum's three materials, for l = 1..len(xi).
 
-    A curve passes one spectrum to all its points, so each permittivity is
-    evaluated once.  It grows in aligned chunks of _CHUNK indices, for the
-    Kramers-Kronig product of a tabulated model, and every block slices it.
-    ``last_terms`` is the term count of the latest sum that used it: a
-    curve's next point lies further out and needs no more.
+    A curve passes one spectrum to all its points, and every block slices
+    it.  It grows in aligned chunks of _CHUNK indices and takes the
+    materials' permittivities from their memos (``_matsubara_eps``) only
+    when it grows, which keeps a block's slicing cheap.  ``last_terms`` is
+    the term count of the latest sum that used it: a curve's next point lies
+    further out and needs no more.
     """
 
     def __init__(self):
@@ -378,12 +420,11 @@ class _Spectrum:
 
     def block(self, start: int, stop: int, models, grid: MatsubaraGrid):
         """xi of l = start..stop-1 and the three materials' eps there, shape (rows, 1)."""
-        while len(self.xi) < stop - 1:
-            first = len(self.xi) + 1
-            ls = np.arange(first, min(first + _CHUNK, grid.l_max_cap + 1))
-            xi = matsubara_frequency(ls, grid.T)
-            self.xi = np.concatenate((self.xi, xi))
-            self.eps = tuple(np.concatenate((e, m.eval(xi))) for e, m in zip(self.eps, models))
+        if len(self.xi) < stop - 1:
+            # whole aligned chunks, the last one cut at the cap
+            count = min(-(-(stop - 1) // _CHUNK) * _CHUNK, grid.l_max_cap)
+            self.xi = matsubara_frequency(np.arange(1, count + 1), grid.T)
+            self.eps = tuple(_matsubara_eps(m, grid, self.xi) for m in models)
         rows = slice(start - 1, stop - 1)
         return self.xi[rows], [e[rows, None] for e in self.eps]
 
@@ -509,7 +550,7 @@ def free_energy_per_area(
 
     Negative for attractive configurations.
     """
-    s, diag = _thermal_sum("energy", pair.side_a, pair.side_b, _VACUUM, z, grid, nodes,
+    s, diag = _thermal_sum("energy", pair.side_a, pair.side_b, _vacuum(), z, grid, nodes,
                            False, _Spectrum())
     value = KB * grid.T / (8.0 * math.pi * z * z) * s
     return (value, diag) if with_diagnostics else value
@@ -527,7 +568,7 @@ def sphere_plate_force(
     if pair.sphere_radius is None:
         raise ValueError("sphere_plate_force needs a sphere-plate pair")
     _check_sphere(pair.sphere_radius, z)
-    value, diag = _difference(pair.side_a, pair.side_b, _VACUUM, pair.sphere_radius, grid,
+    value, diag = _difference(pair.side_a, pair.side_b, _vacuum(), pair.sphere_radius, grid,
                               None, nodes, False, _Spectrum(), z)
     return (value, diag) if with_diagnostics else value
 
@@ -541,7 +582,7 @@ def plate_plate_pressure(
     with_diagnostics: bool = False,
 ):
     """Pressure (Pa) between two half-space plates; negative = attractive."""
-    value, diag = _difference(pair.side_a, pair.side_b, _VACUUM, None, grid, None, nodes,
+    value, diag = _difference(pair.side_a, pair.side_b, _vacuum(), None, grid, None, nodes,
                               False, _Spectrum(), z)
     return (value, diag) if with_diagnostics else value
 

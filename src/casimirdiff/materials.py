@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -128,6 +129,18 @@ class OpticalDataTable:
         trapezoid[1:] += half_steps
         return w * w, trapezoid * w * np.asarray(self.im_eps, dtype=float)
 
+    @cached_property
+    def _kk_static(self) -> float:
+        """xi -> 0 limit of the dispersion relation (finite for Im eps >= 0 data)."""
+        w2, weighted = self._kk_weights
+        core = float(np.reciprocal(w2) @ weighted)
+        # constant extension below w[0] would add g0*log(w0/0): cut it at the
+        # grid instead, matching the xi->0 limit of the low-frequency term only
+        # for Im eps(0) = 0 spectra; tables with nonzero Im eps at the first row
+        # describe conductors and should carry an explicit dc flag.
+        high = self.im_eps[-1] / 3.0
+        return 1.0 + (2.0 / math.pi) * (core + high)
+
 
 @dataclass(frozen=True)
 class CarrierParams:
@@ -164,6 +177,13 @@ class PermittivityModel:
     ``te_zero`` selects the zero-frequency TE reflection prescription for
     materials whose static permittivity diverges: ``"zero"`` (default) or
     ``"plasma"`` (the gamma -> 0 idealization of the free-carrier response).
+
+    A model remembers eps(i xi_l) at the Matsubara frequencies l = 1..n of
+    the latest temperature and term cap it was summed at (filled by
+    ``lifshitz``), so repeated sums at one temperature evaluate it once.  The
+    memo is one entry of at most ``l_max_cap`` doubles, replaced when the
+    temperature or cap changes.  The copies made by :func:`with_dc_conductivity`
+    and :func:`with_te_zero` share it, and a pickled model carries it along.
     """
 
     label: str
@@ -178,6 +198,9 @@ class PermittivityModel:
     def __post_init__(self) -> None:
         if self.te_zero not in ("zero", "plasma"):
             raise ValueError("te_zero must be 'zero' or 'plasma'")
+        # the Matsubara memo: entry = ((T, l_max_cap), eps array), read and
+        # replaced whole, so a thread never pairs one key with another's values
+        object.__setattr__(self, "_eps_memo", SimpleNamespace(entry=(None, None)))
 
     @property
     def has_dc_conductivity(self) -> bool:
@@ -234,7 +257,7 @@ class PermittivityModel:
         if self.tail is not None:
             value += self.tail.eps_inf - 1.0
         if self.table is not None:
-            value += _kk_static(self.table) - 1.0
+            value += self.table._kk_static - 1.0
         return value
 
     def static_permittivity(self) -> float:
@@ -247,16 +270,29 @@ class PermittivityModel:
 def with_dc_conductivity(model: PermittivityModel, enabled: bool) -> PermittivityModel:
     """Copy of ``model`` with the zero-frequency dc-conductivity flag forced.
 
-    Only the static limit changes; eval(xi) for xi > 0 is identical.
+    Only the static limit changes; eval(xi) for xi > 0 is identical, so the
+    copy shares the model's memo of Matsubara permittivities.
     """
     if model.perfect_conductor and not enabled:
         raise ValueError("a perfect conductor cannot drop its dc conductivity")
-    return replace(model, dc_conductor=enabled)
+    return _sharing_memo(model, dc_conductor=enabled)
 
 
 def with_te_zero(model: PermittivityModel, rule: str) -> PermittivityModel:
-    """Copy of ``model`` with the zero-frequency TE prescription replaced."""
-    return replace(model, te_zero=rule)
+    """Copy of ``model`` with the zero-frequency TE prescription replaced.
+
+    eval(xi) for xi > 0 is identical, so the copy shares the model's memo of
+    Matsubara permittivities.
+    """
+    return _sharing_memo(model, te_zero=rule)
+
+
+def _sharing_memo(model: PermittivityModel, **changes) -> PermittivityModel:
+    """``replace(model, **changes)`` for changes that leave eval at xi > 0
+    alone: the copy and ``model`` share one Matsubara memo."""
+    copy = replace(model, **changes)
+    object.__setattr__(copy, "_eps_memo", model._eps_memo)
+    return copy
 
 
 # --- catalog -----------------------------------------------------------
@@ -404,18 +440,6 @@ def kk_to_imaginary_axis(table: OpticalDataTable, xi):
     tail = np.where(t < 1e-3, 1.0 / 3.0 - t2 / 5.0 + t2 * t2 / 7.0, (1.0 - np.arctan(t) / t) / t2)
     value = 1.0 + (2.0 / math.pi) * (core + low + g[-1] * tail)
     return value if value.ndim else float(value)
-
-
-def _kk_static(table: OpticalDataTable) -> float:
-    """xi -> 0 limit of the dispersion relation (finite for Im eps >= 0 data)."""
-    w2, weighted = table._kk_weights
-    core = float(np.reciprocal(w2) @ weighted)
-    # constant extension below w[0] would add g0*log(w0/0): cut it at the
-    # grid instead, matching the xi->0 limit of the low-frequency term only
-    # for Im eps(0) = 0 spectra; tables with nonzero Im eps at the first row
-    # describe conductors and should carry an explicit dc flag.
-    high = table.im_eps[-1] / 3.0
-    return 1.0 + (2.0 / math.pi) * (core + high)
 
 
 def load_optical_table(path) -> OpticalDataTable:

@@ -1,9 +1,13 @@
 """Matsubara sums, reflection amplitudes, forces, pressures, gap identities."""
 
 import math
+import os
 import pickle
+import platform
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -44,6 +48,13 @@ def _materials():
 MATS = _materials()
 
 
+def _fresh_materials(names):
+    """Freshly built materials, their Matsubara memos empty; ``tabulated``
+    gets the 600-row Lorentz table."""
+    return tuple(cd.build_material(name, table=_lorentz_table(600)) if name == "tabulated"
+                 else cd.build_material(name) for name in names)
+
+
 # --- Matsubara frequencies ------------------------------------------------
 
 
@@ -67,10 +78,13 @@ def test_matsubara_linearity():
 
 
 def test_matsubara_errors():
-    with pytest.raises(ValueError):
-        cd.matsubara_frequency(-1, 300.0)
-    with pytest.raises(ValueError):
-        cd.matsubara_frequency(1, 0.0)
+    # an index must be a non-negative integer and T positive and finite
+    for l, T in [(-1, 300.0), (1, 0.0), (1, math.inf), (1, math.nan), (1.5, 300.0),
+                 (math.nan, 300.0), (math.inf, 300.0), (np.array([1.0, 2.5]), 300.0),
+                 (np.array([1, -2]), 300.0)]:
+        with pytest.raises(ValueError):
+            cd.matsubara_frequency(l, T)
+    assert cd.matsubara_frequency(3.0, 77.0) == cd.matsubara_frequency(3, 77.0)
 
 
 def test_grid_validation():
@@ -695,13 +709,19 @@ def test_pressure_curve_matches_pointwise(case):
             assert v == cd.difference_pressure(*mats, z, grid, low_freq_model=model)
 
 
-@pytest.mark.parametrize("case", sorted(CURVE_CASES))
+@pytest.mark.parametrize("case", sorted(CURVE_CASES) + ["vo2-tabulated-warm"])
 def test_curve_workers_bit_identical(case):
-    mats, grid, zs, _ = CURVE_CASES[case]
+    mats, grid, zs, _ = CURVE_CASES[case.removesuffix("-warm")]
     model = "a" if case.startswith("si") else None
     serial = cd.difference_force_curve(
         *mats, R_SPHERE, zs, grid, low_freq_model=model, workers=1,
     )
+    if case.endswith("-warm"):
+        # freshly built materials warmed at this temperature: the pool
+        # workers get them pickled with their memos
+        mats = _fresh_materials(("tabulated", "vo2-metal", "vo2-insulator"))
+        cd.difference_force_curve(*mats, R_SPHERE, zs, grid, low_freq_model=model)
+        assert all(m._eps_memo.entry[0] == (grid.T, grid.l_max_cap) for m in mats)
     parallel = cd.difference_force_curve(
         *mats, R_SPHERE, zs, grid, low_freq_model=model, workers=2,
     )
@@ -751,37 +771,163 @@ def test_single_sums_take_few_tail_blocks(monkeypatch):
     assert len(rows) / 3 <= 600
 
 
-def _thread_battery(configs):
+def _thread_battery(configs, mats=SI):
     results = []
     for quantity, T, nodes in configs:
         grid = cd.MatsubaraGrid(T=T)
         if quantity == "force":
-            curve = cd.difference_force_curve(*SI, R_SPHERE, ZS_41, grid, low_freq_model="a",
+            curve = cd.difference_force_curve(*mats, R_SPHERE, ZS_41, grid, low_freq_model="a",
                                               nodes=nodes)
         else:
-            curve = cd.difference_pressure_curve(*SI, ZS_41, grid, low_freq_model="b",
+            curve = cd.difference_pressure_curve(*mats, ZS_41, grid, low_freq_model="b",
                                                  nodes=nodes)
         results.append((curve.values, curve.metadata["l_terms_per_z"]))
     return results
 
 
 def test_threads_bit_identical():
-    # the kernel holds no state between threads: four threads running the
-    # curves in different orders get the serial bits
+    # the kernel holds no state between threads, and a material's memo is
+    # read and replaced whole: four threads sharing freshly built materials,
+    # running the curves in different orders, race on the memos across 77 K
+    # and 300 K and still get the serial bits
     configs = [(q, T, n) for q in ("force", "pressure") for T in (77.0, 300.0)
                for n in (60, 120)]
     serial = dict(zip(configs, _thread_battery(configs)))
     orders = [configs[k:] + configs[:k] for k in (0, 2, 4, 6)]
+    shared = _fresh_materials(("gold-drude", "si-doped-n1", "si-doped-low"))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [pool.submit(_thread_battery, order) for order in orders]
+            futures = [pool.submit(_thread_battery, order, shared) for order in orders]
             threaded = [f.result(timeout=120) for f in futures]
     finally:
         sys.setswitchinterval(interval)
     for order, results in zip(orders, threaded):
         assert dict(zip(order, results)) == serial
+
+
+# --- the Matsubara memo of a material ------------------------------------
+
+# case -> (materials, temperature K)
+MEMO_CASES = {
+    "si-77K": (("gold-drude", "si-doped-n1", "si-doped-low"), 77.0),
+    "si-300K": (("gold-drude", "si-doped-n1", "si-doped-low"), 300.0),
+    "tabulated-vo2-340K": (("tabulated", "vo2-metal", "vo2-insulator"), 340.0),
+}
+
+
+def _memo_calls(grid):
+    """Calls on a (probe, high, low) triple: curves, single sums, a stencil and
+    a single-pair sum, each returning values with their term counts."""
+    zs = (100e-9, 170e-9, 300e-9)
+
+    def curve(c):
+        return c.values, c.metadata["l_terms_per_z"]
+
+    return [
+        lambda m: curve(cd.difference_force_curve(*m, R_SPHERE, zs, grid, low_freq_model="a")),
+        lambda m: curve(cd.difference_pressure_curve(*m, zs, grid, low_freq_model="b")),
+        lambda m: cd.difference_force(*m, R_SPHERE, 150e-9, grid, with_diagnostics=True),
+        lambda m: cd.difference_pressure(*m, 120e-9, grid, low_freq_model="a",
+                                         with_diagnostics=True),
+        lambda m: cd.five_point_gradient(
+            lambda z: cd.difference_force(*m, R_SPHERE, z, grid, low_freq_model="a"), 200e-9),
+        lambda m: cd.plate_plate_pressure(cd.HalfspacePair(m[0], m[1]), 130e-9, grid,
+                                          with_diagnostics=True),
+    ]
+
+
+@pytest.mark.parametrize("case", sorted(MEMO_CASES))
+def test_warm_models_give_fresh_model_bits(case):
+    names, T = MEMO_CASES[case]
+    warm = _fresh_materials(names)
+    calls = _memo_calls(cd.MatsubaraGrid(T=T))
+    for _ in range(2):  # the second round runs on warm memos only
+        for k, call in enumerate(calls):
+            assert call(warm) == call(_fresh_materials(names)), k
+
+
+def test_memo_keyed_by_term_cap():
+    # a capped sum cuts its last aligned chunk short; a sum at the same T and
+    # the default cap must not build on that memo.  The Kramers-Kronig
+    # product of a 4-row chunk (l_max_cap = 100) happens to give the rows'
+    # bits in a 32-row one, and a term's last bit rarely reaches the sum, so
+    # the cap leaves 5 rows (l = 97-101) and the memos are compared too.
+    vo2 = (MATS["vo2m"], MATS["vo2i"])
+    probe = _fresh_materials(("tabulated",))[0]
+    with pytest.raises(cd.TruncationError):
+        cd.difference_force(probe, *vo2, R_SPHERE, 100e-9, cd.MatsubaraGrid(T=20.0, l_max_cap=101))
+    grid = cd.MatsubaraGrid(T=20.0)
+    fresh = _fresh_materials(("tabulated",))[0]
+    assert (cd.difference_force(probe, *vo2, R_SPHERE, 100e-9, grid, with_diagnostics=True)
+            == cd.difference_force(fresh, *vo2, R_SPHERE, 100e-9, grid, with_diagnostics=True))
+    assert probe._eps_memo.entry[0] == (20.0, grid.l_max_cap)
+    assert np.array_equal(probe._eps_memo.entry[1], fresh._eps_memo.entry[1])
+
+
+def test_memo_spares_repeated_evaluations(monkeypatch):
+    calls = []
+    evaluate = cd.PermittivityModel.eval
+
+    def counting(self, xi):
+        calls.append(self.label)
+        return evaluate(self, xi)
+
+    monkeypatch.setattr(cd.PermittivityModel, "eval", counting)
+    mats = _fresh_materials(("gold-drude", "si-doped-n1", "si-doped-low"))
+    grid77 = cd.MatsubaraGrid(T=77.0)
+    for expected_calls in (True, False):
+        calls.clear()
+        cd.difference_force_curve(*mats, R_SPHERE, ZS_41[:8], grid77, low_freq_model="b")
+        assert bool(calls) == expected_calls
+    # a model-a stencil copies the low section for each sum; the copies
+    # share its memo, so only the first, nearest sum evaluates, and only at
+    # the new temperature
+    per_sum = []
+
+    def force(z):
+        before = len(calls)
+        value = cd.difference_force(*mats, R_SPHERE, z, GRID300, low_freq_model="a")
+        per_sum.append(len(calls) - before)
+        return value
+
+    cd.five_point_gradient(force, 150e-9)
+    assert per_sum[0] > 0 and per_sum[1:] == [0, 0, 0]
+    assert all(m._eps_memo.entry[0] == (300.0, GRID300.l_max_cap) for m in mats)
+    low = mats[2]
+    assert cd.with_dc_conductivity(low, False)._eps_memo is low._eps_memo
+    assert cd.with_te_zero(low, "plasma")._eps_memo is low._eps_memo
+
+
+# a fresh interpreter: the test process's own heap history hides the effect
+_FAULTS_PER_CURVE = """
+import math, resource
+import numpy as np
+import casimirdiff as cd
+mats = [cd.build_material(n) for n in ("gold-drude", "si-doped-n1", "si-doped-low")]
+zs = np.logspace(math.log10(100e-9), math.log10(300e-9), 41)
+grid = cd.MatsubaraGrid(T=300.0)
+curve = lambda: cd.difference_force_curve(*mats, 100e-6, zs, grid, low_freq_model="a")
+curve()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(5):
+    curve()
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's dynamic mmap threshold")
+def test_block_memory_stays_resident():
+    # glibc trims the heap top after each block unless the kernel's set-up
+    # raised the trim threshold: about 1500 minor faults per warm curve
+    # against 0.1.  Malloc settings from outside are dropped.
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+    env["PYTHONPATH"] = str(Path(cd.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", _FAULTS_PER_CURVE], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert float(out.stdout) < 20
 
 
 def _split_battery():
