@@ -375,13 +375,12 @@ def cmd_compare(args) -> int:
 
 def permittivity_table(model, xi_grid) -> list[tuple[float, float]]:
     """(xi, eps(i xi)) rows; a xi = 0 static row leads for non-conducting models."""
-    rows: list[tuple[float, float]] = []
+    xi = np.asarray(xi_grid, dtype=float)
+    if not np.all(xi > 0.0):
+        raise ValueError("permittivity grid frequencies must be positive")
+    rows = list(zip(xi.tolist(), model.eval(xi).tolist()))
     if not model.has_dc_conductivity:
-        rows.append((0.0, model.static_permittivity()))
-    for xi in xi_grid:
-        if not xi > 0.0:
-            raise ValueError("permittivity grid frequencies must be positive")
-        rows.append((float(xi), model.eval(float(xi))))
+        rows.insert(0, (0.0, model.static_permittivity()))
     return rows
 
 

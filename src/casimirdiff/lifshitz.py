@@ -26,7 +26,7 @@ it falls in.  A curve keeps one spectrum of eps(i xi) that every block
 slices, reused at every separation, which leaves every value equal to its
 pointwise one.  The spectrum takes its permittivities from each material's
 memo (see ``_matsubara_eps``), so a material is evaluated once per
-temperature and term cap, not once per sum or curve.
+temperature, not once per sum or curve.
 
 The momentum integral is evaluated after the substitution y = 2 q z, which
 maps it onto a fixed window [y_l, y_l + Y_WINDOW] with an exponentially
@@ -86,11 +86,8 @@ DEFAULT_NODES = 120
 # PFA error is bounded by z/R; warn beyond this ratio.
 PFA_RATIO_LIMIT = 0.01
 
-# Matsubara indices l >= 1 whose eps(i xi) a spectrum, and a material's
-# memo, adds at a time, in aligned chunks (1-32, 33-64, ..., the last cut at
-# l_max_cap): a tabulated probe's Kramers-Kronig product is a matrix product
-# whose row values depend on the chunk, so it must always see the same rows.
-# Also the first block of a sum with no earlier point to size it by.
+# Matsubara indices l >= 1 a spectrum grows by at a time, and the first
+# block of a sum with no earlier point to size it by.
 _CHUNK = 32
 
 # Most rows of a block (Matsubara indices evaluated together, as
@@ -384,21 +381,18 @@ def _matsubara_eps(model: PermittivityModel, grid: MatsubaraGrid, xi):
     """eps(i xi_l) of ``model`` for l = 1..len(xi) or more, where ``xi`` holds
     the Matsubara frequencies xi_1, xi_2, ... of ``grid``.
 
-    Served from the model's memo, which is extended in the aligned _CHUNKs
-    of a spectrum, so each value has the bits of evaluating its chunk
-    afresh.  The memo is keyed by (T, l_max_cap), since the cap cuts the
-    last chunk short.  It is read and replaced as one entry, with no lock: a
-    thread that loses a race to another only evaluates again.
+    Served from the model's memo of the temperature, which one evaluation
+    of the missing frequencies extends.  It is read and replaced as one
+    entry, with no lock: a thread that loses a race to another only
+    evaluates again.
     """
-    key = (grid.T, grid.l_max_cap)
-    memo_key, eps = model._eps_memo.entry
-    if memo_key != key:
+    memo_T, eps = model._eps_memo.entry
+    if memo_T != grid.T:
         eps = np.empty(0)
     if len(eps) < len(xi):
-        chunks = [model.eval(xi[l:l + _CHUNK]) for l in range(len(eps), len(xi), _CHUNK)]
-        eps = np.concatenate([eps, *chunks])
+        eps = np.concatenate([eps, model.eval(xi[len(eps):])])
         eps.setflags(write=False)
-        model._eps_memo.entry = (key, eps)
+        model._eps_memo.entry = (grid.T, eps)
     return eps
 
 
@@ -406,11 +400,11 @@ class _Spectrum:
     """xi_l and the eps(i xi_l) of a sum's three materials, for l = 1..len(xi).
 
     A curve passes one spectrum to all its points, and every block slices
-    it.  It grows in aligned chunks of _CHUNK indices and takes the
-    materials' permittivities from their memos (``_matsubara_eps``) only
-    when it grows, which keeps a block's slicing cheap.  ``last_terms`` is
-    the term count of the latest sum that used it: a curve's next point lies
-    further out and needs no more.
+    it.  It grows by whole _CHUNKs of indices and takes the materials'
+    permittivities from their memos (``_matsubara_eps``) only when it
+    grows, which keeps a block's slicing cheap.  ``last_terms`` is the term
+    count of the latest sum that used it: a curve's next point lies further
+    out and needs no more.
     """
 
     def __init__(self):
@@ -421,8 +415,7 @@ class _Spectrum:
     def block(self, start: int, stop: int, models, grid: MatsubaraGrid):
         """xi of l = start..stop-1 and the three materials' eps there, shape (rows, 1)."""
         if len(self.xi) < stop - 1:
-            # whole aligned chunks, the last one cut at the cap
-            count = min(-(-(stop - 1) // _CHUNK) * _CHUNK, grid.l_max_cap)
+            count = -(-(stop - 1) // _CHUNK) * _CHUNK
             self.xi = matsubara_frequency(np.arange(1, count + 1), grid.T)
             self.eps = tuple(_matsubara_eps(m, grid, self.xi) for m in models)
         rows = slice(start - 1, stop - 1)

@@ -132,8 +132,7 @@ class OpticalDataTable:
     @cached_property
     def _kk_static(self) -> float:
         """xi -> 0 limit of the dispersion relation (finite for Im eps >= 0 data)."""
-        w2, weighted = self._kk_weights
-        core = float(np.reciprocal(w2) @ weighted)
+        core = float(_kk_sum(*self._kk_weights, np.zeros(1))[0])
         # constant extension below w[0] would add g0*log(w0/0): cut it at the
         # grid instead, matching the xi->0 limit of the low-frequency term only
         # for Im eps(0) = 0 spectra; tables with nonzero Im eps at the first row
@@ -179,11 +178,12 @@ class PermittivityModel:
     ``"plasma"`` (the gamma -> 0 idealization of the free-carrier response).
 
     A model remembers eps(i xi_l) at the Matsubara frequencies l = 1..n of
-    the latest temperature and term cap it was summed at (filled by
-    ``lifshitz``), so repeated sums at one temperature evaluate it once.  The
-    memo is one entry of at most ``l_max_cap`` doubles, replaced when the
-    temperature or cap changes.  The copies made by :func:`with_dc_conductivity`
-    and :func:`with_te_zero` share it, and a pickled model carries it along.
+    the latest temperature it was summed at (filled by ``lifshitz``), so
+    repeated sums at one temperature evaluate it once.  The memo is one
+    entry, as many doubles as the longest spectrum a sum at that temperature
+    needed, extended when a sum needs more and replaced when the temperature
+    changes.  The copies made by :func:`with_dc_conductivity` and
+    :func:`with_te_zero` share it, and a pickled model carries it along.
     """
 
     label: str
@@ -198,8 +198,8 @@ class PermittivityModel:
     def __post_init__(self) -> None:
         if self.te_zero not in ("zero", "plasma"):
             raise ValueError("te_zero must be 'zero' or 'plasma'")
-        # the Matsubara memo: entry = ((T, l_max_cap), eps array), read and
-        # replaced whole, so a thread never pairs one key with another's values
+        # the Matsubara memo: entry = (T, eps array), read and replaced
+        # whole, so a thread never pairs one key with another's values
         object.__setattr__(self, "_eps_memo", SimpleNamespace(entry=(None, None)))
 
     @property
@@ -414,6 +414,18 @@ def scattering_time(sigma: float, omega_p: float) -> float:
 
 # --- Kramers-Kronig ingestion of tabulated data ------------------------
 
+# Frequencies per (xi x row) array of a Kramers-Kronig sum, which bounds its
+# memory at _KK_SLICE times the table's rows doubles.
+_KK_SLICE = 32
+
+
+def _kk_sum(w2, weighted, xi):
+    """The trapezoid sums of ``weighted / (w2 + xi^2)``, one per entry of the
+    1-d array ``xi``.  numpy's own einsum loop gives each sum the same bits
+    however many rows share the array, where a BLAS product does not."""
+    denom = np.add.outer(np.square(xi), w2)
+    return np.einsum("ij,j->i", np.reciprocal(denom, out=denom), weighted)
+
 
 def kk_to_imaginary_axis(table: OpticalDataTable, xi):
     """eps(i*xi) from tabulated Im eps(omega) via the dispersion relation.
@@ -422,15 +434,15 @@ def kk_to_imaginary_axis(table: OpticalDataTable, xi):
     with the trapezoidal rule on the tabulated grid.  Im eps is extrapolated
     as a constant below the first tabulated frequency and as omega^-3 above
     the last one; both extensions are integrated in closed form.  ``xi`` is
-    a float, giving a float, or an array, giving an array.
+    a float, giving a float, or an array, giving an array of its shape; a
+    value has the same bits whether its xi comes alone or in an array.
     """
     xi = np.asarray(xi, dtype=float)
     if not np.all(xi > 0.0):
         raise ValueError("xi must be positive")
-    w2, weighted = table._kk_weights
-    # one (xi x row) matrix-vector product; its rows are the trapezoid sums
-    denom = w2 + np.square(xi)[..., None]
-    core = np.reciprocal(denom, out=denom) @ weighted
+    flat, core = xi.reshape(-1), np.empty(xi.size)
+    for i in range(0, xi.size, _KK_SLICE):
+        core[i:i + _KK_SLICE] = _kk_sum(*table._kk_weights, flat[i:i + _KK_SLICE])
     w, g = table.omega, table.im_eps
     low = g[0] * 0.5 * np.log1p((w[0] / xi) ** 2)
     # (1 - atan(t)/t) / t^2, the omega^-3 extrapolation integral; the series
@@ -438,7 +450,7 @@ def kk_to_imaginary_axis(table: OpticalDataTable, xi):
     t = xi / w[-1]
     t2 = t * t
     tail = np.where(t < 1e-3, 1.0 / 3.0 - t2 / 5.0 + t2 * t2 / 7.0, (1.0 - np.arctan(t) / t) / t2)
-    value = 1.0 + (2.0 / math.pi) * (core + low + g[-1] * tail)
+    value = 1.0 + (2.0 / math.pi) * (core.reshape(xi.shape) + low + g[-1] * tail)
     return value if value.ndim else float(value)
 
 

@@ -3,10 +3,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 import casimirdiff as cd
 from casimirdiff import cli
+from test_golden import _lorentz_table
 
 
 def run_cli(capsys, *argv):
@@ -364,6 +366,17 @@ def test_permittivity_requires_material(capsys):
         assert message in err
     with pytest.raises(ValueError, match="must be positive"):
         cli.permittivity_table(cd.build_material("vacuum"), [1e15, 0.0])
+
+
+def test_permittivity_table_prints_the_kernels_bits():
+    probe = cd.build_material("tabulated", table=_lorentz_table(600))
+    vo2 = (cd.build_material("vo2-metal"), cd.build_material("vo2-insulator"))
+    cd.difference_force(probe, *vo2, 100e-6, 100e-9, cd.MatsubaraGrid(T=340.0))
+    eps = probe._eps_memo.entry[1]
+    n = len(eps)
+    rows = cli.permittivity_table(probe, cd.matsubara_frequency(np.arange(1, n + 1), 340.0))
+    assert rows[0][0] == 0.0
+    assert [e for _, e in rows[1:]] == eps.tolist()
 
 
 # --- cantilever commands ----------------------------------------------------------

@@ -6,6 +6,7 @@ The kernel must reproduce it to 1e-12 relative with the same term count.
 """
 
 import math
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -139,4 +140,37 @@ def test_eval_array_matches_float(name):
     for x, v in zip(xi.tolist(), values.tolist()):
         scalar = model.eval(x)
         assert type(scalar) is float
-        assert v == scalar or abs(v / scalar - 1.0) <= 1e-14, (x, v, scalar)
+        assert v == scalar, (x, v, scalar)
+
+
+def test_kk_bits_do_not_depend_on_the_call_shape():
+    table = _lorentz_table(600)
+    xi = cd.matsubara_frequency(np.arange(1, 257), 340.0)
+    whole = cd.kk_to_imaginary_axis(table, xi)
+    sliced = np.concatenate([cd.kk_to_imaginary_axis(table, xi[i:i + 7])
+                             for i in range(0, len(xi), 7)])
+    assert np.array_equal(whole, sliced)
+    assert whole.tolist() == [cd.kk_to_imaginary_axis(table, x) for x in xi.tolist()]
+
+
+def test_kk_memory_is_bounded_per_call():
+    # 2000 frequencies against 4000 rows would be a 64 MB (xi x row) array
+    table = _lorentz_table(4000)
+    xi = np.logspace(13.0, 17.0, 2000)
+    table._kk_weights  # cached on first use, not part of the call's peak
+    tracemalloc.start()
+    try:
+        cd.kk_to_imaginary_axis(table, xi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2e6
+
+
+@pytest.mark.parametrize("shape", [(0,), (), (3, 5)], ids=["empty", "0-d", "2-d"])
+def test_kk_and_eval_keep_the_array_shape(shape):
+    xi = np.logspace(13.0, 17.0, math.prod(shape)).reshape(shape)
+    for values in (cd.kk_to_imaginary_axis(TABULATED.table, xi), TABULATED.eval(xi)):
+        assert np.shape(values) == shape
+        assert np.array_equal(values, np.reshape(
+            [TABULATED.eval(x) for x in xi.reshape(-1).tolist()], shape))

@@ -721,7 +721,7 @@ def test_curve_workers_bit_identical(case):
         # workers get them pickled with their memos
         mats = _fresh_materials(("tabulated", "vo2-metal", "vo2-insulator"))
         cd.difference_force_curve(*mats, R_SPHERE, zs, grid, low_freq_model=model)
-        assert all(m._eps_memo.entry[0] == (grid.T, grid.l_max_cap) for m in mats)
+        assert all(m._eps_memo.entry[0] == grid.T for m in mats)
     parallel = cd.difference_force_curve(
         *mats, R_SPHERE, zs, grid, low_freq_model=model, workers=2,
     )
@@ -848,21 +848,20 @@ def test_warm_models_give_fresh_model_bits(case):
             assert call(warm) == call(_fresh_materials(names)), k
 
 
-def test_memo_keyed_by_term_cap():
-    # a capped sum cuts its last aligned chunk short; a sum at the same T and
-    # the default cap must not build on that memo.  The Kramers-Kronig
-    # product of a 4-row chunk (l_max_cap = 100) happens to give the rows'
-    # bits in a 32-row one, and a term's last bit rarely reaches the sum, so
-    # the cap leaves 5 rows (l = 97-101) and the memos are compared too.
+def test_memo_grown_under_a_term_cap_extends_to_fresh_bits():
+    # a sum stopped at l_max_cap = 101 leaves a memo at 20 K; a sum at the
+    # default cap extends it, and values and memo equal a fresh model's
     vo2 = (MATS["vo2m"], MATS["vo2i"])
     probe = _fresh_materials(("tabulated",))[0]
     with pytest.raises(cd.TruncationError):
         cd.difference_force(probe, *vo2, R_SPHERE, 100e-9, cd.MatsubaraGrid(T=20.0, l_max_cap=101))
+    capped = len(probe._eps_memo.entry[1])
     grid = cd.MatsubaraGrid(T=20.0)
     fresh = _fresh_materials(("tabulated",))[0]
     assert (cd.difference_force(probe, *vo2, R_SPHERE, 100e-9, grid, with_diagnostics=True)
             == cd.difference_force(fresh, *vo2, R_SPHERE, 100e-9, grid, with_diagnostics=True))
-    assert probe._eps_memo.entry[0] == (20.0, grid.l_max_cap)
+    assert probe._eps_memo.entry[0] == 20.0
+    assert 101 <= capped < len(probe._eps_memo.entry[1])
     assert np.array_equal(probe._eps_memo.entry[1], fresh._eps_memo.entry[1])
 
 
@@ -894,7 +893,7 @@ def test_memo_spares_repeated_evaluations(monkeypatch):
 
     cd.five_point_gradient(force, 150e-9)
     assert per_sum[0] > 0 and per_sum[1:] == [0, 0, 0]
-    assert all(m._eps_memo.entry[0] == (300.0, GRID300.l_max_cap) for m in mats)
+    assert all(m._eps_memo.entry[0] == 300.0 for m in mats)
     low = mats[2]
     assert cd.with_dc_conductivity(low, False)._eps_memo is low._eps_memo
     assert cd.with_te_zero(low, "plasma")._eps_memo is low._eps_memo
