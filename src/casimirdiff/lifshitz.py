@@ -29,12 +29,16 @@ memo (see ``_matsubara_eps``), so a material is evaluated once per
 temperature, not once per sum or curve.
 
 The momentum integral is evaluated after the substitution y = 2 q z, which
-maps it onto a fixed window [y_l, y_l + Y_WINDOW] with an exponentially
-decaying integrand, handled by fixed-order Gauss-Legendre quadrature
-(120 nodes by default; doubling the order changes results below 1e-5
-relative).  The Fresnel amplitudes are formed in the same scaled lengths
-(see ``_fresnel``), so no k_perp appears, and a block computes its factor
-e^{-y} (or expm1(y) for the pressure) once for all four amplitude products.
+maps it onto a fixed window above y_l with an exponentially decaying
+integrand, handled by fixed-order Gauss-Legendre quadrature in
+u = sqrt(y - y_l).  A row l >= 1 takes ``nodes`` nodes (80 by default) on a
+window of 40; the l = 0 term, whose y ln y endpoint converges more slowly,
+takes three times as many on a window of 62.  The default values lie
+within 1e-13 of a 480-node rule.  The rules are built by Newton's method,
+with no eigenproblem, and cached.  The Fresnel amplitudes are formed in
+the same scaled lengths (see ``_fresnel``), so no k_perp appears, and a
+block computes its factor e^{-y} (or expm1(y) for the pressure) once for
+all four amplitude products.
 At zero frequency the integral reduces to trilogarithms, which gives the
 closed-form gap between the two low-frequency conductivity models.
 """
@@ -77,11 +81,17 @@ __all__ = [
 # Riemann zeta(3)
 ZETA3 = 1.2020569031595942
 
-# Width of the y = 2 q z integration window beyond the lower edge; the
-# integrand carries e^{-y}, so the neglected tail is below 1e-25 relative.
+# Widths of the y = 2 q z integration window beyond the lower edge, for
+# the l = 0 term and for the rows l >= 1.  The integrand carries e^{-y} and
+# at most a y^2 measure, so a window W neglects at most
+# e^{-W} (1 + W + W^2/2) of a term: 3e-24 for 62, 4e-15 for 40.
 Y_WINDOW = 62.0
+_ROW_WINDOW = 40.0
 
-DEFAULT_NODES = 120
+# Gauss-Legendre order of an l >= 1 row.  The l = 0 term takes three times
+# as many: its y ln y endpoint converges as about n^-8, and twice as many
+# left 1.2e-13 of the force at 3 um and 300 K.
+DEFAULT_NODES = 80
 
 # PFA error is bounded by z/R; warn beyond this ratio.
 PFA_RATIO_LIMIT = 0.01
@@ -319,19 +329,48 @@ def _reflections(model: PermittivityModel, eps, y, ymin2, s):
 # --- quadrature ---------------------------------------------------------
 
 
+def _gauss_legendre(n: int):
+    """Nodes x (ascending) and weights of the n-point Gauss-Legendre rule on [-1, 1].
+
+    The nodes are the roots of P_n, found by Newton's method on the
+    three-term recurrence from Tricomi's estimate, with no eigenproblem
+    (Hale & Townsend, SIAM J. Sci. Comput. 35, A652 (2013)); the weights
+    2/((1 - x^2) P_n'(x)^2) carry the first-order correction of the last
+    Newton step.  The roots x >= 0 are computed and mirrored.
+    """
+    k = np.arange(1, (n + 1) // 2 + 1)
+    x = (1.0 - (n - 1) / (8.0 * n**3)) * np.cos(math.pi * (4 * k - 1) / (4 * n + 2))
+    # Newton converges quadratically: after a step below 1e-12 the root is
+    # exact to rounding
+    dx = math.inf
+    while np.max(np.abs(dx)) > 1e-12:
+        p_prev, p = np.ones_like(x), x
+        for j in range(2, n + 1):
+            p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+        s = (1.0 - x) * (1.0 + x)
+        dp = n * (p_prev - x * p) / s
+        dx = p / dp
+        x = x - dx
+    w = 2.0 / (s * dp * dp) * (1.0 + 2.0 * x * dx / s)
+    # an odd n's middle root, x = 0, is not mirrored
+    return np.concatenate([-x[:n // 2], x[::-1]]), np.concatenate([w[:n // 2], w[::-1]])
+
+
 @lru_cache(maxsize=None)
-def _nodes(n: int):
-    """u^2 and the weights of the n-node rule on y = y_min + u^2, u^2 in [0, Y_WINDOW]."""
+def _nodes(n: int, window: float):
+    """u^2 and the weights of the n-node Gauss-Legendre rule on y = y_min + u^2,
+    u^2 in [0, window]."""
     # Allocate and free one 1 MB array.  Freeing an mmapped block raises
     # glibc's mmap threshold to its size and the heap trim threshold to twice
     # that (mallopt(3), "dynamic mmap threshold"), so the arrays of a block
-    # (at most 0.7 MB at a time) stay on a resident heap instead of being
-    # trimmed after each block and faulted back in: a warm 41-point 300 K
-    # curve in a fresh process went from 1000-1550 minor faults to 0.1.
+    # (0.54 MB at a time for 64 rows of 80 nodes) stay on a resident heap
+    # instead of being trimmed after each block and faulted back in: a warm
+    # 41-point 300 K curve in a fresh process went from 1000-1550 minor
+    # faults to 0.1.
     # Another C library just allocates and frees it.
     np.empty(1 << 17)
-    x, w = np.polynomial.legendre.leggauss(n)
-    half = 0.5 * math.sqrt(Y_WINDOW)
+    x, w = _gauss_legendre(n)
+    half = 0.5 * math.sqrt(window)
     u = (x + 1.0) * half
     u2, weights = u * u, w * half * 2.0 * u
     u2.setflags(write=False)
@@ -339,8 +378,8 @@ def _nodes(n: int):
     return u2, weights
 
 
-def _momentum_grid(xi, z: float, nodes: int):
-    """Quadrature grid in y = 2 q z: ``(y_min, y, weights)``.
+def _momentum_grid(xi, z: float, nodes: int, window: float):
+    """Quadrature grid in y = 2 q z over [y_min, y_min + window]: ``(y_min, y, weights)``.
 
     y_min = 2 z xi/c has shape (1,) for a float xi and (len(xi), 1) for an
     array of frequencies; y has shape (nodes,) or (len(xi), nodes), and the
@@ -349,7 +388,7 @@ def _momentum_grid(xi, z: float, nodes: int):
     lower edge; the zero-frequency integrand has a y ln y endpoint behaviour
     that the substitution turns into the quadrature-friendly u^3 ln u.
     """
-    u2, weights = _nodes(nodes)
+    u2, weights = _nodes(nodes, window)
     y_min = 2.0 * z * np.asarray(xi)[..., None] / C
     return y_min, y_min + u2, weights
 
@@ -463,23 +502,23 @@ def _thermal_sum(quantity, probe, high, low, z, grid, nodes, analytic_l0, spectr
     shared, integrand, measure, l0_factor = _QUANTITIES[quantity]
     models = (probe, high, low)
 
-    def amplitudes(xi, block_eps):
-        y_min, y, weights = _momentum_grid(xi, z, nodes)
+    def amplitudes(xi, block_eps, rule):
+        y_min, y, weights = _momentum_grid(xi, z, *rule)
         ymin2 = y_min * y_min
         rs = [_reflections(m, e, y, ymin2, 2.0 * z) for m, e in zip(models, block_eps)]
         return y, weights, rs
 
-    def block_terms(xi, block_eps):
-        y, weights, ((rtp, rep), (rth, reh), (rtl, rel)) = amplitudes(xi, block_eps)
+    def block_terms(xi, block_eps, rule=(nodes, _ROW_WINDOW)):
+        y, weights, ((rtp, rep), (rth, reh), (rtl, rel)) = amplitudes(xi, block_eps, rule)
         f = shared(y)
         # grouped per polarization: identical sections cancel exactly
         g = integrand(rtp * rth, f) - integrand(rtp * rtl, f)
         h = integrand(rep * reh, f) - integrand(rep * rel, f)
         return np.einsum("ij,j->i", (g + h) * measure(y), weights).tolist()
 
-    zero, static = np.zeros(1), (None,) * 3
+    zero, static, l0_rule = np.zeros(1), (None,) * 3, (3 * nodes, Y_WINDOW)
     if analytic_l0:
-        _, _, ((rtp, _), (rth, reh), (rtl, rel)) = amplitudes(zero, static)
+        _, _, ((rtp, _), (rth, reh), (rtl, rel)) = amplitudes(zero, static, l0_rule)
         if np.any(reh) or np.any(rel):
             raise ValueError(
                 "analytic zero-frequency term requires both plate sections to have "
@@ -487,7 +526,7 @@ def _thermal_sum(quantity, probe, high, low, z, grid, nodes, analytic_l0, spectr
             )
         t0 = l0_factor * _li3_difference(rtp, rth, rtl)
     else:
-        t0 = block_terms(zero, static)[0]
+        t0 = block_terms(zero, static, l0_rule)[0]
     total = t = 0.5 * t0
     if not math.isfinite(t):
         raise ValueError("Matsubara term l = 0 is not finite")
@@ -541,7 +580,8 @@ def free_energy_per_area(
 ):
     """Free energy per unit area (J/m^2) of two half-spaces at separation z.
 
-    Negative for attractive configurations.
+    Negative for attractive configurations.  ``nodes`` as in
+    :func:`difference_force`.
     """
     s, diag = _thermal_sum("energy", pair.side_a, pair.side_b, _vacuum(), z, grid, nodes,
                            False, _Spectrum())
@@ -557,7 +597,10 @@ def sphere_plate_force(
     nodes: int = DEFAULT_NODES,
     with_diagnostics: bool = False,
 ):
-    """Sphere-plate force (N) via the proximity force approximation 2 pi R E(z)."""
+    """Sphere-plate force (N) via the proximity force approximation 2 pi R E(z).
+
+    ``nodes`` as in :func:`difference_force`.
+    """
     if pair.sphere_radius is None:
         raise ValueError("sphere_plate_force needs a sphere-plate pair")
     _check_sphere(pair.sphere_radius, z)
@@ -574,7 +617,10 @@ def plate_plate_pressure(
     nodes: int = DEFAULT_NODES,
     with_diagnostics: bool = False,
 ):
-    """Pressure (Pa) between two half-space plates; negative = attractive."""
+    """Pressure (Pa) between two half-space plates; negative = attractive.
+
+    ``nodes`` as in :func:`difference_force`.
+    """
     value, diag = _difference(pair.side_a, pair.side_b, _vacuum(), None, grid, None, nodes,
                               False, _Spectrum(), z)
     return (value, diag) if with_diagnostics else value
@@ -610,7 +656,9 @@ def difference_force(
     keeps it; by default the material is used as built.  ``analytic_l0``
     replaces the numerically integrated zero-frequency term with its exact
     trilogarithm value (valid when both plate sections have vanishing
-    zero-frequency TE reflection).
+    zero-frequency TE reflection).  ``nodes`` is the Gauss-Legendre order of
+    the momentum integral of each term l >= 1; the l = 0 term takes three
+    times as many.
     """
     _check_sphere(R, z)
     value, diag = _difference(probe, mat_high, mat_low, R, grid, low_freq_model, nodes,
@@ -630,7 +678,10 @@ def difference_pressure(
     analytic_l0: bool = False,
     with_diagnostics: bool = False,
 ):
-    """One-pass difference pressure P_high(z) - P_low(z) between plates."""
+    """One-pass difference pressure P_high(z) - P_low(z) between plates.
+
+    The arguments are those of :func:`difference_force`.
+    """
     value, diag = _difference(probe, mat_high, mat_low, None, grid, low_freq_model, nodes,
                               analytic_l0, _Spectrum(), z)
     return (value, diag) if with_diagnostics else value
@@ -711,6 +762,7 @@ def difference_force_curve(
     per-point Matsubara sums run in fixed index order, so results are
     bit-identical for any worker count.  The z/R warning is given once, for
     the largest separation, before any point runs, so a pool cannot lose it.
+    The other arguments are those of :func:`difference_force`.
     """
     separations = _separation_grid(separations)
     _check_sphere(R, separations[-1])

@@ -415,8 +415,11 @@ def scattering_time(sigma: float, omega_p: float) -> float:
 # --- Kramers-Kronig ingestion of tabulated data ------------------------
 
 # Frequencies per (xi x row) array of a Kramers-Kronig sum, which bounds its
-# memory at _KK_SLICE times the table's rows doubles.
-_KK_SLICE = 32
+# memory at _KK_SLICE times the table's rows doubles: 256 KB for 4000 rows.
+# Once the kernel has raised glibc's mmap threshold (lifshitz._nodes), such
+# an array is taken from the resident heap, so its size adds to the
+# process's peak memory.
+_KK_SLICE = 8
 
 
 def _kk_sum(w2, weighted, xi):

@@ -1,5 +1,6 @@
 """Matsubara sums, reflection amplitudes, forces, pressures, gap identities."""
 
+import itertools
 import math
 import os
 import pickle
@@ -7,6 +8,7 @@ import platform
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import mpmath
@@ -178,10 +180,14 @@ def test_reflection_coefficients_are_the_kernel_amplitudes():
 
 
 def test_momentum_grid_covers_window():
+    # the default rules of the l = 0 term and of the rows l >= 1
     z = 100e-9
-    _, y, _ = _momentum_grid(0.0, z, 120)
-    assert y[0] > 0.0 and y[-1] < Y_WINDOW
-    assert np.all(np.diff(y) > 0)
+    for nodes, window in ((3 * lifshitz.DEFAULT_NODES, Y_WINDOW),
+                          (lifshitz.DEFAULT_NODES, lifshitz._ROW_WINDOW)):
+        _, y, weights = _momentum_grid(0.0, z, nodes, window)
+        assert y.shape == weights.shape == (nodes,)
+        assert y[0] > 0.0 and y[-1] < window
+        assert np.all(np.diff(y) > 0)
 
 
 def test_block_amplitudes_against_mpmath():
@@ -192,7 +198,7 @@ def test_block_amplitudes_against_mpmath():
     z = 10 ** rng.uniform(-8, -6)
     xi = np.sort(10 ** rng.uniform(12, 17, size=32))
     eps = (1.0 + 10 ** rng.uniform(-2, 4, size=32))[:, None]
-    y_min, y, _ = _momentum_grid(xi, z, 120)
+    y_min, y, _ = _momentum_grid(xi, z, lifshitz.DEFAULT_NODES, lifshitz._ROW_WINDOW)
     ymin2 = y_min * y_min
     r_tm, r_te = _fresnel(eps, y, ymin2)
     with mpmath.workdps(40):
@@ -567,6 +573,72 @@ def test_quadrature_doubling_stability():
         MATS["gold"], MATS["vo2m"], MATS["vo2i"], R_SPHERE, z, GRID340, nodes=240
     )
     assert abs(f_doubled / f_base - 1.0) < 1e-5
+
+
+@pytest.mark.parametrize("n", [80, 160, 240])
+def test_gauss_legendre_against_mpmath(n):
+    # Newton's method from each float node on the 40-digit recurrence gives
+    # the exact root and weight; measured: nodes within 1.2e-16, weights
+    # within 6.2e-14 relative (numpy's leggauss: 1.1e-11 at n = 120)
+    x, w = lifshitz._gauss_legendre(n)
+    assert len(x) == len(w) == n and np.all(np.diff(x) > 0)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    with mpmath.workdps(40):
+        for xk, wk in zip(x[n // 2:].tolist(), w[n // 2:].tolist()):
+            r = mpmath.mpf(xk)
+            for _ in range(2):
+                p_prev, p = mpmath.mpf(1), r
+                for j in range(2, n + 1):
+                    p_prev, p = p, ((2 * j - 1) * r * p - (j - 1) * p_prev) / j
+                dp = n * (p_prev - r * p) / (1 - r * r)
+                r -= p / dp
+            assert abs(r - xk) <= 2.5e-16, (n, xk)
+            assert abs(wk * (1 - r * r) * dp * dp / 2 - 1) <= 4e-13, (n, xk)
+
+
+_RULE_SETS = {
+    "si-a": (MATS["gold"], MATS["n1"], MATS["low"], "a"),
+    "si-b": (MATS["gold"], MATS["n1"], MATS["low"], "b"),
+    "vo2": (MATS["gold"], MATS["vo2m"], MATS["vo2i"], None),
+    "vo2-plasma-probe": (cd.with_te_zero(MATS["gold"], "plasma"), MATS["vo2m"], MATS["vo2i"],
+                         None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RULE_SETS))
+def test_default_rule_within_1e_13_of_480_nodes(name):
+    # the error of the default momentum rule, force and pressure at 100 nm,
+    # 1 um and 3 um, 300 K and 77 K; the sphere is large enough that 3 um
+    # stays within the PFA limit.  Measured worst: 5.1e-15 (vo2-plasma-probe,
+    # force at 3 um, 300 K); the 120-node rule of a 62-wide window for every
+    # term left 1.1e-12
+    probe, high, low, model = _RULE_SETS[name]
+    for T, z in itertools.product((300.0, 77.0), (100e-9, 1e-6, 3e-6)):
+        grid = cd.MatsubaraGrid(T=T)
+        for compute in (partial(cd.difference_force, probe, high, low, 1e-3, z, grid),
+                        partial(cd.difference_pressure, probe, high, low, z, grid)):
+            value, diag = compute(low_freq_model=model, with_diagnostics=True)
+            ref, ref_diag = compute(low_freq_model=model, with_diagnostics=True, nodes=480)
+            assert abs(value / ref - 1.0) <= 1e-13, (T, z, compute.func.__name__)
+            assert diag.n_terms == ref_diag.n_terms
+
+
+_POLYNOMIAL_LOADED = """
+import sys
+import casimirdiff as cd
+mats = [cd.build_material(n) for n in ("gold-drude", "si-doped-n1", "si-doped-low")]
+cd.difference_force(*mats, 100e-6, 100e-9, cd.MatsubaraGrid(T=300.0), low_freq_model="a")
+print("numpy.polynomial" in sys.modules)
+"""
+
+
+def test_node_rule_leaves_numpy_polynomial_unloaded():
+    # the rule is elementwise numpy: numpy.polynomial, and the LAPACK
+    # eigensolver of its leggauss, stay out of a process that sums
+    env = dict(os.environ, PYTHONPATH=str(Path(cd.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", _POLYNOMIAL_LOADED], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 def test_truncation_tolerance_stability():
