@@ -22,11 +22,11 @@ the VO2 difference force at 100 nm with rel_tol = 1e-12).  Blocks are sized
 to the sum they finish, from the previous curve point's term count and then
 from the decay of the terms.  Every step of a block is elementwise or a
 per-row sum over the nodes, so a row's value does not depend on the block
-it falls in.  A curve keeps one spectrum of eps(i xi) that every block
-slices, reused at every separation, which leaves every value equal to its
-pointwise one.  The spectrum takes its permittivities from each material's
-memo (see ``_matsubara_eps``), so a material is evaluated once per
-temperature, not once per sum or curve.
+it falls in.  A curve computes its separations as runs of points in
+increasing z, each passing its term count on to the next; that sizes
+blocks only, so every value equals its pointwise one.  Every block slices
+eps(i xi) from each material's memo (see ``_matsubara_eps``), so a
+material is evaluated once per temperature, not once per sum or curve.
 
 The momentum integral is evaluated after the substitution y = 2 q z, which
 maps it onto a fixed window above y_l with an exponentially decaying
@@ -96,8 +96,8 @@ DEFAULT_NODES = 80
 # PFA error is bounded by z/R; warn beyond this ratio.
 PFA_RATIO_LIMIT = 0.01
 
-# Matsubara indices l >= 1 a spectrum grows by at a time, and the first
-# block of a sum with no earlier point to size it by.
+# Matsubara indices l >= 1 a material's memo grows by at a time, and the
+# first block of a sum with no earlier point to size it by.
 _CHUNK = 32
 
 # Most rows of a block (Matsubara indices evaluated together, as
@@ -208,7 +208,8 @@ def _separation_grid(separations) -> tuple[float, ...]:
 
 
 def matsubara_frequency(l, T: float):
-    """xi_l = 2 pi kB T l / hbar in rad/s, for an index or an array of indices.
+    """xi_l = 2 pi kB T l / hbar in rad/s: a float for an index, an array for
+    a sequence or an array of indices.
 
     Raises ``ValueError`` unless every index is a non-negative integer (an
     integral float counts) and T is positive and finite.
@@ -218,6 +219,12 @@ def matsubara_frequency(l, T: float):
         raise ValueError("Matsubara index must be a non-negative integer")
     if not 0.0 < T < math.inf:
         raise ValueError("temperature must be positive and finite")
+    xi = _xi(ls, T)
+    return float(xi) if ls.ndim == 0 else xi
+
+
+def _xi(l, T: float):
+    """xi_l of ``matsubara_frequency``, unchecked: the kernel's frequencies."""
     return 2.0 * math.pi * KB * T * l / HBAR
 
 
@@ -416,81 +423,49 @@ def _vacuum() -> PermittivityModel:
     return PermittivityModel(label="vacuum")
 
 
-def _matsubara_eps(model: PermittivityModel, grid: MatsubaraGrid, xi):
-    """eps(i xi_l) of ``model`` for l = 1..len(xi) or more, where ``xi`` holds
-    the Matsubara frequencies xi_1, xi_2, ... of ``grid``.
+def _matsubara_eps(model: PermittivityModel, T: float, n: int):
+    """eps(i xi_l) of ``model`` at temperature T for l = 1..n or more.
 
     Served from the model's memo of the temperature, which one evaluation
-    of the missing frequencies extends.  It is read and replaced as one
-    entry, with no lock: a thread that loses a race to another only
-    evaluates again.
+    of the missing frequencies extends to a whole number of _CHUNKs.  It is
+    read and replaced as one entry, with no lock: a thread that loses a
+    race to another only evaluates again.
     """
     memo_T, eps = model._eps_memo.entry
-    if memo_T != grid.T:
+    if memo_T != T:
         eps = np.empty(0)
-    if len(eps) < len(xi):
-        eps = np.concatenate([eps, model.eval(xi[len(eps):])])
+    if len(eps) < n:
+        count = -(-n // _CHUNK) * _CHUNK
+        eps = np.concatenate([eps, model.eval(_xi(np.arange(len(eps) + 1, count + 1), T))])
         eps.setflags(write=False)
-        model._eps_memo.entry = (grid.T, eps)
+        model._eps_memo.entry = (T, eps)
     return eps
 
 
-class _Spectrum:
-    """xi_l and the eps(i xi_l) of a sum's three materials, for l = 1..len(xi).
-
-    A curve passes one spectrum to all its points, and every block slices
-    it.  It grows by whole _CHUNKs of indices and takes the materials'
-    permittivities from their memos (``_matsubara_eps``) only when it
-    grows, which keeps a block's slicing cheap.  ``last_terms`` is the term
-    count of the latest sum that used it: a curve's next point lies further
-    out and needs no more.
-    """
-
-    def __init__(self):
-        self.xi = np.empty(0)
-        self.eps = (self.xi,) * 3
-        self.last_terms = None
-
-    def block(self, start: int, stop: int, models, grid: MatsubaraGrid):
-        """xi of l = start..stop-1 and the three materials' eps there, shape (rows, 1)."""
-        if len(self.xi) < stop - 1:
-            count = -(-(stop - 1) // _CHUNK) * _CHUNK
-            self.xi = matsubara_frequency(np.arange(1, count + 1), grid.T)
-            self.eps = tuple(_matsubara_eps(m, grid, self.xi) for m in models)
-        rows = slice(start - 1, stop - 1)
-        return self.xi[rows], [e[rows, None] for e in self.eps]
+def _next_rows(terms, total: float, rel_tol: float) -> int:
+    """Rows the next block needs, at most _MAX_ROWS: as many as the geometric
+    decay of the last two ``terms`` takes to meet the stopping test, plus
+    one, or _CHUNK if they do not decay.  The margin row spares most sums a
+    1-3-row last block when the decay estimate falls just short of the stop."""
+    rows = _CHUNK
+    if len(terms) >= 2 and terms[-2]:
+        last = abs(terms[-1])
+        ratio, goal = last / abs(terms[-2]), rel_tol * abs(total) / last
+        if 0.0 < ratio < 1.0 and goal > 0.0:
+            rows = math.ceil(math.log(goal) / math.log(ratio) + 1.0)
+    return min(_MAX_ROWS, rows)
 
 
-def _block_rows(count) -> int:
-    """``count`` rows rounded up to a whole row, at most _MAX_ROWS."""
-    return min(_MAX_ROWS, math.ceil(count))
-
-
-def _next_rows(terms, total: float, rel_tol: float) -> float:
-    """Rows the next block needs: as many as the geometric decay of the last two
-    ``terms`` takes to meet the stopping test, plus one, or _CHUNK if they do
-    not decay.  The margin row spares most sums a 1-3-row last block when the
-    decay estimate falls just short of the stop."""
-    if len(terms) < 2 or not terms[-2]:
-        return _CHUNK
-    last = abs(terms[-1])
-    ratio, goal = last / abs(terms[-2]), rel_tol * abs(total) / last
-    if not (0.0 < ratio < 1.0 and goal > 0.0):
-        return _CHUNK
-    return math.log(goal) / math.log(ratio) + 1.0
-
-
-def _thermal_sum(quantity, probe, high, low, z, grid, nodes, analytic_l0, spectrum):
+def _thermal_sum(quantity, probe, high, low, z, grid, nodes, analytic_l0, first_rows=_CHUNK):
     """Matsubara sum of ``quantity`` for ``probe`` facing ``high`` minus facing ``low``.
 
     Returns the dimensionless sum and its :class:`SumDiagnostics`.  The l = 0
     term carries half weight; ``analytic_l0`` replaces it with its exact
     trilogarithm value, which needs both sections to have vanishing
-    zero-frequency TE reflection.  ``spectrum`` (a :class:`_Spectrum`)
-    supplies eps(i xi); a curve passes one to its points in increasing z.
-    A block's rows are sized to the sum it finishes: the first block
-    covers the term count of the spectrum's previous sum (_CHUNK without
-    one), later ones follow the decay of the last two terms.  The node sum
+    zero-frequency TE reflection.  A block's rows are sized to the sum it
+    finishes: the first block covers ``first_rows`` (a curve passes the
+    previous point's l >= 1 term count), later ones follow the decay of
+    the last two terms; at most _MAX_ROWS each.  The node sum
     is numpy's own einsum loop, which gives each row the same bits in any
     block, where a BLAS product ``g @ weights`` does not.  The terms are
     then added one at a time in index order.  Raises ``ValueError`` at the
@@ -530,20 +505,19 @@ def _thermal_sum(quantity, probe, high, low, z, grid, nodes, analytic_l0, spectr
     total = t = 0.5 * t0
     if not math.isfinite(t):
         raise ValueError("Matsubara term l = 0 is not finite")
-    start = 1
-    rows = _block_rows(_CHUNK if spectrum.last_terms is None else spectrum.last_terms - 1)
+    start, rows = 1, min(_MAX_ROWS, first_rows)
     while start <= grid.l_max_cap:
         stop = min(start + rows, grid.l_max_cap + 1)
-        terms = block_terms(*spectrum.block(start, stop, models, grid))
+        block_eps = [_matsubara_eps(m, grid.T, stop - 1)[start - 1:stop - 1, None] for m in models]
+        terms = block_terms(_xi(np.arange(start, stop), grid.T), block_eps)
         for l, t in enumerate(terms, start):
             if not math.isfinite(t):
                 raise ValueError(f"Matsubara term l = {l} is not finite")
             total += t
             if abs(t) <= grid.rel_tol * abs(total):
-                spectrum.last_terms = l + 1
                 rel = abs(t) / abs(total) if total != 0.0 else 0.0
                 return total, SumDiagnostics(n_terms=l + 1, last_term_rel=rel, converged=True)
-        start, rows = stop, _block_rows(_next_rows(terms, total, grid.rel_tol))
+        start, rows = stop, _next_rows(terms, total, grid.rel_tol)
     rel = abs(t) / abs(total) if total != 0.0 else math.inf
     diag = SumDiagnostics(n_terms=grid.l_max_cap + 1, last_term_rel=rel, converged=False)
     raise TruncationError(
@@ -583,8 +557,7 @@ def free_energy_per_area(
     Negative for attractive configurations.  ``nodes`` as in
     :func:`difference_force`.
     """
-    s, diag = _thermal_sum("energy", pair.side_a, pair.side_b, _vacuum(), z, grid, nodes,
-                           False, _Spectrum())
+    s, diag = _thermal_sum("energy", pair.side_a, pair.side_b, _vacuum(), z, grid, nodes, False)
     value = KB * grid.T / (8.0 * math.pi * z * z) * s
     return (value, diag) if with_diagnostics else value
 
@@ -605,7 +578,7 @@ def sphere_plate_force(
         raise ValueError("sphere_plate_force needs a sphere-plate pair")
     _check_sphere(pair.sphere_radius, z)
     value, diag = _difference(pair.side_a, pair.side_b, _vacuum(), pair.sphere_radius, grid,
-                              None, nodes, False, _Spectrum(), z)
+                              None, nodes, False, z)
     return (value, diag) if with_diagnostics else value
 
 
@@ -622,7 +595,7 @@ def plate_plate_pressure(
     ``nodes`` as in :func:`difference_force`.
     """
     value, diag = _difference(pair.side_a, pair.side_b, _vacuum(), None, grid, None, nodes,
-                              False, _Spectrum(), z)
+                              False, z)
     return (value, diag) if with_diagnostics else value
 
 
@@ -662,7 +635,7 @@ def difference_force(
     """
     _check_sphere(R, z)
     value, diag = _difference(probe, mat_high, mat_low, R, grid, low_freq_model, nodes,
-                              analytic_l0, _Spectrum(), z)
+                              analytic_l0, z)
     return (value, diag) if with_diagnostics else value
 
 
@@ -683,19 +656,19 @@ def difference_pressure(
     The arguments are those of :func:`difference_force`.
     """
     value, diag = _difference(probe, mat_high, mat_low, None, grid, low_freq_model, nodes,
-                              analytic_l0, _Spectrum(), z)
+                              analytic_l0, z)
     return (value, diag) if with_diagnostics else value
 
 
-def _difference(probe, mat_high, mat_low, R, grid, low_freq_model, nodes, analytic_l0,
-                spectrum, z):
+def _difference(probe, mat_high, mat_low, R, grid, low_freq_model, nodes, analytic_l0, z,
+                first_rows=_CHUNK):
     """(value, diagnostics) of the difference force on a sphere of radius R,
-    or of the difference pressure for R = None; ``spectrum`` as in _thermal_sum.
-    The caller has checked R."""
+    or of the difference pressure for R = None; ``first_rows`` as in
+    _thermal_sum.  The caller has checked R."""
     mat_low = _apply_low_freq_model(mat_low, low_freq_model)
     quantity = "pressure" if R is None else "energy"
     s, diag = _thermal_sum(quantity, probe, mat_high, mat_low, z, grid, nodes, analytic_l0,
-                           spectrum)
+                           first_rows)
     return _scale(grid.T, z, R) * s, diag
 
 
@@ -711,27 +684,41 @@ def _scale(T: float, z: float, R: float | None) -> float:
 # --- separation sweeps ---------------------------------------------------
 
 
-def _sweep(point, separations, workers, probe, mat_high, mat_low, grid,
-           low_freq_model, nodes) -> Curve:
-    """Curve of ``point(z) -> (value, diagnostics)`` over the separations."""
-    zs = _separation_grid(separations)
+def _run(point, zs):
+    """``point(z, first_rows) -> (value, diagnostics)`` at the increasing
+    separations ``zs``: each point's first block covers the previous
+    point's term count, since counts fall as z grows."""
+    results, rows = [], _CHUNK
+    for z in zs:
+        value, diag = point(z, rows)
+        results.append((value, diag))
+        rows = diag.n_terms - 1
+    return results
+
+
+def _sweep(probe, high, low, R, zs, grid, low_freq_model, nodes, workers) -> Curve:
+    """Difference force curve on a sphere of radius R, or difference pressure
+    curve for R = None, over the checked separations ``zs``."""
     _check_count("workers", workers)
+    point = partial(_difference, probe, high, low, R, grid, low_freq_model, nodes, False)
     if workers > 1:
         # imported on demand: the pool's modules add about 2 MB to every
         # process, and most sweeps run serially
         from concurrent.futures import ProcessPoolExecutor
 
-        # one chunk of separations per worker: a task unpickles the
-        # materials and the curve's spectrum once for its chunk
+        # one contiguous run of separations per worker: a task unpickles
+        # the materials, with their memos, once for its run
+        size = -(-len(zs) // workers)
+        runs = [zs[k:k + size] for k in range(0, len(zs), size)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(point, zs, chunksize=-(-len(zs) // workers)))
+            results = [result for run in pool.map(partial(_run, point), runs) for result in run]
     else:
-        results = [point(z) for z in zs]
+        results = _run(point, zs)
     diags = [diag for _, diag in results]
     metadata = {
         "probe": probe.label,
-        "material_high": mat_high.label,
-        "material_low": mat_low.label,
+        "material_high": high.label,
+        "material_low": low.label,
         "temperature_K": grid.T,
         "low_freq_model": low_freq_model,
         "rel_tol": grid.rel_tol,
@@ -739,6 +726,7 @@ def _sweep(point, separations, workers, probe, mat_high, mat_low, grid,
         "l_terms_per_z": tuple(d.n_terms for d in diags),
         "tail_rel_per_z": tuple(d.last_term_rel for d in diags),
         "max_tail_rel": max(d.last_term_rel for d in diags),
+        "sphere_radius_m": R,
     }
     return Curve(zs, tuple(value for value, _ in results), metadata)
 
@@ -757,22 +745,18 @@ def difference_force_curve(
 ) -> Curve:
     """Difference force over a separation grid.
 
-    Each separation is an independent work item; with ``workers > 1`` the
-    points are dispatched to a process pool, one chunk per worker.  The
-    per-point Matsubara sums run in fixed index order, so results are
-    bit-identical for any worker count.  The z/R warning is given once, for
-    the largest separation, before any point runs, so a pool cannot lose it.
-    The other arguments are those of :func:`difference_force`.
+    The separations are computed as runs of points in increasing z: one
+    run, or with ``workers > 1`` one contiguous run per process of a pool.
+    Within a run each point's first block covers the previous point's term
+    count; block sizes move no number, and the per-point Matsubara sums run
+    in fixed index order, so every value equals its pointwise one for any
+    worker count.  The z/R warning is given once, for the largest
+    separation, before any point runs, so a pool cannot lose it.  The other
+    arguments are those of :func:`difference_force`.
     """
-    separations = _separation_grid(separations)
-    _check_sphere(R, separations[-1])
-    # one spectrum for every point; each pool task gets its own copy
-    point = partial(_difference, probe, mat_high, mat_low, R, grid, low_freq_model, nodes,
-                    False, _Spectrum())
-    curve = _sweep(point, separations, workers, probe, mat_high, mat_low, grid,
-                   low_freq_model, nodes)
-    curve.metadata["sphere_radius_m"] = R
-    return curve
+    zs = _separation_grid(separations)
+    _check_sphere(R, zs[-1])
+    return _sweep(probe, mat_high, mat_low, R, zs, grid, low_freq_model, nodes, workers)
 
 
 def difference_pressure_curve(
@@ -787,10 +771,8 @@ def difference_pressure_curve(
     workers: int = 1,
 ) -> Curve:
     """Difference pressure over a separation grid (see difference_force_curve)."""
-    point = partial(_difference, probe, mat_high, mat_low, None, grid, low_freq_model, nodes,
-                    False, _Spectrum())
-    return _sweep(point, separations, workers, probe, mat_high, mat_low, grid,
-                  low_freq_model, nodes)
+    return _sweep(probe, mat_high, mat_low, None, _separation_grid(separations), grid,
+                  low_freq_model, nodes, workers)
 
 
 # --- trilogarithm and zero-frequency gap formulas ------------------------

@@ -473,6 +473,10 @@ def load_optical_table(path) -> OpticalDataTable:
             parts = line.split()
             if len(parts) != 2:
                 raise ValueError(f"{path}:{lineno}: expected two columns")
-            omegas.append(ev_to_rad_s(float(parts[0])))
-            values.append(float(parts[1]))
+            try:
+                omega, value = map(float, parts)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            omegas.append(ev_to_rad_s(omega))
+            values.append(value)
     return OpticalDataTable(omega=tuple(omegas), im_eps=tuple(values))

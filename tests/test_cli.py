@@ -541,7 +541,8 @@ def test_one_config_file_serves_every_command(tmp_path, capsys):
     (None, "No such file"),
     ("0.5 3.0\n1.0\n", "expected two columns"),
     ("1.0 3.0\n0.5 1.5\n", "strictly increasing"),
-], ids=["missing", "one-column", "decreasing"])
+    ("0.5 3.0\n1.0 abc\n", ":2:"),
+], ids=["missing", "one-column", "decreasing", "not-a-number"])
 def test_optical_table_read_whenever_given_exit_1(content, message, tmp_path, capsys):
     table = tmp_path / "table.dat"
     if content is not None:

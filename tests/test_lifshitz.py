@@ -87,6 +87,8 @@ def test_matsubara_errors():
         with pytest.raises(ValueError):
             cd.matsubara_frequency(l, T)
     assert cd.matsubara_frequency(3.0, 77.0) == cd.matsubara_frequency(3, 77.0)
+    assert np.array_equal(cd.matsubara_frequency([1, 2], 300.0),
+                          cd.matsubara_frequency(np.array([1, 2]), 300.0))
 
 
 def test_grid_validation():
@@ -821,14 +823,23 @@ def _block_rows(monkeypatch):
     return rows
 
 
-def test_curve_evaluates_few_terms_past_the_stop(monkeypatch):
+@pytest.mark.parametrize("quantity, T, max_blocks", [
+    ("force", 300.0, 65), ("pressure", 300.0, 70), ("force", 77.0, 165), ("pressure", 77.0, 185),
+], ids=["force-300K", "pressure-300K", "force-77K", "pressure-77K"])
+def test_curve_evaluates_few_terms_past_the_stop(quantity, T, max_blocks, monkeypatch):
     # blocks are sized to the sum they finish; fixed blocks of 32 evaluated
-    # 3136 terms in 98 blocks where the 41 sums need 2451 (1.28x)
+    # 3136 terms in 98 blocks where the 300 K force sums need 2451 (1.28x).
+    # Measured blocks: 58, 63, 158 and 176; a point whose first block lost
+    # the previous point's term count took 87, 86, 178 and 196.
     rows = _block_rows(monkeypatch)
-    curve = cd.difference_force_curve(*SI, R_SPHERE, ZS_41, GRID300, low_freq_model="a")
+    grid = cd.MatsubaraGrid(T=T)
+    if quantity == "force":
+        curve = cd.difference_force_curve(*SI, R_SPHERE, ZS_41, grid, low_freq_model="a")
+    else:
+        curve = cd.difference_pressure_curve(*SI, ZS_41, grid, low_freq_model="a")
     needed = sum(n - 1 for n in curve.metadata["l_terms_per_z"])  # l >= 1
     assert sum(rows) / 3 <= 1.10 * needed
-    assert len(rows) / 3 <= 65
+    assert len(rows) / 3 <= max_blocks
 
 
 def test_single_sums_take_few_tail_blocks(monkeypatch):
