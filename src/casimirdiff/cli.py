@@ -75,7 +75,10 @@ def parse_quantity(text: str, units: dict[str, float], what: str) -> float:
         )
     if unit not in units:
         raise UsageError(f"unknown unit {unit!r} for {what}; expected {', '.join(units)}")
-    return float(value) * units[unit]
+    try:
+        return float(value) * units[unit]
+    except ValueError:  # the pattern admits '1.2.3'
+        raise UsageError(f"cannot parse {what}: {text!r}") from None
 
 
 def sig12(x: float) -> str:
@@ -418,7 +421,7 @@ def _cantilever_from_args(args) -> CantileverParams:
     return CantileverParams(
         k=parse_quantity(args.spring_constant, _SPRING_UNITS, "spring constant"),
         f_r=parse_quantity(args.resonance_frequency, _FREQUENCY_UNITS, "resonance frequency"),
-        Q=float(args.quality_factor),
+        Q=args.quality_factor,
         B=parse_quantity(args.bandwidth, _FREQUENCY_UNITS, "bandwidth"),
         T=parse_quantity(args.temperature or "300 K", _TEMPERATURE_UNITS, "temperature"),
     )
@@ -436,7 +439,7 @@ def cmd_shift(args) -> int:
     config = _resolve(args)
     radius = config.radius
     if args.gradient is not None:
-        gradient = float(args.gradient)
+        gradient = args.gradient
     else:
         probe, high, low = config.materials()
         grid = config.grid()
@@ -476,7 +479,7 @@ def _add_sweep_flags(sub, exclude=()):
 def _add_cantilever_flags(sub):
     sub.add_argument("--spring-constant", required=True, help="e.g. '0.03 N/m'")
     sub.add_argument("--resonance-frequency", required=True, help="e.g. '1130.9 Hz'")
-    sub.add_argument("--quality-factor", required=True, help="dimensionless")
+    sub.add_argument("--quality-factor", required=True, type=float, help="dimensionless")
     sub.add_argument("--bandwidth", required=True, help="e.g. '0.3 Hz'")
     sub.add_argument("--temperature", help="e.g. '77 K'")
 
@@ -511,7 +514,8 @@ def build_parser() -> argparse.ArgumentParser:
     shift = subs.add_parser("shift", help="resonance shift and equivalent pressure from a force gradient")
     _add_cantilever_flags(shift)
     shift.add_argument("--z", required=True, help="separation, e.g. '150 nm'")
-    shift.add_argument("--gradient", help="force gradient in N/m (skip the sweep computation)")
+    shift.add_argument("--gradient", type=float,
+                       help="force gradient in N/m (skip the sweep computation)")
     # one separation and no output file: none of the grid or output settings;
     # --temperature (from the cantilever flags) covers both the noise model
     # and the Matsubara grid of the force computation

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+__all__ = ["CONSTANTS", "PhysicalConstants", "ev_to_rad_s", "rad_s_to_ev"]
+
 # Boltzmann constant [J/K]
 KB = 1.380649e-23
 

@@ -78,8 +78,11 @@ def resonance_shift(p: CantileverParams, force_gradient: float) -> float:
 
     The angular-frequency relation -(omega_r / 2k) dF/dz is converted to Hz
     at this boundary.  Valid in the linearized regime |gradient| << k; a
-    diagnostic warning is emitted beyond |gradient|/k = 0.01.
+    diagnostic warning is emitted beyond |gradient|/k = 0.01.  A non-finite
+    gradient raises ``ValueError``.
     """
+    if not math.isfinite(force_gradient):
+        raise ValueError("force gradient must be finite")
     if abs(force_gradient) / p.k >= GRADIENT_RATIO_LIMIT:
         warnings.warn(
             f"|force gradient|/k = {abs(force_gradient) / p.k:.3g} is outside "
@@ -91,8 +94,10 @@ def resonance_shift(p: CantileverParams, force_gradient: float) -> float:
 
 def pressure_from_force_gradient(R: float, dF_dz: float) -> float:
     """Equivalent parallel-plate pressure -dF/dz / (2 pi R), Pa."""
-    if not R > 0.0:
-        raise ValueError("sphere radius must be positive")
+    if not 0.0 < R < math.inf:
+        raise ValueError("sphere radius must be positive and finite")
+    if not math.isfinite(dF_dz):
+        raise ValueError("force gradient must be finite")
     return -dF_dz / (2.0 * math.pi * R)
 
 

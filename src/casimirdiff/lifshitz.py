@@ -707,10 +707,12 @@ def _sweep(probe, high, low, R, zs, grid, low_freq_model, nodes, workers) -> Cur
         from concurrent.futures import ProcessPoolExecutor
 
         # one contiguous run of separations per worker: a task unpickles
-        # the materials, with their memos, once for its run
+        # the materials, with their memos, once for its run.  There can be
+        # fewer runs than workers, and the pool forks all its processes at
+        # the first task, so it gets one per run.
         size = -(-len(zs) // workers)
         runs = [zs[k:k + size] for k in range(0, len(zs), size)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=len(runs)) as pool:
             results = [result for run in pool.map(partial(_run, point), runs) for result in run]
     else:
         results = _run(point, zs)

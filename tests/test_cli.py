@@ -33,6 +33,11 @@ def test_parse_quantity_units():
         cli.parse_quantity("100 K", cli._LENGTH_UNITS, "z")  # wrong dimension
     with pytest.raises(cli.UsageError):
         cli.parse_quantity("abc nm", cli._LENGTH_UNITS, "z")
+    # the pattern admits a second point; float() then fails
+    with pytest.raises(cli.UsageError, match="cannot parse z_min: '1.2.3nm'"):
+        cli.parse_quantity("1.2.3nm", cli._LENGTH_UNITS, "z_min")
+    with pytest.raises(cli.UsageError, match="cannot parse temperature: '0.0.1K'"):
+        cli.parse_quantity("0.0.1K", cli._TEMPERATURE_UNITS, "temperature")
 
 
 # --- sweep -------------------------------------------------------------------
@@ -437,9 +442,36 @@ def test_shift_command_computed_gradient(capsys):
     assert float(values["equivalent_pressure_Pa"]) == pytest.approx(direct, rel=1e-3)
 
 
+@pytest.mark.parametrize(
+    "flag, text, message",
+    [
+        ("--gradient", "nan", "force gradient must be finite"),
+        ("--gradient", "inf", "force gradient must be finite"),
+        ("--gradient", "-inf", "force gradient must be finite"),
+        ("--gradient", "abc", "argument --gradient: invalid float value: 'abc'"),
+        ("--quality-factor", "abc", "argument --quality-factor: invalid float value: 'abc'"),
+    ],
+)
+def test_shift_bad_number_exit_1(flag, text, message, capsys):
+    # the last of a repeated flag wins
+    code, out, err = run_cli(capsys, *_SHIFT, "--gradient=1e-5", f"{flag}={text}")
+    assert (code, out) == (1, "")
+    assert message in err
+
+
 def test_usage_error_on_bad_flag(capsys):
     code, _, err = run_cli(capsys, "sweep", "--bogus-flag", "1")
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "flag, text, setting",
+    [("--zmin", "1.2.3nm", "z_min"), ("--temperature", "0.0.1K", "temperature")],
+)
+def test_sweep_malformed_number_names_setting(flag, text, setting, capsys):
+    code, out, err = run_cli(capsys, "sweep", "--points", "2", flag, text)
+    assert (code, out) == (1, "")
+    assert f"cannot parse {setting}: '{text}'" in err
 
 
 # --- one settings table ---------------------------------------------------------

@@ -87,6 +87,16 @@ def test_pressure_from_gradient_identities():
         cd.pressure_from_force_gradient(0.0, 1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_gradient_or_radius_raises(bad):
+    with pytest.raises(ValueError, match="force gradient must be finite"):
+        cd.resonance_shift(REFERENCE_CANTILEVER, bad)
+    with pytest.raises(ValueError, match="force gradient must be finite"):
+        cd.pressure_from_force_gradient(100e-6, bad)
+    with pytest.raises(ValueError, match="sphere radius"):
+        cd.pressure_from_force_gradient(bad, 1e-5)
+
+
 def test_gradient_pressure_cross_module_consistency():
     grid = cd.MatsubaraGrid(T=300.0)
     gold = cd.build_material("gold-drude")

@@ -625,22 +625,26 @@ def test_default_rule_within_1e_13_of_480_nodes(name):
             assert diag.n_terms == ref_diag.n_terms
 
 
-_POLYNOMIAL_LOADED = """
+_UNLOADED = """
 import sys
 import casimirdiff as cd
 mats = [cd.build_material(n) for n in ("gold-drude", "si-doped-n1", "si-doped-low")]
 cd.difference_force(*mats, 100e-6, 100e-9, cd.MatsubaraGrid(T=300.0), low_freq_model="a")
-print("numpy.polynomial" in sys.modules)
+cd.difference_force_curve(*mats, 100e-6, (100e-9, 200e-9), cd.MatsubaraGrid(T=300.0),
+                          low_freq_model="a")
+print([m for m in ("numpy.polynomial", "concurrent.futures", "multiprocessing")
+       if m in sys.modules])
 """
 
 
 def test_node_rule_leaves_numpy_polynomial_unloaded():
     # the rule is elementwise numpy: numpy.polynomial, and the LAPACK
-    # eigensolver of its leggauss, stay out of a process that sums
+    # eigensolver of its leggauss, stay out of a process that sums.  The
+    # pool's modules, about 2 MB, stay out of one that sums serially.
     env = dict(os.environ, PYTHONPATH=str(Path(cd.__file__).resolve().parents[1]))
-    out = subprocess.run([sys.executable, "-c", _POLYNOMIAL_LOADED], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", _UNLOADED], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_truncation_tolerance_stability():
@@ -781,6 +785,39 @@ def test_pressure_curve_matches_pointwise(case):
         )
         for z, v in zip(zs, curve.values):
             assert v == cd.difference_pressure(*mats, z, grid, low_freq_model=model)
+
+
+@pytest.mark.parametrize("points, workers, processes",
+                         [(3, 8, 3), (41, 40, 21), (41, 2, 2), (5, 4, 3), (1, 2, 1)])
+def test_pool_starts_one_process_per_run(points, workers, processes, monkeypatch):
+    # the pool forks all its processes at the first task, so it gets no
+    # more than the runs it is given; the stand-in maps in this process
+    import concurrent.futures
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, runs):
+            return map(fn, runs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    zs = tuple(np.linspace(100e-9, 300e-9, points))
+    mats = (MATS["gold"], MATS["n1"], MATS["low"])
+    serial = cd.difference_force_curve(*mats, R_SPHERE, zs, GRID300, low_freq_model="a")
+    pooled = cd.difference_force_curve(*mats, R_SPHERE, zs, GRID300, low_freq_model="a",
+                                       workers=workers)
+    assert sizes == [processes]
+    assert pooled.values == serial.values
+    assert pooled.metadata == serial.metadata
 
 
 @pytest.mark.parametrize("case", sorted(CURVE_CASES) + ["vo2-tabulated-warm"])

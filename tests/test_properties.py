@@ -13,16 +13,20 @@ these hold bit for bit, not just to a tolerance.
 For ``PermittivityModel.eval`` over random Drude, oscillator, tail and
 tabulated models, eps(i xi) >= 1 and eps(i xi) is non-increasing in xi.
 Every term of the model is a positive, non-increasing function of xi, and
-correctly rounded arithmetic keeps both properties exactly.
+correctly rounded arithmetic keeps both properties exactly.  For models
+without dc conductivity, eps(i xi) tends to ``static_permittivity()`` as
+xi -> 0+.
 """
 
+import dataclasses
+import math
 from functools import partial
 
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 import casimirdiff as cd  # noqa: E402
 
@@ -124,3 +128,43 @@ def test_permittivity_at_least_one_and_non_increasing(model, xis):
     assert np.all(eps >= 1.0)
     assert np.all(eps[1:] <= eps[:-1])
     assert eps.tolist() == [model.eval(xi) for xi in xis]
+
+
+@st.composite
+def insulators(draw):
+    """Oscillators, a tail and a table whose first row has Im eps = 0.
+
+    A table with Im eps > 0 at its first row is left out: eval extends it
+    as a constant below that row, whose term grows as log(1/xi), while
+    ``static_permittivity`` cuts the integral at the row.  With Im eps =
+    0.5 on 400 rows from 0.5 to 1.2 eV, eval reads 3.50, 5.70 and 7.89 at
+    xi = 1e12, 1e9 and 1e6 rad/s against a static value of 1.385.
+    """
+    table = draw(st.none() | tables())
+    if table is not None:
+        table = dataclasses.replace(table, im_eps=(0.0,) + table.im_eps[1:])
+    return cd.PermittivityModel(
+        label="insulator",
+        oscillators=tuple(draw(st.lists(oscillators, max_size=3))),
+        tail=draw(st.none() | tails),
+        table=table,
+    )
+
+
+@PROPERTY_SETTINGS
+@given(insulators(), _log_uniform(0.0, 9.0))
+@example(cd.build_material("vo2-insulator"), 1e6)
+@example(cd.build_material("si-dielectric"), 1e6)
+def test_permittivity_tends_to_static_value(model, xi):
+    # each term moves from its static value by at most its own weight times
+    # 2 xi/omega (oscillator damping, Gamma <= 2) or (xi/omega)^2 (the
+    # other terms), omega being its lowest frequency; 1e-13 covers the
+    # rounding of the 40-row table sums
+    frequencies = [osc.omega for osc in model.oscillators]
+    if model.tail is not None:
+        frequencies.append(model.tail.omega_inf)
+    if model.table is not None:
+        frequencies.append(model.table.omega[0])
+    ratio = xi / min(frequencies, default=math.inf)
+    static = model.static_permittivity()
+    assert abs(model.eval(xi) / static - 1.0) <= 3.0 * ratio + 1e-13
