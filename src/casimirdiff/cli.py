@@ -462,6 +462,12 @@ def cmd_shift(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # values, not flags: argparse's own pattern misses -1e-5 and -inf
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-inf$", re.I)
+
     def error(self, message):
         raise UsageError(message)
 

@@ -405,15 +405,12 @@ def _momentum_grid(xi, z: float, nodes: int, window: float):
 
 # quantity -> (factor f(y) shared by a block's four integrands, integrand
 # g(A, f) of the amplitude product A = r_probe r_plate, measure m(y) of the
-# y integral, factor c of the closed-form zero-frequency integral c Li3(A)).
-# The energy integrand ln(1 - A e^{-y}) takes f = -e^{-y}; the pressure one,
-# A e^{-y}/(1 - A e^{-y}), is written as A/(expm1(y) + (1 - A)) with
-# f = expm1(y), for stability near y = 0 with A = 1.  The integral of
-# y ln(1 - A e^{-y}) over [0, inf) is -Li3(A), that of
-# y^2 A e^{-y}/(1 - A e^{-y}) is 2 Li3(A).
+# y integral).  The energy integrand ln(1 - A e^{-y}) takes f = -e^{-y}; the
+# pressure one, A e^{-y}/(1 - A e^{-y}), is written as A/(expm1(y) + (1 - A))
+# with f = expm1(y), for stability near y = 0 with A = 1.
 _QUANTITIES = {
-    "energy": (lambda y: -np.exp(-y), lambda a, f: np.log1p(a * f), lambda y: y, -1.0),
-    "pressure": (np.expm1, lambda a, f: a / (f + (1.0 - a)), np.square, 2.0),
+    "energy": (lambda y: -np.exp(-y), lambda a, f: np.log1p(a * f), lambda y: y),
+    "pressure": (np.expm1, lambda a, f: a / (f + (1.0 - a)), np.square),
 }
 
 
@@ -456,17 +453,16 @@ def _next_rows(terms, total: float, rel_tol: float) -> int:
     return min(_MAX_ROWS, rows)
 
 
-def _thermal_sum(quantity, probe, high, low, z, grid, nodes, analytic_l0, first_rows=_CHUNK):
+def _thermal_sum(quantity, probe, high, low, z, grid, nodes, first_rows=_CHUNK):
     """Matsubara sum of ``quantity`` for ``probe`` facing ``high`` minus facing ``low``.
 
     Returns the dimensionless sum and its :class:`SumDiagnostics`.  The l = 0
-    term carries half weight; ``analytic_l0`` replaces it with its exact
-    trilogarithm value, which needs both sections to have vanishing
-    zero-frequency TE reflection.  A block's rows are sized to the sum it
-    finishes: the first block covers ``first_rows`` (a curve passes the
-    previous point's l >= 1 term count), later ones follow the decay of
-    the last two terms; at most _MAX_ROWS each.  The node sum
-    is numpy's own einsum loop, which gives each row the same bits in any
+    term carries half weight and is a one-row block on its own rule (three
+    times ``nodes`` on a window of Y_WINDOW).  A block's rows are sized to
+    the sum it finishes: the first block covers ``first_rows`` (a curve
+    passes the previous point's l >= 1 term count), later ones follow the
+    decay of the last two terms; at most _MAX_ROWS each.  The node sum is
+    numpy's own einsum loop, which gives each row the same bits in any
     block, where a BLAS product ``g @ weights`` does not.  The terms are
     then added one at a time in index order.  Raises ``ValueError`` at the
     first non-finite term and :class:`TruncationError` at the term cap.
@@ -474,35 +470,22 @@ def _thermal_sum(quantity, probe, high, low, z, grid, nodes, analytic_l0, first_
     if not 0.0 < z < math.inf:
         raise ValueError("separation z must be positive and finite")
     _check_count("nodes", nodes)
-    shared, integrand, measure, l0_factor = _QUANTITIES[quantity]
+    shared, integrand, measure = _QUANTITIES[quantity]
     models = (probe, high, low)
 
-    def amplitudes(xi, block_eps, rule):
+    def block_terms(xi, block_eps, rule=(nodes, _ROW_WINDOW)):
         y_min, y, weights = _momentum_grid(xi, z, *rule)
         ymin2 = y_min * y_min
-        rs = [_reflections(m, e, y, ymin2, 2.0 * z) for m, e in zip(models, block_eps)]
-        return y, weights, rs
-
-    def block_terms(xi, block_eps, rule=(nodes, _ROW_WINDOW)):
-        y, weights, ((rtp, rep), (rth, reh), (rtl, rel)) = amplitudes(xi, block_eps, rule)
+        (rtp, rep), (rth, reh), (rtl, rel) = [
+            _reflections(m, e, y, ymin2, 2.0 * z) for m, e in zip(models, block_eps)
+        ]
         f = shared(y)
         # grouped per polarization: identical sections cancel exactly
         g = integrand(rtp * rth, f) - integrand(rtp * rtl, f)
         h = integrand(rep * reh, f) - integrand(rep * rel, f)
         return np.einsum("ij,j->i", (g + h) * measure(y), weights).tolist()
 
-    zero, static, l0_rule = np.zeros(1), (None,) * 3, (3 * nodes, Y_WINDOW)
-    if analytic_l0:
-        _, _, ((rtp, _), (rth, reh), (rtl, rel)) = amplitudes(zero, static, l0_rule)
-        if np.any(reh) or np.any(rel):
-            raise ValueError(
-                "analytic zero-frequency term requires both plate sections to have "
-                "vanishing TE reflection at zero frequency"
-            )
-        t0 = l0_factor * _li3_difference(rtp, rth, rtl)
-    else:
-        t0 = block_terms(zero, static, l0_rule)[0]
-    total = t = 0.5 * t0
+    total = t = 0.5 * block_terms(np.zeros(1), (None,) * 3, (3 * nodes, Y_WINDOW))[0]
     if not math.isfinite(t):
         raise ValueError("Matsubara term l = 0 is not finite")
     start, rows = 1, min(_MAX_ROWS, first_rows)
@@ -557,7 +540,7 @@ def free_energy_per_area(
     Negative for attractive configurations.  ``nodes`` as in
     :func:`difference_force`.
     """
-    s, diag = _thermal_sum("energy", pair.side_a, pair.side_b, _vacuum(), z, grid, nodes, False)
+    s, diag = _thermal_sum("energy", pair.side_a, pair.side_b, _vacuum(), z, grid, nodes)
     value = KB * grid.T / (8.0 * math.pi * z * z) * s
     return (value, diag) if with_diagnostics else value
 
@@ -578,7 +561,7 @@ def sphere_plate_force(
         raise ValueError("sphere_plate_force needs a sphere-plate pair")
     _check_sphere(pair.sphere_radius, z)
     value, diag = _difference(pair.side_a, pair.side_b, _vacuum(), pair.sphere_radius, grid,
-                              None, nodes, False, z)
+                              None, nodes, z)
     return (value, diag) if with_diagnostics else value
 
 
@@ -594,8 +577,7 @@ def plate_plate_pressure(
 
     ``nodes`` as in :func:`difference_force`.
     """
-    value, diag = _difference(pair.side_a, pair.side_b, _vacuum(), None, grid, None, nodes,
-                              False, z)
+    value, diag = _difference(pair.side_a, pair.side_b, _vacuum(), None, grid, None, nodes, z)
     return (value, diag) if with_diagnostics else value
 
 
@@ -619,23 +601,19 @@ def difference_force(
     *,
     low_freq_model: str | None = None,
     nodes: int = DEFAULT_NODES,
-    analytic_l0: bool = False,
     with_diagnostics: bool = False,
 ):
     """One-pass difference force F_high(z) - F_low(z) on a sphere of radius R.
 
     ``low_freq_model`` forces the zero-frequency dc-conductivity treatment of
     ``mat_low``: ``"a"`` neglects it (finite static permittivity), ``"b"``
-    keeps it; by default the material is used as built.  ``analytic_l0``
-    replaces the numerically integrated zero-frequency term with its exact
-    trilogarithm value (valid when both plate sections have vanishing
-    zero-frequency TE reflection).  ``nodes`` is the Gauss-Legendre order of
-    the momentum integral of each term l >= 1; the l = 0 term takes three
+    keeps it; by default the material is used as built.  ``nodes`` is the
+    Gauss-Legendre order of the momentum integral of each term l >= 1; the
+    l = 0 term, the only one in which the two models differ, takes three
     times as many.
     """
     _check_sphere(R, z)
-    value, diag = _difference(probe, mat_high, mat_low, R, grid, low_freq_model, nodes,
-                              analytic_l0, z)
+    value, diag = _difference(probe, mat_high, mat_low, R, grid, low_freq_model, nodes, z)
     return (value, diag) if with_diagnostics else value
 
 
@@ -648,27 +626,23 @@ def difference_pressure(
     *,
     low_freq_model: str | None = None,
     nodes: int = DEFAULT_NODES,
-    analytic_l0: bool = False,
     with_diagnostics: bool = False,
 ):
     """One-pass difference pressure P_high(z) - P_low(z) between plates.
 
     The arguments are those of :func:`difference_force`.
     """
-    value, diag = _difference(probe, mat_high, mat_low, None, grid, low_freq_model, nodes,
-                              analytic_l0, z)
+    value, diag = _difference(probe, mat_high, mat_low, None, grid, low_freq_model, nodes, z)
     return (value, diag) if with_diagnostics else value
 
 
-def _difference(probe, mat_high, mat_low, R, grid, low_freq_model, nodes, analytic_l0, z,
-                first_rows=_CHUNK):
+def _difference(probe, mat_high, mat_low, R, grid, low_freq_model, nodes, z, first_rows=_CHUNK):
     """(value, diagnostics) of the difference force on a sphere of radius R,
     or of the difference pressure for R = None; ``first_rows`` as in
     _thermal_sum.  The caller has checked R."""
     mat_low = _apply_low_freq_model(mat_low, low_freq_model)
     quantity = "pressure" if R is None else "energy"
-    s, diag = _thermal_sum(quantity, probe, mat_high, mat_low, z, grid, nodes, analytic_l0,
-                           first_rows)
+    s, diag = _thermal_sum(quantity, probe, mat_high, mat_low, z, grid, nodes, first_rows)
     return _scale(grid.T, z, R) * s, diag
 
 
@@ -700,7 +674,7 @@ def _sweep(probe, high, low, R, zs, grid, low_freq_model, nodes, workers) -> Cur
     """Difference force curve on a sphere of radius R, or difference pressure
     curve for R = None, over the checked separations ``zs``."""
     _check_count("workers", workers)
-    point = partial(_difference, probe, high, low, R, grid, low_freq_model, nodes, False)
+    point = partial(_difference, probe, high, low, R, grid, low_freq_model, nodes)
     if workers > 1:
         # imported on demand: the pool's modules add about 2 MB to every
         # process, and most sweeps run serially
@@ -823,15 +797,6 @@ def polylog3(x: float) -> float:
     )
 
 
-def _li3_difference(r_probe: float, r_high: float, r_low: float) -> float:
-    """Li3(r_probe r_high) - Li3(r_probe r_low), zero-frequency TM amplitudes.
-
-    Times the quantity's factor in ``_QUANTITIES`` it is the closed-form
-    zero-frequency integral of a probe facing two plate sections.
-    """
-    return polylog3(r_probe * r_high) - polylog3(r_probe * r_low)
-
-
 def _zero_freq_gap(r_probe: float, eps0: float, z: float, T: float, R: float | None) -> float:
     """Model-a minus model-b value of a probe over a plate of static permittivity eps0.
 
@@ -840,11 +805,15 @@ def _zero_freq_gap(r_probe: float, eps0: float, z: float, T: float, R: float | N
     (eps0 - 1)/(eps0 + 1).  ``r_probe`` is the probe's zero-frequency TM
     amplitude (1 for a metal).  Returns the sphere-plate force for a sphere
     of radius ``R``, or the plate-plate pressure when ``R`` is None.
+
+    The l = 0 integrals over y in [0, inf) are trilogarithms of the TM
+    amplitude product A: that of y ln(1 - A e^{-y}) (energy) is -Li3(A), that
+    of y^2 A e^{-y}/(1 - A e^{-y}) (pressure) is 2 Li3(A).
     """
     r_plate = _zero_freq_reflections(eps0, "zero", None, 0.0)[0]
-    l0_factor = _QUANTITIES["pressure" if R is None else "energy"][3]
+    factor = 2.0 if R is None else -1.0
     # the half-weight l = 0 term of the sum, in the quantity's scale
-    return _scale(T, z, R) * (0.5 * l0_factor * _li3_difference(r_probe, 1.0, r_plate))
+    return _scale(T, z, R) * (0.5 * factor * (polylog3(r_probe) - polylog3(r_probe * r_plate)))
 
 
 def zero_freq_gap_force(R: float, z: float, T: float, eps0: float) -> float:

@@ -461,7 +461,8 @@ def load_optical_table(path) -> OpticalDataTable:
     """Read a two-column text table of (omega_eV, Im eps).
 
     Whitespace-separated columns, ``#`` starts a comment.  Frequencies are
-    converted from eV to rad/s on load.
+    converted from eV to rad/s on load.  Every ``ValueError`` names the file,
+    and the line where one is at fault.
     """
     omegas: list[float] = []
     values: list[float] = []
@@ -479,4 +480,7 @@ def load_optical_table(path) -> OpticalDataTable:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
             omegas.append(ev_to_rad_s(omega))
             values.append(value)
-    return OpticalDataTable(omega=tuple(omegas), im_eps=tuple(values))
+    try:
+        return OpticalDataTable(omega=tuple(omegas), im_eps=tuple(values))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -459,6 +459,20 @@ def test_shift_bad_number_exit_1(flag, text, message, capsys):
     assert message in err
 
 
+@pytest.mark.parametrize("text, code, message", [
+    ("-1e-5", 0, ""),
+    ("-2.5E-6", 0, ""),
+    ("-.5e-5", 0, ""),
+    ("-inf", 1, "force gradient must be finite"),
+])
+def test_shift_negative_gradient_is_a_value(text, code, message, capsys):
+    # argparse's own pattern reads -1e-5 and -inf as flags
+    spaced = run_cli(capsys, *_SHIFT, "--gradient", text)
+    assert spaced == run_cli(capsys, *_SHIFT, f"--gradient={text}")
+    assert spaced[0] == code
+    assert message in spaced[2]
+
+
 def test_usage_error_on_bad_flag(capsys):
     code, _, err = run_cli(capsys, "sweep", "--bogus-flag", "1")
     assert code == 1
@@ -588,3 +602,17 @@ def test_optical_table_read_whenever_given_exit_1(content, message, tmp_path, ca
         code, out, err = run_cli(capsys, *argv, "--optical-table", str(table))
         assert (code, out) == (1, ""), argv
         assert message in err
+
+
+@pytest.mark.parametrize("content, message", [
+    ("0.5 3.0\n1.0 nan\n", "im_eps must be non-negative and finite"),
+    ("0.5 3.0\n1.0 -0.5\n", "im_eps must be non-negative and finite"),
+    ("0.5 3.0\n0.5 1.5\n", "frequencies must be strictly increasing"),
+    ("0.5 3.0\n", "optical data table needs at least 2 rows"),
+], ids=["nan", "negative", "repeated-frequency", "one-row"])
+def test_invalid_optical_table_names_its_file(content, message, tmp_path, capsys):
+    table = tmp_path / "table.dat"
+    table.write_text(content)
+    code, out, err = run_cli(capsys, "sweep", "--points", "2", "--optical-table", str(table))
+    assert (code, out) == (1, "")
+    assert f"error: {table}: {message}" in err

@@ -52,10 +52,8 @@ CASES = [
     ("force-si-a-100nm", partial(force, GOLD, N1, LOW, R, 100e-9, GRID300, low_freq_model="a")),
     ("force-si-b-100nm", partial(force, GOLD, N1, LOW, R, 100e-9, GRID300, low_freq_model="b")),
     ("force-si-a-300nm", partial(force, GOLD, N1, LOW, R, 300e-9, GRID300, low_freq_model="a")),
-    ("force-si-a-analytic-l0", partial(
-        force, GOLD, N1, LOW, R, 100e-9, GRID300, low_freq_model="a", analytic_l0=True)),
-    ("force-si-gap-analytic-l0", partial(
-        force, GOLD, LOW_B, LOW, R, 200e-9, GRID300, low_freq_model="a", analytic_l0=True)),
+    ("force-si-gap-200nm", partial(
+        force, GOLD, LOW_B, LOW, R, 200e-9, GRID300, low_freq_model="a")),
     ("force-si-a-77K", partial(force, GOLD, N1, LOW, R, 150e-9, GRID77, low_freq_model="a")),
     ("force-si-a-60-nodes", partial(
         force, GOLD, N1, LOW, R, 120e-9, GRID300, low_freq_model="a", nodes=60)),
@@ -66,8 +64,6 @@ CASES = [
     ("force-ideal-probe", partial(force, IDEAL, N1, LOW, R, 100e-9, GRID300, low_freq_model="b")),
     ("pressure-si-a-150nm", partial(pressure, GOLD, N1, LOW, 150e-9, GRID300, low_freq_model="a")),
     ("pressure-si-b-150nm", partial(pressure, GOLD, N1, LOW, 150e-9, GRID300, low_freq_model="b")),
-    ("pressure-si-b-analytic-l0", partial(
-        pressure, GOLD, N1, LOW, 150e-9, GRID300, low_freq_model="b", analytic_l0=True)),
     ("pressure-si-a-77K", partial(pressure, GOLD, N1, LOW, 250e-9, GRID77, low_freq_model="a")),
     ("pressure-vo2-plasma-probe", partial(pressure, GOLD_PLASMA, VO2_M, VO2_I, 100e-9, GRID340)),
     ("energy-gold-si", partial(energy, cd.HalfspacePair(GOLD, SI), 100e-9, GRID300)),
@@ -89,8 +85,9 @@ PINNED = {
     "force-si-a-100nm": (-7.814685255756476e-12, 93),
     "force-si-b-100nm": (-6.602013405978584e-12, 94),
     "force-si-a-300nm": (-7.788086859075304e-13, 37),
-    "force-si-a-analytic-l0": (-7.814685255754883e-12, 93),
-    "force-si-gap-analytic-l0": (-3.031679639072739e-13, 2),
+    # the l = 0 term alone (every l >= 1 term cancels), pinned from its
+    # closed form
+    "force-si-gap-200nm": (-3.031679639072739e-13, 2),
     'force-si-a-77K': (-3.6245715587344815e-12, 233),
     # not the pre-kernel loop's value: the l = 0 term takes three times the
     # row nodes, so here 180; the old pin, -5.433671335773856e-12, was
@@ -103,7 +100,6 @@ PINNED = {
     "force-ideal-probe": (-7.96624238004405e-12, 108),
     "pressure-si-a-150nm": (-0.07518402968101266, 75),
     "pressure-si-b-150nm": (-0.06374683144861029, 75),
-    "pressure-si-b-analytic-l0": (-0.06374683144861029, 75),
     'pressure-si-a-77K': (-0.017084053105512826, 170),
     "pressure-vo2-plasma-probe": (-0.5688416941943287, 104),
     "energy-gold-si": (-1.5471751859687e-07, 106),

@@ -459,38 +459,29 @@ def test_model_gap_identity_pressure():
         assert abs((pa - pb) / analytic - 1.0) < 1e-6
 
 
-def test_zero_frequency_term_is_polylog_integral():
+@pytest.mark.parametrize("T", [300.0, 77.0])
+@pytest.mark.parametrize("z", [100e-9, 300e-9, 1e-6, 3e-6])
+@pytest.mark.parametrize("quantity", ["force", "pressure"])
+def test_zero_frequency_term_is_polylog_integral(quantity, z, T):
     # one-pass difference between the b- and a-treatments of the same
     # material: every l >= 1 term cancels identically, so the result is the
-    # zero-frequency term alone; its analytic value is the gap formula.
+    # numerically integrated zero-frequency term alone, and the closed-form
+    # gap formula is its exact value.  F_b - F_a is the difference
+    # (model a) - (model b), i.e. the gap.  R = 1 mm keeps 3 um within
+    # the PFA warning.
+    R, grid = 1e-3, cd.MatsubaraGrid(T=T)
     low_b = cd.with_dc_conductivity(MATS["low"], True)
-    for z in (100e-9, 300e-9):
-        # F_b - F_a is the difference (model a) - (model b), i.e. the gap
-        gap = cd.difference_force(
-            MATS["gold"], low_b, MATS["low"], R_SPHERE, z, GRID300,
-            low_freq_model="a", analytic_l0=True,
-        )
-        assert abs(gap / cd.zero_freq_gap_force(R_SPHERE, z, 300.0, 11.66) - 1.0) < 1e-10
-        gap_p = cd.difference_pressure(
-            MATS["gold"], low_b, MATS["low"], z, GRID300,
-            low_freq_model="a", analytic_l0=True,
-        )
-        assert abs(gap_p / cd.zero_freq_gap_pressure(z, 300.0, 11.66) - 1.0) < 1e-10
-
-
-def test_numeric_l0_close_to_analytic():
-    low_b = cd.with_dc_conductivity(MATS["low"], True)
-    gap_numeric = cd.difference_force(
-        MATS["gold"], low_b, MATS["low"], R_SPHERE, 100e-9, GRID300, low_freq_model="a"
-    )
-    exact = cd.zero_freq_gap_force(R_SPHERE, 100e-9, 300.0, 11.66)
-    assert abs(gap_numeric / exact - 1.0) < 1e-6
-    # the closed form has no zero-frequency TE term to offer
-    with pytest.raises(ValueError, match="vanishing TE reflection"):
-        cd.difference_force(
-            MATS["gold"], cd.with_te_zero(MATS["n1"], "plasma"), MATS["low"], R_SPHERE,
-            100e-9, GRID300, analytic_l0=True,
-        )
+    eps0 = cd.with_dc_conductivity(MATS["low"], False).static_permittivity()
+    if quantity == "force":
+        gap, diag = cd.difference_force(MATS["gold"], low_b, MATS["low"], R, z, grid,
+                                        low_freq_model="a", with_diagnostics=True)
+        exact = cd.zero_freq_gap_force(R, z, T, eps0)
+    else:
+        gap, diag = cd.difference_pressure(MATS["gold"], low_b, MATS["low"], z, grid,
+                                           low_freq_model="a", with_diagnostics=True)
+        exact = cd.zero_freq_gap_pressure(z, T, eps0)
+    assert diag.n_terms == 2
+    assert abs(gap / exact - 1.0) < 1e-13
 
 
 def test_te_convention_has_no_effect_on_differences():

@@ -1,7 +1,7 @@
 """Exact invariants of the difference kernel over random Drude/oscillator materials.
 
-For ``difference_force`` and ``difference_pressure``, with the numerically
-integrated and with the closed-form (``analytic_l0``) zero-frequency term:
+For ``difference_force`` and ``difference_pressure``, over plate sections
+with and without dc conductivity:
 
 * identical plate sections give exactly 0.0;
 * swapping the sections gives exactly the negated value;
@@ -51,10 +51,13 @@ oscillators = st.builds(
 
 @st.composite
 def sections(draw):
-    """A plate section with finite static permittivity (valid for analytic_l0)."""
+    """A plate section, dc conducting (model b), not (model a) or as its
+    carriers make it."""
     oscs = tuple(draw(st.lists(oscillators, min_size=1, max_size=2)))
     drude = draw(st.none() | drudes)
-    return cd.PermittivityModel(label="section", oscillators=oscs, drude=drude, dc_conductor=False)
+    dc_conductor = draw(st.sampled_from((None, False, True)))
+    return cd.PermittivityModel(label="section", oscillators=oscs, drude=drude,
+                                dc_conductor=dc_conductor)
 
 
 @st.composite
@@ -67,7 +70,6 @@ def setups(draw):
         fn = partial(cd.difference_force, R=R, z=z, grid=grid)
     else:
         fn = partial(cd.difference_pressure, z=z, grid=grid)
-    fn = partial(fn, analytic_l0=draw(st.booleans()))
     return fn, probe, draw(sections()), draw(sections())
 
 
