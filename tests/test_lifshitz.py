@@ -459,29 +459,47 @@ def test_model_gap_identity_pressure():
         assert abs((pa - pb) / analytic - 1.0) < 1e-6
 
 
-@pytest.mark.parametrize("T", [300.0, 77.0])
-@pytest.mark.parametrize("z", [100e-9, 300e-9, 1e-6, 3e-6])
-@pytest.mark.parametrize("quantity", ["force", "pressure"])
-def test_zero_frequency_term_is_polylog_integral(quantity, z, T):
+def test_zero_frequency_term_is_polylog_integral():
     # one-pass difference between the b- and a-treatments of the same
     # material: every l >= 1 term cancels identically, so the result is the
     # numerically integrated zero-frequency term alone, and the closed-form
     # gap formula is its exact value.  F_b - F_a is the difference
     # (model a) - (model b), i.e. the gap.  R = 1 mm keeps 3 um within
     # the PFA warning.
-    R, grid = 1e-3, cd.MatsubaraGrid(T=T)
+    R = 1e-3
     low_b = cd.with_dc_conductivity(MATS["low"], True)
     eps0 = cd.with_dc_conductivity(MATS["low"], False).static_permittivity()
-    if quantity == "force":
-        gap, diag = cd.difference_force(MATS["gold"], low_b, MATS["low"], R, z, grid,
-                                        low_freq_model="a", with_diagnostics=True)
-        exact = cd.zero_freq_gap_force(R, z, T, eps0)
-    else:
-        gap, diag = cd.difference_pressure(MATS["gold"], low_b, MATS["low"], z, grid,
-                                           low_freq_model="a", with_diagnostics=True)
-        exact = cd.zero_freq_gap_pressure(z, T, eps0)
-    assert diag.n_terms == 2
-    assert abs(gap / exact - 1.0) < 1e-13
+    for T in (300.0, 77.0):
+        grid = cd.MatsubaraGrid(T=T)
+        for z in (100e-9, 300e-9, 1e-6, 3e-6):
+            gap, diag = cd.difference_force(MATS["gold"], low_b, MATS["low"], R, z, grid,
+                                            low_freq_model="a", with_diagnostics=True)
+            assert diag.n_terms == 2
+            assert abs(gap / cd.zero_freq_gap_force(R, z, T, eps0) - 1.0) < 1e-13, (T, z)
+            gap_p, diag = cd.difference_pressure(MATS["gold"], low_b, MATS["low"], z, grid,
+                                                 low_freq_model="a", with_diagnostics=True)
+            assert diag.n_terms == 2
+            assert abs(gap_p / cd.zero_freq_gap_pressure(z, T, eps0) - 1.0) < 1e-13, (T, z)
+
+
+def test_numeric_l0_close_to_analytic():
+    low_b = cd.with_dc_conductivity(MATS["low"], True)
+    gap_numeric = cd.difference_force(
+        MATS["gold"], low_b, MATS["low"], R_SPHERE, 100e-9, GRID300, low_freq_model="a"
+    )
+    exact = cd.zero_freq_gap_force(R_SPHERE, 100e-9, 300.0, 11.66)
+    assert abs(gap_numeric / exact - 1.0) < 1e-6
+    # the numeric row also takes a plate section with a zero-frequency TE
+    # reflection, which the closed form has no term for; against the gold
+    # probe (r_TE(0) = 0) that term vanishes and the value keeps its bits
+    plasma = cd.difference_force(
+        MATS["gold"], cd.with_te_zero(MATS["n1"], "plasma"), MATS["low"], R_SPHERE,
+        100e-9, GRID300,
+    )
+    assert math.isfinite(plasma)
+    assert plasma == cd.difference_force(
+        MATS["gold"], MATS["n1"], MATS["low"], R_SPHERE, 100e-9, GRID300
+    )
 
 
 def test_te_convention_has_no_effect_on_differences():
