@@ -287,7 +287,7 @@ def _emit(text: str, out: str | None) -> None:
 def _emit_table(meta: dict, columns: list[str], rows: list[list], fmt: str, out: str | None):
     if fmt == "json":
         doc = {"config": meta, "columns": columns, "rows": rows}
-        _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", out)
+        _emit(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n", out)
         return
     lines = [f"# {key} = {meta[key]}" for key in sorted(meta)]
     lines.append(",".join(columns))
@@ -403,6 +403,10 @@ def cmd_permittivity(args) -> int:
         raise UsageError("at least 2 grid points are required")
     grid = np.logspace(math.log10(xi_min), math.log10(xi_max), points)
     rows = permittivity_table(model, grid)
+    fmt = args.format or "csv"
+    if fmt == "json" and not all(math.isfinite(eps) for _, eps in rows):
+        raise UsageError(f"eps of {args.material!r} is infinite, which JSON cannot "
+                         "hold; use --format csv")
     meta = {
         "schema": SCHEMA_VERSION,
         "material": args.material,
@@ -410,7 +414,7 @@ def cmd_permittivity(args) -> int:
         "xi_max_rad_s": _jsonable(xi_max),
         "points": points,
     }
-    _emit_table(meta, ["xi_rad_s", "eps"], [[x, e] for x, e in rows], args.format or "csv", args.out)
+    _emit_table(meta, ["xi_rad_s", "eps"], [[x, e] for x, e in rows], fmt, args.out)
     return 0
 
 
@@ -436,6 +440,8 @@ def cmd_sensitivity(args) -> int:
 def cmd_shift(args) -> int:
     params = _cantilever_from_args(args)
     z = parse_quantity(args.z, _LENGTH_UNITS, "z")
+    if not 0.0 < z < math.inf:
+        raise UsageError("z must be positive and finite")
     config = _resolve(args)
     radius = config.radius
     if args.gradient is not None:

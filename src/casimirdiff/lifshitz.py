@@ -75,11 +75,10 @@ __all__ = [
     "polylog3",
     "zero_freq_gap_force",
     "zero_freq_gap_pressure",
-    "ZETA3",
 ]
 
 # Riemann zeta(3)
-ZETA3 = 1.2020569031595942
+_ZETA3 = 1.2020569031595942
 
 # Widths of the y = 2 q z integration window beyond the lower edge, for
 # the l = 0 term and for the rows l >= 1.  The integrand carries e^{-y} and
@@ -772,7 +771,7 @@ def polylog3(x: float) -> float:
     if x == 0.0:
         return 0.0
     if x == 1.0:
-        return ZETA3
+        return _ZETA3
     if x <= 0.99:
         total = 0.0
         power = x
@@ -788,7 +787,7 @@ def polylog3(x: float) -> float:
     u = -math.log(x)
     u2 = u * u
     return (
-        ZETA3
+        _ZETA3
         - _PI2_6 * u
         + (1.5 - math.log(u)) * 0.5 * u2
         + u2 * u / 12.0

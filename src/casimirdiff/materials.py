@@ -25,21 +25,18 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .constants import EPS0, E_CHARGE, ev_to_rad_s
+from .constants import ev_to_rad_s
 
 __all__ = [
     "DrudeParams",
     "OscillatorParams",
     "HighFreqTail",
     "OpticalDataTable",
-    "CarrierParams",
     "PermittivityModel",
     "build_material",
     "catalog_names",
     "with_dc_conductivity",
     "with_te_zero",
-    "plasma_frequency",
-    "scattering_time",
     "kk_to_imaginary_axis",
     "load_optical_table",
 ]
@@ -139,23 +136,6 @@ class OpticalDataTable:
         # describe conductors and should carry an explicit dc flag.
         high = self.im_eps[-1] / 3.0
         return 1.0 + (2.0 / math.pi) * (core + high)
-
-
-@dataclass(frozen=True)
-class CarrierParams:
-    """Charge-carrier density (m^-3), effective mass (kg), optional dc conductivity (S/m)."""
-
-    n: float
-    m_eff: float
-    sigma: float | None = None
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.n < math.inf:
-            raise ValueError("carrier density n must be positive and finite")
-        if not 0.0 < self.m_eff < math.inf:
-            raise ValueError("effective mass m_eff must be positive and finite")
-        if self.sigma is not None and not 0.0 < self.sigma < math.inf:
-            raise ValueError("conductivity sigma must be positive and finite when present")
 
 
 @dataclass(frozen=True)
@@ -319,7 +299,9 @@ _CATALOG = {
     # Silicon: a single-term approximation pinning eps(0) = 11.66 (cutoff in
     # rad/s).  The phosphorus-doped sections (rad/s) are two high carrier
     # densities and the low-density section whose dc conductivity is the
-    # model switch.
+    # model switch.  Their omega_p are rounded values: the densities
+    # n = 3.3e26, 3.2e25 and 1.0e23 m^-3 at m* = 0.26 m_e reproduce them,
+    # since sqrt(n e^2 / (eps0 m*)) = 2.01e15, 6.26e14 and 3.50e13 rad/s.
     **{
         name: {"tail": HighFreqTail(eps_inf=11.66, omega_inf=6.6e15), **free_carriers}
         for name, free_carriers in (
@@ -393,23 +375,6 @@ def build_material(
     if missing:
         raise ValueError(f"{name!r} requires a {missing[0]} argument")
     return PermittivityModel(label=label or name, **fields)
-
-
-# --- carrier relations -------------------------------------------------
-
-
-def plasma_frequency(params: CarrierParams) -> float:
-    """Plasma frequency sqrt(n e^2 / (eps0 m_eff)) in rad/s."""
-    return math.sqrt(params.n * E_CHARGE**2 / (EPS0 * params.m_eff))
-
-
-def scattering_time(sigma: float, omega_p: float) -> float:
-    """Scattering time tau = sigma / (eps0 omega_p^2) in seconds."""
-    if not sigma > 0.0:
-        raise ValueError("conductivity must be positive")
-    if not omega_p > 0.0:
-        raise ValueError("plasma frequency must be positive")
-    return sigma / (EPS0 * omega_p**2)
 
 
 # --- Kramers-Kronig ingestion of tabulated data ------------------------

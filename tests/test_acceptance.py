@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import casimirdiff as cd
+from casimirdiff.constants import C, HBAR, KB
 
 R = 100e-6
 GRID300 = cd.MatsubaraGrid(T=300.0)
@@ -160,7 +161,7 @@ def test_criterion_6_vo2_force_quadrature_cross_check():
             eps0 = model.static_permittivity()
             return (1.0 if math.isinf(eps0) else (eps0 - 1.0) / (eps0 + 1.0)), 0.0
         eps = model.eval(xi)
-        k = math.sqrt(y * y + (eps - 1.0) * (2.0 * z * xi / cd.CONSTANTS.c) ** 2)
+        k = math.sqrt(y * y + (eps - 1.0) * (2.0 * z * xi / C) ** 2)
         return (eps * y - k) / (eps * y + k), (k - y) / (k + y)
 
     def term(l):
@@ -176,14 +177,14 @@ def test_criterion_6_vo2_force_quadrature_cross_check():
                 + (math.log1p(-ep * eh * e) - math.log1p(-ep * el * e))
             )
 
-        y_l = 2.0 * z * xi / cd.CONSTANTS.c
+        y_l = 2.0 * z * xi / C
         opts = dict(epsabs=0.0, epsrel=1e-13, limit=200)
         near, _ = integrate.quad(integrand, y_l, y_l + 1.0, **opts)
         far, _ = integrate.quad(integrand, y_l + 1.0, math.inf, **opts)
         return near + far
 
     s = 0.5 * term(0) + sum(term(l) for l in range(1, n_terms))
-    quad = cd.CONSTANTS.kB * T * R / (4.0 * z * z) * s
+    quad = KB * T * R / (4.0 * z * z) * s
     library = cd.difference_force(
         GOLD, VO2_MET, VO2_INS, R, z, cd.MatsubaraGrid(T=T, rel_tol=1e-12)
     )
@@ -214,7 +215,7 @@ def test_criterion_7_model_gap_identity_pressure():
 def test_criterion_8_ideal_metal_oracle():
     pair = cd.HalfspacePair(IDEAL, IDEAL)
     p = cd.plate_plate_pressure(pair, 1e-6, cd.MatsubaraGrid(T=1.0))
-    exact = -math.pi**2 * cd.CONSTANTS.hbar * cd.CONSTANTS.c / (240.0 * 1e-6**4)
+    exact = -math.pi**2 * HBAR * C / (240.0 * 1e-6**4)
     _check("criterion-8 ideal-metal pressure at 1 um, 1 K", p, exact, 0.005)
 
 

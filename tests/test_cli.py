@@ -8,6 +8,7 @@ import pytest
 
 import casimirdiff as cd
 from casimirdiff import cli
+from casimirdiff.constants import EV_TO_RAD_S
 from test_golden import _lorentz_table
 
 
@@ -24,9 +25,7 @@ def test_parse_quantity_units():
     assert cli.parse_quantity("100 nm", cli._LENGTH_UNITS, "z") == pytest.approx(1e-7)
     assert cli.parse_quantity("100nm", cli._LENGTH_UNITS, "z") == pytest.approx(1e-7)
     assert cli.parse_quantity("0.1 mm", cli._LENGTH_UNITS, "z") == pytest.approx(1e-4)
-    assert cli.parse_quantity("1 eV", cli._ANGFREQ_UNITS, "xi") == pytest.approx(
-        cd.CONSTANTS.eV_to_rad_s
-    )
+    assert cli.parse_quantity("1 eV", cli._ANGFREQ_UNITS, "xi") == pytest.approx(EV_TO_RAD_S)
     with pytest.raises(cli.UsageError):
         cli.parse_quantity("100", cli._LENGTH_UNITS, "z")  # missing unit
     with pytest.raises(cli.UsageError):
@@ -373,6 +372,18 @@ def test_permittivity_requires_material(capsys):
         cli.permittivity_table(cd.build_material("vacuum"), [1e15, 0.0])
 
 
+def test_permittivity_json_refuses_an_infinite_eps(capsys):
+    # JSON (RFC 8259) has no Infinity; CSV keeps writing inf
+    argv = ("permittivity", "--material", "ideal-metal", "--points", "2")
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert (code, out) == (1, "")
+    assert "'ideal-metal'" in err and "--format csv" in err
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out.splitlines()[-1].endswith(",inf")
+    with pytest.raises(ValueError):
+        cli._emit_table({}, ["x"], [[math.nan]], "json", None)
+
+
 def test_permittivity_table_prints_the_kernels_bits():
     probe = cd.build_material("tabulated", table=_lorentz_table(600))
     vo2 = (cd.build_material("vo2-metal"), cd.build_material("vo2-insulator"))
@@ -471,6 +482,15 @@ def test_shift_negative_gradient_is_a_value(text, code, message, capsys):
     assert spaced == run_cli(capsys, *_SHIFT, f"--gradient={text}")
     assert spaced[0] == code
     assert message in spaced[2]
+
+
+@pytest.mark.parametrize("z", ["-100 nm", "0 nm", "1e400 nm"])
+@pytest.mark.parametrize("gradient", [(), ("--gradient=1e-6",)], ids=["computed", "given"])
+def test_shift_separation_must_be_positive(z, gradient, capsys):
+    # the last of a repeated flag wins
+    code, out, err = run_cli(capsys, *_SHIFT, f"--z={z}", *gradient)
+    assert (code, out) == (1, "")
+    assert "z must be positive" in err
 
 
 def test_usage_error_on_bad_flag(capsys):

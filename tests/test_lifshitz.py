@@ -18,7 +18,7 @@ import scipy.constants
 
 import casimirdiff as cd
 from casimirdiff import lifshitz
-from casimirdiff.constants import C
+from casimirdiff.constants import C, HBAR
 from casimirdiff.lifshitz import (
     SumDiagnostics,
     Y_WINDOW,
@@ -310,7 +310,7 @@ def test_vacuum_gives_zero():
 def test_ideal_metal_pressure():
     pair = cd.HalfspacePair(MATS["ideal"], MATS["ideal"])
     p = cd.plate_plate_pressure(pair, 1e-6, cd.MatsubaraGrid(T=1.0))
-    exact = -math.pi**2 * cd.CONSTANTS.hbar * cd.CONSTANTS.c / (240.0 * 1e-6**4)
+    exact = -math.pi**2 * HBAR * C / (240.0 * 1e-6**4)
     assert abs(p / exact - 1.0) < 5e-3
     assert abs(abs(p) / 1.30e-3 - 1.0) < 5e-3
 
@@ -318,7 +318,7 @@ def test_ideal_metal_pressure():
 def test_ideal_metal_energy():
     pair = cd.HalfspacePair(MATS["ideal"], MATS["ideal"])
     e = cd.free_energy_per_area(pair, 1e-6, cd.MatsubaraGrid(T=1.0))
-    exact = -math.pi**2 * cd.CONSTANTS.hbar * cd.CONSTANTS.c / (720.0 * 1e-6**3)
+    exact = -math.pi**2 * HBAR * C / (720.0 * 1e-6**3)
     assert abs(e / exact - 1.0) < 5e-3
 
 
@@ -705,7 +705,6 @@ def test_non_finite_term_fails_at_once():
         (lambda: cd.OscillatorParams(omega=1e15, Gamma=math.nan, strength=1.0), "Gamma"),
         (lambda: cd.HighFreqTail(eps_inf=math.nan, omega_inf=1e16), "eps_inf"),
         (lambda: cd.OpticalDataTable(omega=(1e14, 1e15), im_eps=(math.nan, 1.0)), "im_eps"),
-        (lambda: cd.CarrierParams(n=math.inf, m_eff=1e-30), "n"),
         (lambda: cd.MatsubaraGrid(T=math.inf), "T"),
         (lambda: cd.CantileverParams(k=math.inf, f_r=1e3, Q=1e3, B=0.3, T=300.0), "k"),
         (lambda: cd.HalfspacePair(MATS["gold"], MATS["si_a"], sphere_radius=math.inf), "radius"),

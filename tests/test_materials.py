@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import casimirdiff as cd
-from casimirdiff.constants import ev_to_rad_s, rad_s_to_ev
+from casimirdiff.constants import C, E_CHARGE, EV_TO_RAD_S, HBAR, KB, ev_to_rad_s
 
 # catalog entries with concrete built-in parameters (si-doped and tabulated
 # need arguments; ideal-metal is the eps -> inf oracle fixture)
@@ -23,24 +23,16 @@ FINITE_MODELS = [
 
 
 def test_constants_positive_and_consistent():
-    c = cd.CONSTANTS
-    for value in (c.kB, c.hbar, c.c, c.eps0, c.e, c.me, c.eV_to_rad_s):
+    for value in (KB, HBAR, C, E_CHARGE, EV_TO_RAD_S):
         assert value > 0.0
-    assert abs(c.eV_to_rad_s * c.hbar / c.e - 1.0) < 1e-12
-
-
-def test_inconsistent_conversion_rejected():
-    with pytest.raises(ValueError):
-        cd.PhysicalConstants(eV_to_rad_s=1.0e15)
-    with pytest.raises(ValueError, match="constant c must be strictly positive"):
-        cd.PhysicalConstants(c=0.0)
+    assert abs(EV_TO_RAD_S * HBAR / E_CHARGE - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize(
     "ev", [1.02, 1.30, 1.50, 2.75, 3.49, 3.76, 5.1, 0.86, 2.8, 3.48, 4.6, 15.0, 3.33, 0.66]
 )
 def test_ev_roundtrip(ev):
-    assert abs(rad_s_to_ev(ev_to_rad_s(ev)) / ev - 1.0) < 1e-12
+    assert abs(ev_to_rad_s(ev) / (ev * E_CHARGE / HBAR) - 1.0) < 1e-12
 
 
 def test_vo2_insulator_catalog():
@@ -239,37 +231,6 @@ def test_parameter_validation():
         cd.HighFreqTail(eps_inf=0.5, omega_inf=1e15)
     with pytest.raises(ValueError, match="omega_inf"):
         cd.HighFreqTail(eps_inf=5.0, omega_inf=0.0)
-    with pytest.raises(ValueError):
-        cd.CarrierParams(n=-1e20, m_eff=1e-30)
-    with pytest.raises(ValueError):
-        cd.CarrierParams(n=1e20, m_eff=1e-30, sigma=0.0)
-    with pytest.raises(ValueError, match="m_eff"):
-        cd.CarrierParams(n=1e20, m_eff=-1e-30)
-
-
-def test_plasma_frequency_reproduces_quoted_value():
-    params = cd.CarrierParams(n=3.2e26, m_eff=0.26 * cd.CONSTANTS.me)
-    omega_p = cd.plasma_frequency(params)
-    assert abs(omega_p / 2.0e15 - 1.0) < 0.02
-    assert abs(omega_p / 1979155174543462.2 - 1.0) < 1e-12
-
-
-def test_plasma_frequency_square_root_law():
-    base = cd.CarrierParams(n=1e23, m_eff=0.26 * cd.CONSTANTS.me)
-    quad = cd.CarrierParams(n=4e23, m_eff=0.26 * cd.CONSTANTS.me)
-    assert abs(cd.plasma_frequency(quad) / (2.0 * cd.plasma_frequency(base)) - 1.0) < 1e-12
-    assert abs(cd.plasma_frequency(base) / 34986851123503.176 - 1.0) < 1e-12
-
-
-def test_scattering_time():
-    assert abs(cd.scattering_time(2e5, 2.0e15) / (2 * cd.scattering_time(1e5, 2.0e15)) - 1) < 1e-12
-    sigma = cd.CONSTANTS.eps0 * (2.0e15) ** 2 * 1e-14
-    assert abs(cd.scattering_time(sigma, 2.0e15) / 1e-14 - 1.0) < 1e-12
-    assert abs(cd.scattering_time(1e5, 2.0e15) / 2.8235226684325477e-15 - 1.0) < 1e-12
-    with pytest.raises(ValueError):
-        cd.scattering_time(-1.0, 2e15)
-    with pytest.raises(ValueError):
-        cd.scattering_time(1e5, 0.0)
 
 
 # --- Kramers-Kronig ingestion -------------------------------------------
