@@ -33,6 +33,7 @@ from .lifshitz import (
     difference_force_curve,
     difference_pressure_curve,
     reflection_coefficients,
+    _model_curves,
     _zero_freq_gap,
 )
 from .materials import (
@@ -143,6 +144,10 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if self.quantity not in ("force", "pressure"):
             raise UsageError("quantity must be 'force' or 'pressure'")
+        # before any grid is built: np.logspace warns on an infinite end
+        for name in ("z_min", "z_max", "temperature", "radius"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise UsageError(f"{name} must be positive and finite")
         if not self.z_min < self.z_max:
             raise UsageError("z_min must be smaller than z_max")
         if self.points < 2:
@@ -153,9 +158,6 @@ class SweepConfig:
             raise UsageError("low-frequency model must be 'a' or 'b'")
         if self.format not in ("csv", "json"):
             raise UsageError("format must be 'csv' or 'json'")
-        for name in ("z_min", "temperature", "radius"):
-            if not getattr(self, name) > 0.0:
-                raise UsageError(f"{name} must be positive")
         if self.workers < 1:
             raise UsageError("workers must be >= 1")
 
@@ -350,8 +352,8 @@ def cmd_compare(args) -> int:
         )
     eps0 = with_dc_conductivity(low, False).static_permittivity()
     radius = config.radius if config.quantity == "force" else None
-    curve_a = _curve(config, probe, high, low, "a")
-    curve_b = _curve(config, probe, high, low, "b")
+    curve_a, curve_b = _model_curves(probe, high, low, radius, config.separations(),
+                                     config.grid(), config.workers)
     zs = curve_a.separations
     gaps = [_zero_freq_gap(r_probe, eps0, z, config.temperature, radius) for z in zs]
     deviations = [
@@ -396,6 +398,9 @@ def cmd_permittivity(args) -> int:
     model = _build_named(args.material, {}, _optical_table(args.optical_table))
     xi_min = parse_quantity(args.ximin, _ANGFREQ_UNITS, "ximin")
     xi_max = parse_quantity(args.ximax, _ANGFREQ_UNITS, "ximax")
+    for name, value in (("ximin", xi_min), ("ximax", xi_max)):
+        if not 0.0 < value < math.inf:
+            raise UsageError(f"{name} must be positive and finite")
     if not 0.0 < xi_min < xi_max:
         raise UsageError("need 0 < ximin < ximax")
     points = _setting("points", args.points)

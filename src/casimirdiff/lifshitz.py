@@ -13,7 +13,8 @@ Every quantity is computed by one kernel, ``_thermal_sum``: a probe facing
 two plate sections, evaluated in a single pass as the difference of the two
 pairs, sharing the momentum grid and the probe reflection amplitudes between
 the sections.  A single-pair quantity is the difference against a vacuum
-section, whose amplitudes are exactly 0.  Matsubara indices l >= 1 are
+section, whose amplitudes are exactly 0.  The half-weight l = 0 term is an
+input of the kernel (``_zero_term``).  Matsubara indices l >= 1 are
 evaluated in blocks, as fresh (rows x node) arrays; the terms are then added
 one at a time in index order, and the sum stops once the latest term falls
 below ``rel_tol`` times the running total.  That test bounds the last term,
@@ -27,6 +28,15 @@ increasing z, each passing its term count on to the next; that sizes
 blocks only, so every value equals its pointwise one.  Every block slices
 eps(i xi) from each material's memo (see ``_matsubara_eps``), so a
 material is evaluated once per temperature, not once per sum or curve.
+
+A curve also computes once what its points repeat.  The l = 0 term is the
+same float at every separation, so a curve evaluates it once per run and
+passes it to every point, unless a plasma TE amplitude at xi = 0 makes it
+depend on z (``_zero_term_depends_on_z``); then each point evaluates its
+own.  The two low-frequency models differ only in the l = 0 term, so the
+kernel takes one half-term per model and keeps one running total and one
+stopping test for each over a single set of rows l >= 1: ``compare``'s two
+curves cost about one, and each equals its own curve bit for bit.
 
 The momentum integral is evaluated after the substitution y = 2 q z, which
 maps it onto a fixed window above y_l with an exponentially decaying
@@ -452,54 +462,98 @@ def _next_rows(terms, total: float, rel_tol: float) -> int:
     return min(_MAX_ROWS, rows)
 
 
-def _thermal_sum(quantity, probe, high, low, z, grid, nodes, first_rows=_CHUNK):
-    """Matsubara sum of ``quantity`` for ``probe`` facing ``high`` minus facing ``low``.
+def _block_terms(quantity, models, z, xi, block_eps, nodes, window):
+    """Terms of ``quantity`` at the frequencies ``xi`` for models = (probe,
+    high, low): one per row, ``nodes`` nodes on a window of ``window``.
 
-    Returns the dimensionless sum and its :class:`SumDiagnostics`.  The l = 0
-    term carries half weight and is a one-row block on its own rule (three
-    times ``nodes`` on a window of Y_WINDOW).  A block's rows are sized to
-    the sum it finishes: the first block covers ``first_rows`` (a curve
-    passes the previous point's l >= 1 term count), later ones follow the
-    decay of the last two terms; at most _MAX_ROWS each.  The node sum is
-    numpy's own einsum loop, which gives each row the same bits in any
-    block, where a BLAS product ``g @ weights`` does not.  The terms are
-    then added one at a time in index order.  Raises ``ValueError`` at the
-    first non-finite term and :class:`TruncationError` at the term cap.
+    ``block_eps`` holds each model's eps(i xi) as in _reflections.  The node
+    sum is numpy's own einsum loop, which gives each row the same bits in
+    any block, where a BLAS product ``g @ weights`` does not.
+    """
+    shared, integrand, measure = _QUANTITIES[quantity]
+    y_min, y, weights = _momentum_grid(xi, z, nodes, window)
+    ymin2 = y_min * y_min
+    (rtp, rep), (rth, reh), (rtl, rel) = [
+        _reflections(m, e, y, ymin2, 2.0 * z) for m, e in zip(models, block_eps)
+    ]
+    f = shared(y)
+    # grouped per polarization: identical sections cancel exactly
+    g = integrand(rtp * rth, f) - integrand(rtp * rtl, f)
+    h = integrand(rep * reh, f) - integrand(rep * rel, f)
+    return np.einsum("ij,j->i", (g + h) * measure(y), weights).tolist()
+
+
+def _zero_term(quantity, models, z, nodes):
+    """Half the l = 0 term of ``quantity`` for models = (probe, high, low)
+    at separation z: one row on its own rule, three times ``nodes`` on a
+    window of Y_WINDOW.
+
+    In the y-form its lower edge is 0 and its amplitudes are constants, so
+    it is the same float at every z unless ``_zero_term_depends_on_z``.
     """
     if not 0.0 < z < math.inf:
         raise ValueError("separation z must be positive and finite")
     _check_count("nodes", nodes)
-    shared, integrand, measure = _QUANTITIES[quantity]
-    models = (probe, high, low)
-
-    def block_terms(xi, block_eps, rule=(nodes, _ROW_WINDOW)):
-        y_min, y, weights = _momentum_grid(xi, z, *rule)
-        ymin2 = y_min * y_min
-        (rtp, rep), (rth, reh), (rtl, rel) = [
-            _reflections(m, e, y, ymin2, 2.0 * z) for m, e in zip(models, block_eps)
-        ]
-        f = shared(y)
-        # grouped per polarization: identical sections cancel exactly
-        g = integrand(rtp * rth, f) - integrand(rtp * rtl, f)
-        h = integrand(rep * reh, f) - integrand(rep * rel, f)
-        return np.einsum("ij,j->i", (g + h) * measure(y), weights).tolist()
-
-    total = t = 0.5 * block_terms(np.zeros(1), (None,) * 3, (3 * nodes, Y_WINDOW))[0]
+    t = 0.5 * _block_terms(quantity, models, z, np.zeros(1), (None,) * 3, 3 * nodes, Y_WINDOW)[0]
     if not math.isfinite(t):
         raise ValueError("Matsubara term l = 0 is not finite")
+    return t
+
+
+def _zero_term_depends_on_z(models) -> bool:
+    """Whether the l = 0 term of any of ``models`` depends on z: only a dc
+    conductor with the plasma TE rule and a plasma frequency, not a perfect
+    conductor, has a xi = 0 amplitude that scales with s = 2z
+    (see ``_zero_freq_reflections``)."""
+    return any(m.has_dc_conductivity and m.te_zero == "plasma" and m.drude is not None
+               and not m.perfect_conductor for m in models)
+
+
+def _thermal_sum(quantity, models, z, grid, nodes, zero_terms, first_rows=_CHUNK):
+    """Matsubara sums of ``quantity`` for a probe facing ``high`` minus facing
+    ``low``, models = (probe, high, low), one per l = 0 half-term.
+
+    ``zero_terms`` holds half the l = 0 term (``_zero_term``) of each
+    low-frequency variant of the low section; the variants share their
+    terms l >= 1, which are evaluated once.  Returns a list of the
+    dimensionless sum and its :class:`SumDiagnostics`, one per half-term.
+    A block's rows are sized to the sums it finishes: the first block
+    covers ``first_rows`` (a curve passes the previous point's l >= 1 term
+    count), later ones follow the decay of the last two terms; at most
+    _MAX_ROWS each.  Each sum adds the block's terms one at a time in index
+    order and stops by its own test, so it has the bits of a call with its
+    half-term alone; the kernel stops after the block in which the last sum
+    stopped.  Raises ``ValueError`` at the first non-finite term and
+    :class:`TruncationError` at the term cap.
+    """
+    totals, results = list(zero_terms), [None] * len(zero_terms)
     start, rows = 1, min(_MAX_ROWS, first_rows)
     while start <= grid.l_max_cap:
         stop = min(start + rows, grid.l_max_cap + 1)
         block_eps = [_matsubara_eps(m, grid.T, stop - 1)[start - 1:stop - 1, None] for m in models]
-        terms = block_terms(_xi(np.arange(start, stop), grid.T), block_eps)
-        for l, t in enumerate(terms, start):
-            if not math.isfinite(t):
-                raise ValueError(f"Matsubara term l = {l} is not finite")
-            total += t
-            if abs(t) <= grid.rel_tol * abs(total):
-                rel = abs(t) / abs(total) if total != 0.0 else 0.0
-                return total, SumDiagnostics(n_terms=l + 1, last_term_rel=rel, converged=True)
-        start, rows = stop, _next_rows(terms, total, grid.rel_tol)
+        terms = _block_terms(quantity, models, z, _xi(np.arange(start, stop), grid.T), block_eps,
+                             nodes, _ROW_WINDOW)
+        rows = 0
+        for k, total in enumerate(totals):
+            if results[k] is not None:
+                continue
+            for l, t in enumerate(terms, start):
+                if not math.isfinite(t):
+                    raise ValueError(f"Matsubara term l = {l} is not finite")
+                total += t
+                if abs(t) <= grid.rel_tol * abs(total):
+                    rel = abs(t) / abs(total) if total != 0.0 else 0.0
+                    results[k] = total, SumDiagnostics(n_terms=l + 1, last_term_rel=rel,
+                                                       converged=True)
+                    break
+            else:
+                # still running: the next block is sized for the slowest sum
+                totals[k] = total
+                rows = max(rows, _next_rows(terms, total, grid.rel_tol))
+        if None not in results:
+            return results
+        start = stop
+    total, t = totals[results.index(None)], terms[-1]
     rel = abs(t) / abs(total) if total != 0.0 else math.inf
     diag = SumDiagnostics(n_terms=grid.l_max_cap + 1, last_term_rel=rel, converged=False)
     raise TruncationError(
@@ -539,7 +593,9 @@ def free_energy_per_area(
     Negative for attractive configurations.  ``nodes`` as in
     :func:`difference_force`.
     """
-    s, diag = _thermal_sum("energy", pair.side_a, pair.side_b, _vacuum(), z, grid, nodes)
+    models = (pair.side_a, pair.side_b, _vacuum())
+    [(s, diag)] = _thermal_sum("energy", models, z, grid, nodes,
+                               [_zero_term("energy", models, z, nodes)])
     value = KB * grid.T / (8.0 * math.pi * z * z) * s
     return (value, diag) if with_diagnostics else value
 
@@ -635,14 +691,27 @@ def difference_pressure(
     return (value, diag) if with_diagnostics else value
 
 
-def _difference(probe, mat_high, mat_low, R, grid, low_freq_model, nodes, z, first_rows=_CHUNK):
+def _difference(probe, mat_high, mat_low, R, grid, low_freq_model, nodes, z):
     """(value, diagnostics) of the difference force on a sphere of radius R,
-    or of the difference pressure for R = None; ``first_rows`` as in
-    _thermal_sum.  The caller has checked R."""
-    mat_low = _apply_low_freq_model(mat_low, low_freq_model)
+    or of the difference pressure for R = None.  The caller has checked R."""
+    lows = (_apply_low_freq_model(mat_low, low_freq_model),)
+    return _point(probe, mat_high, lows, R, grid, nodes, None, z, _CHUNK)[0]
+
+
+def _point(probe, high, lows, R, grid, nodes, zero_terms, z, first_rows):
+    """[(value, diagnostics)] at separation z, one per section of ``lows``
+    (low-frequency variants of one material): the difference force on a
+    sphere of radius R, or the difference pressure for R = None.
+
+    ``zero_terms`` holds the sections' l = 0 half-terms, or is None to
+    compute them at z; ``first_rows`` as in _thermal_sum.
+    """
     quantity = "pressure" if R is None else "energy"
-    s, diag = _thermal_sum(quantity, probe, mat_high, mat_low, z, grid, nodes, first_rows)
-    return _scale(grid.T, z, R) * s, diag
+    if zero_terms is None:
+        zero_terms = [_zero_term(quantity, (probe, high, low), z, nodes) for low in lows]
+    sums = _thermal_sum(quantity, (probe, high, lows[0]), z, grid, nodes, zero_terms, first_rows)
+    scale = _scale(grid.T, z, R)
+    return [(scale * s, diag) for s, diag in sums]
 
 
 def _scale(T: float, z: float, R: float | None) -> float:
@@ -658,22 +727,35 @@ def _scale(T: float, z: float, R: float | None) -> float:
 
 
 def _run(point, zs):
-    """``point(z, first_rows) -> (value, diagnostics)`` at the increasing
+    """``point(z, first_rows) -> [(value, diagnostics)]`` at the increasing
     separations ``zs``: each point's first block covers the previous
-    point's term count, since counts fall as z grows."""
+    point's longest term count, since counts fall as z grows."""
     results, rows = [], _CHUNK
     for z in zs:
-        value, diag = point(z, rows)
-        results.append((value, diag))
-        rows = diag.n_terms - 1
+        result = point(z, rows)
+        results.append(result)
+        rows = max(diag.n_terms for _, diag in result) - 1
     return results
 
 
-def _sweep(probe, high, low, R, zs, grid, low_freq_model, nodes, workers) -> Curve:
-    """Difference force curve on a sphere of radius R, or difference pressure
-    curve for R = None, over the checked separations ``zs``."""
+def _sweep(probe, high, low, R, zs, grid, low_freq_models, nodes, workers) -> list[Curve]:
+    """Difference force curves on a sphere of radius R, or difference
+    pressure curves for R = None, over the checked separations ``zs``: one
+    per model of ``low_freq_models``, from one run of sums.
+
+    The l = 0 half-terms are computed once, at zs[0], and passed to every
+    point, a pool's runs included, unless a plasma TE amplitude makes them
+    depend on z (``_zero_term_depends_on_z``); then each point computes its
+    own.
+    """
     _check_count("workers", workers)
-    point = partial(_difference, probe, high, low, R, grid, low_freq_model, nodes)
+    lows = tuple(_apply_low_freq_model(low, model) for model in low_freq_models)
+    zero_terms = None
+    if not _zero_term_depends_on_z((probe, high) + lows):
+        quantity = "pressure" if R is None else "energy"
+        zero_terms = tuple(_zero_term(quantity, (probe, high, section), zs[0], nodes)
+                           for section in lows)
+    point = partial(_point, probe, high, lows, R, grid, nodes, zero_terms)
     if workers > 1:
         # imported on demand: the pool's modules add about 2 MB to every
         # process, and most sweeps run serially
@@ -689,21 +771,24 @@ def _sweep(probe, high, low, R, zs, grid, low_freq_model, nodes, workers) -> Cur
             results = [result for run in pool.map(partial(_run, point), runs) for result in run]
     else:
         results = _run(point, zs)
-    diags = [diag for _, diag in results]
-    metadata = {
-        "probe": probe.label,
-        "material_high": high.label,
-        "material_low": low.label,
-        "temperature_K": grid.T,
-        "low_freq_model": low_freq_model,
-        "rel_tol": grid.rel_tol,
-        "nodes": nodes,
-        "l_terms_per_z": tuple(d.n_terms for d in diags),
-        "tail_rel_per_z": tuple(d.last_term_rel for d in diags),
-        "max_tail_rel": max(d.last_term_rel for d in diags),
-        "sphere_radius_m": R,
-    }
-    return Curve(zs, tuple(value for value, _ in results), metadata)
+    curves = []
+    for k, low_freq_model in enumerate(low_freq_models):
+        diags = [result[k][1] for result in results]
+        metadata = {
+            "probe": probe.label,
+            "material_high": high.label,
+            "material_low": low.label,
+            "temperature_K": grid.T,
+            "low_freq_model": low_freq_model,
+            "rel_tol": grid.rel_tol,
+            "nodes": nodes,
+            "l_terms_per_z": tuple(d.n_terms for d in diags),
+            "tail_rel_per_z": tuple(d.last_term_rel for d in diags),
+            "max_tail_rel": max(d.last_term_rel for d in diags),
+            "sphere_radius_m": R,
+        }
+        curves.append(Curve(zs, tuple(result[k][0] for result in results), metadata))
+    return curves
 
 
 def difference_force_curve(
@@ -731,7 +816,7 @@ def difference_force_curve(
     """
     zs = _separation_grid(separations)
     _check_sphere(R, zs[-1])
-    return _sweep(probe, mat_high, mat_low, R, zs, grid, low_freq_model, nodes, workers)
+    return _sweep(probe, mat_high, mat_low, R, zs, grid, (low_freq_model,), nodes, workers)[0]
 
 
 def difference_pressure_curve(
@@ -747,7 +832,18 @@ def difference_pressure_curve(
 ) -> Curve:
     """Difference pressure over a separation grid (see difference_force_curve)."""
     return _sweep(probe, mat_high, mat_low, None, _separation_grid(separations), grid,
-                  low_freq_model, nodes, workers)
+                  (low_freq_model,), nodes, workers)[0]
+
+
+def _model_curves(probe, high, low, R, separations, grid, workers) -> list[Curve]:
+    """The model-a and model-b curves of :func:`difference_force_curve` for a
+    sphere of radius R, or of :func:`difference_pressure_curve` for R = None,
+    from one run of sums: each equals its own curve bit for bit, at about
+    the cost of one."""
+    zs = _separation_grid(separations)
+    if R is not None:
+        _check_sphere(R, zs[-1])
+    return _sweep(probe, high, low, R, zs, grid, ("a", "b"), DEFAULT_NODES, workers)
 
 
 # --- trilogarithm and zero-frequency gap formulas ------------------------

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -508,6 +509,28 @@ def test_sweep_malformed_number_names_setting(flag, text, setting, capsys):
     assert f"cannot parse {setting}: '{text}'" in err
 
 
+@pytest.mark.parametrize("argv, setting", [
+    (("sweep", "--zmax", "1e400 nm"), "z_max"),
+    (("sweep", "--zmin", "1e400 nm"), "z_min"),
+    (("sweep", "--temperature", "1e400 K"), "temperature"),
+    (("sweep", "--radius", "1e400 um"), "radius"),
+    (("compare", "--zmax", "1e400 nm"), "z_max"),
+    (("permittivity", "--material", "vacuum", "--ximax", "1e400 rad/s"), "ximax"),
+    (("permittivity", "--material", "vacuum", "--ximin", "1e400 rad/s"), "ximin"),
+], ids=["sweep-zmax", "sweep-zmin", "sweep-temperature", "sweep-radius", "compare-zmax",
+        "permittivity-ximax", "permittivity-ximin"])
+def test_non_finite_grid_end_names_setting(argv, setting, capsys):
+    # an overflowing number parses as inf; it is refused before np.logspace
+    # could warn about it
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, *argv, "--points", "2")
+    assert (code, out) == (1, "")
+    assert f"{setting} must be positive and finite" in err
+    assert "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 # --- one settings table ---------------------------------------------------------
 
 _SHIFT = (
@@ -520,7 +543,7 @@ def test_compare_non_reflecting_probe_exit_1(capsys, monkeypatch):
     def no_curve(*args, **kwargs):
         raise AssertionError("a curve was computed")
 
-    monkeypatch.setattr(cli, "_curve", no_curve)
+    monkeypatch.setattr(cli, "_model_curves", no_curve)
     code, _, err = run_cli(capsys, "compare", "--probe", "vacuum", "--points", "2")
     assert code == 1
     assert "'vacuum'" in err

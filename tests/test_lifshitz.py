@@ -795,11 +795,10 @@ def test_pressure_curve_matches_pointwise(case):
             assert v == cd.difference_pressure(*mats, z, grid, low_freq_model=model)
 
 
-@pytest.mark.parametrize("points, workers, processes",
-                         [(3, 8, 3), (41, 40, 21), (41, 2, 2), (5, 4, 3), (1, 2, 1)])
-def test_pool_starts_one_process_per_run(points, workers, processes, monkeypatch):
-    # the pool forks all its processes at the first task, so it gets no
-    # more than the runs it is given; the stand-in maps in this process
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """A process pool stand-in that maps in this process; returns the list
+    that receives each pool's ``max_workers``."""
     import concurrent.futures
 
     sizes = []
@@ -818,6 +817,15 @@ def test_pool_starts_one_process_per_run(points, workers, processes, monkeypatch
             return map(fn, runs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return sizes
+
+
+@pytest.mark.parametrize("points, workers, processes",
+                         [(3, 8, 3), (41, 40, 21), (41, 2, 2), (5, 4, 3), (1, 2, 1)])
+def test_pool_starts_one_process_per_run(points, workers, processes, serial_pool):
+    # the pool forks all its processes at the first task, so it gets no
+    # more than the runs it is given
+    sizes = serial_pool
     zs = tuple(np.linspace(100e-9, 300e-9, points))
     mats = (MATS["gold"], MATS["n1"], MATS["low"])
     serial = cd.difference_force_curve(*mats, R_SPHERE, zs, GRID300, low_freq_model="a")
@@ -852,6 +860,117 @@ def test_curve_workers_bit_identical(case):
     ]
     assert serial.values == tuple(value for value, _ in pointwise)
     assert serial.metadata["l_terms_per_z"] == tuple(diag.n_terms for _, diag in pointwise)
+
+
+def _zero_term_calls(monkeypatch):
+    """A list that receives the separation of every l = 0 row evaluated."""
+    calls = []
+    zero_term = lifshitz._zero_term
+
+    def counting(quantity, models, z, nodes):
+        calls.append(z)
+        return zero_term(quantity, models, z, nodes)
+
+    monkeypatch.setattr(lifshitz, "_zero_term", counting)
+    return calls
+
+
+@pytest.mark.parametrize("workers", [1, 2, 40])
+def test_curve_computes_the_zero_term_once_per_run(workers, serial_pool, monkeypatch):
+    # in the y-form the l = 0 row is the same float at every separation; the
+    # pool's runs (here mapped in this process) get it passed in
+    calls = _zero_term_calls(monkeypatch)
+    force = cd.difference_force_curve(*SI, R_SPHERE, ZS_41, GRID300, low_freq_model="a",
+                                      workers=workers)
+    assert calls == [ZS_41[0]]
+    pressure = cd.difference_pressure_curve(*SI, ZS_41, GRID300, low_freq_model="b",
+                                            workers=workers)
+    assert calls == [ZS_41[0]] * 2
+    assert serial_pool == ([] if workers == 1 else [min(workers, 21)] * 2)
+    assert force.values == tuple(
+        cd.difference_force(*SI, R_SPHERE, z, GRID300, low_freq_model="a") for z in ZS_41)
+    assert pressure.values == tuple(
+        cd.difference_pressure(*SI, z, GRID300, low_freq_model="b") for z in ZS_41)
+
+
+def test_zero_term_depends_on_z_only_for_a_plasma_pair():
+    # the test reads model attributes alone; where it says no, the l = 0 row
+    # is the same float from 100 nm to 3 um
+    names = ("gold-drude", "si-doped-n1", "si-doped-low", "vo2-metal", "ideal-metal", "vacuum")
+    models = [cd.build_material(name) for name in names]
+    models += [cd.with_te_zero(m, "plasma") for m in models[:4]]
+    # a dc flag without free-carrier parameters: r_TE(0) = 0
+    no_carriers = cd.with_dc_conductivity(cd.build_material("si-dielectric"), True)
+    models.append(cd.with_te_zero(no_carriers, "plasma"))
+    section = MATS["low"]
+    for probe, high in itertools.product(models, repeat=2):
+        triple = (probe, high, section)
+        for quantity in ("energy", "pressure"):
+            rows = {lifshitz._zero_term(quantity, triple, z, 80) for z in (100e-9, 3e-6)}
+            if not lifshitz._zero_term_depends_on_z(triple):
+                assert len(rows) == 1, (probe.label, high.label)
+    plasma_pair = (models[6], models[7], section)  # plasma-TE gold over plasma-TE si-doped-n1
+    assert lifshitz._zero_term_depends_on_z(plasma_pair)
+    assert len({lifshitz._zero_term("energy", plasma_pair, z, 80) for z in (100e-9, 3e-6)}) == 2
+    assert not lifshitz._zero_term_depends_on_z((models[4], models[-1], section))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_plasma_pair_keeps_a_zero_term_per_point(workers, monkeypatch):
+    # plasma TE amplitudes on both sides: r_TE(0) scales with s = 2z, so
+    # every point computes its own l = 0 row
+    zs = ZS_41[::4]
+    mats = (cd.with_te_zero(MATS["gold"], "plasma"), cd.with_te_zero(MATS["n1"], "plasma"),
+            MATS["low"])
+    pointwise = [cd.difference_force(*mats, R_SPHERE, z, GRID300, with_diagnostics=True)
+                 for z in zs]
+    calls = _zero_term_calls(monkeypatch)
+    curve = cd.difference_force_curve(*mats, R_SPHERE, zs, GRID300, workers=workers)
+    assert curve.values == tuple(value for value, _ in pointwise)
+    assert curve.metadata["l_terms_per_z"] == tuple(diag.n_terms for _, diag in pointwise)
+    if workers == 1:
+        assert calls == list(zs)
+
+
+@pytest.mark.parametrize("quantity", ["force", "pressure"])
+@pytest.mark.parametrize("T", [300.0, 77.0], ids=["300K", "77K"])
+def test_model_curves_run_one_sum_for_two_models(quantity, T, monkeypatch):
+    # models a and b differ only in the l = 0 term: one run evaluates the
+    # rows l >= 1 once and stops each sum by its own test.  Measured rows:
+    # 2525, 2831, 8790 and 9985, each equal to the model-b curve's own,
+    # where the two curves took 5020, 5642, 17555 and 19946.
+    grid = cd.MatsubaraGrid(T=T)
+    R = R_SPHERE if quantity == "force" else None
+    rows = _block_rows(monkeypatch)
+    separate, separate_rows = [], []
+    for model in ("a", "b"):
+        rows.clear()
+        if R is None:
+            separate.append(cd.difference_pressure_curve(*SI, ZS_41, grid, low_freq_model=model))
+        else:
+            separate.append(cd.difference_force_curve(*SI, R, ZS_41, grid, low_freq_model=model))
+        separate_rows.append(sum(rows) / 3)
+    rows.clear()
+    both = lifshitz._model_curves(*SI, R, ZS_41, grid, 1)
+    for curve, alone in zip(both, separate):
+        assert curve.values == alone.values
+        assert curve.metadata == alone.metadata
+    terms_a, terms_b = (curve.metadata["l_terms_per_z"] for curve in both)
+    between = sum(abs(a - b) for a, b in zip(terms_a, terms_b))
+    assert between > 0
+    assert sum(rows) / 3 <= max(separate_rows) + between
+
+
+def test_model_curves_raise_at_the_term_cap_as_model_a():
+    grid = cd.MatsubaraGrid(T=20.0, l_max_cap=100)
+    errors = []
+    for curves in (lambda: lifshitz._model_curves(*SI, R_SPHERE, (1e-7, 2e-7), grid, 1),
+                   lambda: cd.difference_force_curve(*SI, R_SPHERE, (1e-7, 2e-7), grid,
+                                                     low_freq_model="a")):
+        with pytest.raises(cd.TruncationError) as err:
+            curves()
+        errors.append((str(err.value), err.value.diagnostics))
+    assert errors[0] == errors[1]
 
 
 def _block_rows(monkeypatch):
@@ -1088,6 +1207,7 @@ def test_curve_separations_checked_before_any_sum(separations, monkeypatch):
         raise AssertionError("a Matsubara sum ran")
 
     monkeypatch.setattr(lifshitz, "_thermal_sum", no_sum)
+    monkeypatch.setattr(lifshitz, "_zero_term", no_sum)
     with pytest.raises(ValueError, match="separations"):
         cd.difference_force_curve(
             MATS["gold"], MATS["n1"], MATS["low"], R_SPHERE, separations, GRID300
