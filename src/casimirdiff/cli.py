@@ -30,8 +30,6 @@ from .lifshitz import (
     MatsubaraGrid,
     TruncationError,
     difference_force,
-    difference_force_curve,
-    difference_pressure_curve,
     reflection_coefficients,
     _model_curves,
     _zero_freq_gap,
@@ -42,6 +40,7 @@ from .materials import (
     catalog_names,
     load_optical_table,
     with_dc_conductivity,
+    _content_lines,
 )
 
 SCHEMA_VERSION = "casimirdiff.v1"
@@ -213,25 +212,21 @@ def _resolve(args) -> SweepConfig:
     """Defaults, then the --config file, then the flags; a later source wins."""
     settings = {key: default for key, (_, default, _, _) in _SETTINGS.items()}
     overrides: dict[str, dict[str, float]] = {}  # NAME -> {"omega_p": x, "gamma": y}
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                key, sep, value = line.partition("=")
-                if not sep:
-                    raise UsageError(f"{args.config}:{lineno}: expected 'key = value'")
-                key, value = key.strip(), value.strip()
-                drude = _DRUDE_KEY.match(key)
-                if drude:
-                    overrides.setdefault(drude.group(2), {})[drude.group(1)] = parse_quantity(
-                        value, _ANGFREQ_UNITS, key
-                    )
-                elif key in _SETTINGS:
-                    settings[key] = value
-                else:
-                    raise UsageError(f"{args.config}:{lineno}: unknown setting {key!r}")
+    lines = _content_lines(args.config) if args.config else []
+    for lineno, line in lines:
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise UsageError(f"{args.config}:{lineno}: expected 'key = value'")
+        key, value = key.strip(), value.strip()
+        drude = _DRUDE_KEY.match(key)
+        if drude:
+            overrides.setdefault(drude.group(2), {})[drude.group(1)] = parse_quantity(
+                value, _ANGFREQ_UNITS, key
+            )
+        elif key in _SETTINGS:
+            settings[key] = value
+        else:
+            raise UsageError(f"{args.config}:{lineno}: unknown setting {key!r}")
     for key in _SETTINGS:
         if (flag := getattr(args, key, None)) is not None:
             settings[key] = flag
@@ -301,19 +296,12 @@ def _emit_table(meta: dict, columns: list[str], rows: list[list], fmt: str, out:
 # --- sweep / compare ------------------------------------------------------
 
 
-def _curve(config: SweepConfig, probe, high, low, model: str):
-    """The difference curve of a sweep config under one low-frequency model."""
-    zs, grid = config.separations(), config.grid()
-    options = dict(low_freq_model=model, workers=config.workers)
-    if config.quantity == "force":
-        return difference_force_curve(probe, high, low, config.radius, zs, grid, **options)
-    return difference_pressure_curve(probe, high, low, zs, grid, **options)
-
-
 def cmd_sweep(args) -> int:
     """Compute the difference curve of a sweep config and write it out."""
     config = _resolve(args)
-    curve = _curve(config, *config.materials(), config.model)
+    radius = config.radius if config.quantity == "force" else None
+    [curve] = _model_curves(*config.materials(), radius, config.separations(), config.grid(),
+                            (config.model,), config.workers)
     meta = config.as_metadata()
     meta["rel_tol"] = curve.metadata["rel_tol"]
     meta["nodes"] = curve.metadata["nodes"]
@@ -353,7 +341,7 @@ def cmd_compare(args) -> int:
     eps0 = with_dc_conductivity(low, False).static_permittivity()
     radius = config.radius if config.quantity == "force" else None
     curve_a, curve_b = _model_curves(probe, high, low, radius, config.separations(),
-                                     config.grid(), config.workers)
+                                     config.grid(), ("a", "b"), config.workers)
     zs = curve_a.separations
     gaps = [_zero_freq_gap(r_probe, eps0, z, config.temperature, radius) for z in zs]
     deviations = [

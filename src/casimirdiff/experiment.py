@@ -24,7 +24,7 @@ __all__ = [
 # Linearized-regime bound for the frequency-shift relation.
 GRADIENT_RATIO_LIMIT = 0.01
 
-# Shared five-point stencil step as a fraction of the evaluation point.
+# Five-point stencil step as a fraction of the evaluation point.
 GRADIENT_STEP_FRACTION = 1.0 / 200.0
 
 
@@ -34,8 +34,7 @@ class CantileverParams:
 
     k is the spring constant (N/m), f_r the resonance frequency (Hz), Q the
     quality factor, B the equivalent noise bandwidth (Hz), T the temperature
-    (K).  M (kg) defaults to k/(2 pi f_r)^2 and, when given explicitly, must
-    reproduce omega_r = sqrt(k/M) to 1e-9 relative.
+    (K); each must be positive and finite.
     """
 
     k: float
@@ -43,29 +42,11 @@ class CantileverParams:
     Q: float
     B: float
     T: float
-    M: float | None = None
 
     def __post_init__(self) -> None:
         for name in ("k", "f_r", "Q", "B", "T"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"cantilever parameter {name} must be positive and finite")
-        if self.M is not None:
-            if not 0.0 < self.M < math.inf:
-                raise ValueError("cantilever parameter M must be positive and finite")
-            if abs(math.sqrt(self.k / self.M) / self.omega_r - 1.0) > 1e-9:
-                raise ValueError("M inconsistent with k and f_r")
-
-    @property
-    def omega_r(self) -> float:
-        """Angular resonance frequency, rad/s."""
-        return 2.0 * math.pi * self.f_r
-
-    @property
-    def mass(self) -> float:
-        """Effective mass, kg."""
-        if self.M is not None:
-            return self.M
-        return self.k / self.omega_r**2
 
 
 def min_detectable_force(p: CantileverParams) -> float:
@@ -101,14 +82,15 @@ def pressure_from_force_gradient(R: float, dF_dz: float) -> float:
     return -dF_dz / (2.0 * math.pi * R)
 
 
-def five_point_gradient(fn, z: float, step: float | None = None) -> float:
+def five_point_gradient(fn, z: float) -> float:
     """Five-point central-difference derivative of fn at z.
 
-    The default step z/200 balances truncation against cancellation at
-    piconewton force scales; the same stencil backs the consistency checks
-    between force gradients and pressures.
+    The step z/200 balances truncation against cancellation at piconewton
+    force scales; the same stencil backs the consistency checks between
+    force gradients and pressures.  A z that is not positive and finite
+    raises ``ValueError`` before fn is called.
     """
-    h = z * GRADIENT_STEP_FRACTION if step is None else step
-    if not h > 0.0:
-        raise ValueError("step must be positive")
+    if not 0.0 < z < math.inf:
+        raise ValueError("z must be positive and finite")
+    h = z * GRADIENT_STEP_FRACTION
     return (fn(z - 2 * h) - 8.0 * fn(z - h) + 8.0 * fn(z + h) - fn(z + 2 * h)) / (12.0 * h)

@@ -41,14 +41,14 @@ curves cost about one, and each equals its own curve bit for bit.
 The momentum integral is evaluated after the substitution y = 2 q z, which
 maps it onto a fixed window above y_l with an exponentially decaying
 integrand, handled by fixed-order Gauss-Legendre quadrature in
-u = sqrt(y - y_l).  A row l >= 1 takes ``nodes`` nodes (80 by default) on a
+u = sqrt(y - y_l).  A row l >= 1 takes DEFAULT_NODES = 80 nodes on a
 window of 40; the l = 0 term, whose y ln y endpoint converges more slowly,
-takes three times as many on a window of 62.  The default values lie
-within 1e-13 of a 480-node rule.  The rules are built by Newton's method,
-with no eigenproblem, and cached.  The Fresnel amplitudes are formed in
-the same scaled lengths (see ``_fresnel``), so no k_perp appears, and a
-block computes its factor e^{-y} (or expm1(y) for the pressure) once for
-all four amplitude products.
+takes three times as many on a window of 62.  The order is fixed, and its
+values lie within 1e-13 of a 480-node rule.  The rules are built by
+Newton's method, with no eigenproblem, and cached.  The Fresnel amplitudes
+are formed in the same scaled lengths (see ``_fresnel``), so no k_perp
+appears, and a block computes its factor e^{-y} (or expm1(y) for the
+pressure) once for all four amplitude products.
 At zero frequency the integral reduces to trilogarithms, which gives the
 closed-form gap between the two low-frequency conductivity models.
 """
@@ -493,7 +493,6 @@ def _zero_term(quantity, models, z, nodes):
     """
     if not 0.0 < z < math.inf:
         raise ValueError("separation z must be positive and finite")
-    _check_count("nodes", nodes)
     t = 0.5 * _block_terms(quantity, models, z, np.zeros(1), (None,) * 3, 3 * nodes, Y_WINDOW)[0]
     if not math.isfinite(t):
         raise ValueError("Matsubara term l = 0 is not finite")
@@ -585,17 +584,15 @@ def free_energy_per_area(
     z: float,
     grid: MatsubaraGrid,
     *,
-    nodes: int = DEFAULT_NODES,
     with_diagnostics: bool = False,
 ):
     """Free energy per unit area (J/m^2) of two half-spaces at separation z.
 
-    Negative for attractive configurations.  ``nodes`` as in
-    :func:`difference_force`.
+    Negative for attractive configurations.
     """
     models = (pair.side_a, pair.side_b, _vacuum())
-    [(s, diag)] = _thermal_sum("energy", models, z, grid, nodes,
-                               [_zero_term("energy", models, z, nodes)])
+    [(s, diag)] = _thermal_sum("energy", models, z, grid, DEFAULT_NODES,
+                               [_zero_term("energy", models, z, DEFAULT_NODES)])
     value = KB * grid.T / (8.0 * math.pi * z * z) * s
     return (value, diag) if with_diagnostics else value
 
@@ -605,18 +602,14 @@ def sphere_plate_force(
     z: float,
     grid: MatsubaraGrid,
     *,
-    nodes: int = DEFAULT_NODES,
     with_diagnostics: bool = False,
 ):
-    """Sphere-plate force (N) via the proximity force approximation 2 pi R E(z).
-
-    ``nodes`` as in :func:`difference_force`.
-    """
+    """Sphere-plate force (N) via the proximity force approximation 2 pi R E(z)."""
     if pair.sphere_radius is None:
         raise ValueError("sphere_plate_force needs a sphere-plate pair")
     _check_sphere(pair.sphere_radius, z)
     value, diag = _difference(pair.side_a, pair.side_b, _vacuum(), pair.sphere_radius, grid,
-                              None, nodes, z)
+                              None, DEFAULT_NODES, z)
     return (value, diag) if with_diagnostics else value
 
 
@@ -625,14 +618,11 @@ def plate_plate_pressure(
     z: float,
     grid: MatsubaraGrid,
     *,
-    nodes: int = DEFAULT_NODES,
     with_diagnostics: bool = False,
 ):
-    """Pressure (Pa) between two half-space plates; negative = attractive.
-
-    ``nodes`` as in :func:`difference_force`.
-    """
-    value, diag = _difference(pair.side_a, pair.side_b, _vacuum(), None, grid, None, nodes, z)
+    """Pressure (Pa) between two half-space plates; negative = attractive."""
+    value, diag = _difference(pair.side_a, pair.side_b, _vacuum(), None, grid, None,
+                              DEFAULT_NODES, z)
     return (value, diag) if with_diagnostics else value
 
 
@@ -655,20 +645,17 @@ def difference_force(
     grid: MatsubaraGrid,
     *,
     low_freq_model: str | None = None,
-    nodes: int = DEFAULT_NODES,
     with_diagnostics: bool = False,
 ):
     """One-pass difference force F_high(z) - F_low(z) on a sphere of radius R.
 
     ``low_freq_model`` forces the zero-frequency dc-conductivity treatment of
     ``mat_low``: ``"a"`` neglects it (finite static permittivity), ``"b"``
-    keeps it; by default the material is used as built.  ``nodes`` is the
-    Gauss-Legendre order of the momentum integral of each term l >= 1; the
-    l = 0 term, the only one in which the two models differ, takes three
-    times as many.
+    keeps it; by default the material is used as built.  The two models
+    differ only in the l = 0 term.
     """
     _check_sphere(R, z)
-    value, diag = _difference(probe, mat_high, mat_low, R, grid, low_freq_model, nodes, z)
+    value, diag = _difference(probe, mat_high, mat_low, R, grid, low_freq_model, DEFAULT_NODES, z)
     return (value, diag) if with_diagnostics else value
 
 
@@ -680,20 +667,22 @@ def difference_pressure(
     grid: MatsubaraGrid,
     *,
     low_freq_model: str | None = None,
-    nodes: int = DEFAULT_NODES,
     with_diagnostics: bool = False,
 ):
     """One-pass difference pressure P_high(z) - P_low(z) between plates.
 
     The arguments are those of :func:`difference_force`.
     """
-    value, diag = _difference(probe, mat_high, mat_low, None, grid, low_freq_model, nodes, z)
+    value, diag = _difference(probe, mat_high, mat_low, None, grid, low_freq_model,
+                              DEFAULT_NODES, z)
     return (value, diag) if with_diagnostics else value
 
 
 def _difference(probe, mat_high, mat_low, R, grid, low_freq_model, nodes, z):
     """(value, diagnostics) of the difference force on a sphere of radius R,
-    or of the difference pressure for R = None.  The caller has checked R."""
+    or of the difference pressure for R = None, with ``nodes`` nodes per row
+    l >= 1: the public functions pass DEFAULT_NODES, the quadrature tests
+    other orders.  The caller has checked R."""
     lows = (_apply_low_freq_model(mat_low, low_freq_model),)
     return _point(probe, mat_high, lows, R, grid, nodes, None, z, _CHUNK)[0]
 
@@ -738,7 +727,7 @@ def _run(point, zs):
     return results
 
 
-def _sweep(probe, high, low, R, zs, grid, low_freq_models, nodes, workers) -> list[Curve]:
+def _sweep(probe, high, low, R, zs, grid, low_freq_models, workers) -> list[Curve]:
     """Difference force curves on a sphere of radius R, or difference
     pressure curves for R = None, over the checked separations ``zs``: one
     per model of ``low_freq_models``, from one run of sums.
@@ -753,9 +742,9 @@ def _sweep(probe, high, low, R, zs, grid, low_freq_models, nodes, workers) -> li
     zero_terms = None
     if not _zero_term_depends_on_z((probe, high) + lows):
         quantity = "pressure" if R is None else "energy"
-        zero_terms = tuple(_zero_term(quantity, (probe, high, section), zs[0], nodes)
+        zero_terms = tuple(_zero_term(quantity, (probe, high, section), zs[0], DEFAULT_NODES)
                            for section in lows)
-    point = partial(_point, probe, high, lows, R, grid, nodes, zero_terms)
+    point = partial(_point, probe, high, lows, R, grid, DEFAULT_NODES, zero_terms)
     if workers > 1:
         # imported on demand: the pool's modules add about 2 MB to every
         # process, and most sweeps run serially
@@ -781,7 +770,7 @@ def _sweep(probe, high, low, R, zs, grid, low_freq_models, nodes, workers) -> li
             "temperature_K": grid.T,
             "low_freq_model": low_freq_model,
             "rel_tol": grid.rel_tol,
-            "nodes": nodes,
+            "nodes": DEFAULT_NODES,
             "l_terms_per_z": tuple(d.n_terms for d in diags),
             "tail_rel_per_z": tuple(d.last_term_rel for d in diags),
             "max_tail_rel": max(d.last_term_rel for d in diags),
@@ -800,7 +789,6 @@ def difference_force_curve(
     grid: MatsubaraGrid,
     *,
     low_freq_model: str | None = None,
-    nodes: int = DEFAULT_NODES,
     workers: int = 1,
 ) -> Curve:
     """Difference force over a separation grid.
@@ -816,7 +804,7 @@ def difference_force_curve(
     """
     zs = _separation_grid(separations)
     _check_sphere(R, zs[-1])
-    return _sweep(probe, mat_high, mat_low, R, zs, grid, (low_freq_model,), nodes, workers)[0]
+    return _sweep(probe, mat_high, mat_low, R, zs, grid, (low_freq_model,), workers)[0]
 
 
 def difference_pressure_curve(
@@ -827,23 +815,23 @@ def difference_pressure_curve(
     grid: MatsubaraGrid,
     *,
     low_freq_model: str | None = None,
-    nodes: int = DEFAULT_NODES,
     workers: int = 1,
 ) -> Curve:
     """Difference pressure over a separation grid (see difference_force_curve)."""
     return _sweep(probe, mat_high, mat_low, None, _separation_grid(separations), grid,
-                  (low_freq_model,), nodes, workers)[0]
+                  (low_freq_model,), workers)[0]
 
 
-def _model_curves(probe, high, low, R, separations, grid, workers) -> list[Curve]:
-    """The model-a and model-b curves of :func:`difference_force_curve` for a
-    sphere of radius R, or of :func:`difference_pressure_curve` for R = None,
-    from one run of sums: each equals its own curve bit for bit, at about
-    the cost of one."""
+def _model_curves(probe, high, low, R, separations, grid, low_freq_models,
+                  workers) -> list[Curve]:
+    """The curves of :func:`difference_force_curve` for a sphere of radius R,
+    or of :func:`difference_pressure_curve` for R = None, one per model of
+    ``low_freq_models``, from one run of sums: each equals its own curve bit
+    for bit, and two cost about one."""
     zs = _separation_grid(separations)
     if R is not None:
         _check_sphere(R, zs[-1])
-    return _sweep(probe, high, low, R, zs, grid, ("a", "b"), DEFAULT_NODES, workers)
+    return _sweep(probe, high, low, R, zs, grid, low_freq_models, workers)
 
 
 # --- trilogarithm and zero-frequency gap formulas ------------------------

@@ -422,6 +422,24 @@ def kk_to_imaginary_axis(table: OpticalDataTable, xi):
     return value if value.ndim else float(value)
 
 
+def _content_lines(path) -> list[tuple[int, str]]:
+    """(line number, text) of each line of the file at ``path`` that holds
+    more than whitespace and a ``#`` comment, the comment stripped.  Each
+    line is decoded on its own, so a line that is not UTF-8 raises a
+    ``ValueError`` that names the file and the line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    lines = []
+    for lineno, raw in enumerate(data.splitlines(), start=1):
+        try:
+            line = raw.decode("utf-8").split("#", 1)[0].strip()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        if line:
+            lines.append((lineno, line))
+    return lines
+
+
 def load_optical_table(path) -> OpticalDataTable:
     """Read a two-column text table of (omega_eV, Im eps).
 
@@ -431,20 +449,16 @@ def load_optical_table(path) -> OpticalDataTable:
     """
     omegas: list[float] = []
     values: list[float] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected two columns")
-            try:
-                omega, value = map(float, parts)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            omegas.append(ev_to_rad_s(omega))
-            values.append(value)
+    for lineno, line in _content_lines(path):
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValueError(f"{path}:{lineno}: expected two columns")
+        try:
+            omega, value = map(float, parts)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        omegas.append(ev_to_rad_s(omega))
+        values.append(value)
     try:
         return OpticalDataTable(omega=tuple(omegas), im_eps=tuple(values))
     except ValueError as exc:

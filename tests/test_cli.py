@@ -659,3 +659,16 @@ def test_invalid_optical_table_names_its_file(content, message, tmp_path, capsys
     code, out, err = run_cli(capsys, "sweep", "--points", "2", "--optical-table", str(table))
     assert (code, out) == (1, "")
     assert f"error: {table}: {message}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("permittivity", "--material", "tabulated", "--optical-table"),
+    ("sweep", "--points", "2", "--config"),
+], ids=["permittivity-optical-table", "sweep-config"])
+def test_undecodable_bytes_name_their_file_and_line(argv, tmp_path, capsys):
+    # each line is decoded on its own, after a CRLF line and a blank one
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"# measured\r\n\n0.5 3.0 # \xb1 0.1\n")
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert (code, out) == (1, "")
+    assert f"error: {path}:3: 'utf-8' codec can't decode byte 0xb1" in err

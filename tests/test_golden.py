@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import casimirdiff as cd
+from casimirdiff import lifshitz
 
 R = 100e-6
 GRID77 = cd.MatsubaraGrid(T=77.0)
@@ -55,8 +56,9 @@ CASES = [
     ("force-si-gap-200nm", partial(
         force, GOLD, LOW_B, LOW, R, 200e-9, GRID300, low_freq_model="a")),
     ("force-si-a-77K", partial(force, GOLD, N1, LOW, R, 150e-9, GRID77, low_freq_model="a")),
-    ("force-si-a-60-nodes", partial(
-        force, GOLD, N1, LOW, R, 120e-9, GRID300, low_freq_model="a", nodes=60)),
+    # the order is private: the reference rule of _difference
+    ("force-si-a-60-nodes", partial(lifshitz._difference, GOLD, N1, LOW, R, GRID300, "a", 60,
+                                    120e-9)),
     ("force-si-a-tight", partial(force, GOLD, N1, LOW, R, 100e-9, TIGHT300, low_freq_model="a")),
     ("force-vo2-100nm", partial(force, GOLD, VO2_M, VO2_I, R, 100e-9, GRID340)),
     ("force-vo2-300nm", partial(force, GOLD, VO2_M, VO2_I, R, 300e-9, GRID340)),

@@ -569,19 +569,21 @@ def test_pfa_gradient_consistency():
 
 
 def test_quadrature_doubling_stability():
+    # the public functions take DEFAULT_NODES; the private _difference takes
+    # any order
     z = 100e-9
     base = cd.difference_pressure(
         MATS["gold"], MATS["n1"], MATS["low"], z, GRID300, low_freq_model="a"
     )
-    doubled = cd.difference_pressure(
-        MATS["gold"], MATS["n1"], MATS["low"], z, GRID300, low_freq_model="a", nodes=240
+    doubled, _ = lifshitz._difference(
+        MATS["gold"], MATS["n1"], MATS["low"], None, GRID300, "a", 240, z
     )
     assert abs(doubled / base - 1.0) < 1e-5
     f_base = cd.difference_force(
         MATS["gold"], MATS["vo2m"], MATS["vo2i"], R_SPHERE, z, GRID340
     )
-    f_doubled = cd.difference_force(
-        MATS["gold"], MATS["vo2m"], MATS["vo2i"], R_SPHERE, z, GRID340, nodes=240
+    f_doubled, _ = lifshitz._difference(
+        MATS["gold"], MATS["vo2m"], MATS["vo2i"], R_SPHERE, GRID340, None, 240, z
     )
     assert abs(f_doubled / f_base - 1.0) < 1e-5
 
@@ -626,10 +628,10 @@ def test_default_rule_within_1e_13_of_480_nodes(name):
     probe, high, low, model = _RULE_SETS[name]
     for T, z in itertools.product((300.0, 77.0), (100e-9, 1e-6, 3e-6)):
         grid = cd.MatsubaraGrid(T=T)
-        for compute in (partial(cd.difference_force, probe, high, low, 1e-3, z, grid),
-                        partial(cd.difference_pressure, probe, high, low, z, grid)):
+        for compute, R in ((partial(cd.difference_force, probe, high, low, 1e-3, z, grid), 1e-3),
+                           (partial(cd.difference_pressure, probe, high, low, z, grid), None)):
             value, diag = compute(low_freq_model=model, with_diagnostics=True)
-            ref, ref_diag = compute(low_freq_model=model, with_diagnostics=True, nodes=480)
+            ref, ref_diag = lifshitz._difference(probe, high, low, R, grid, model, 480, z)
             assert abs(value / ref - 1.0) <= 1e-13, (T, z, compute.func.__name__)
             assert diag.n_terms == ref_diag.n_terms
 
@@ -720,14 +722,6 @@ def test_non_finite_term_fails_at_once():
         (lambda: MATS["gold"].eval(math.nan), "frequency"),
         (lambda: MATS["si_a"].eval(math.nan), "frequency"),
         # counts: an int of at least 1, never a bool or a float
-        (lambda: cd.difference_force(
-            MATS["gold"], MATS["n1"], MATS["low"], R_SPHERE, 100e-9, GRID300, nodes=True),
-         "nodes"),
-        (lambda: cd.difference_force(
-            MATS["gold"], MATS["n1"], MATS["low"], R_SPHERE, 100e-9, GRID300, nodes=0),
-         "nodes"),
-        (lambda: cd.difference_pressure(
-            MATS["gold"], MATS["n1"], MATS["low"], 100e-9, GRID300, nodes=-5), "nodes"),
         (lambda: cd.difference_force_curve(
             MATS["gold"], MATS["n1"], MATS["low"], R_SPHERE, (1e-7, 2e-7), GRID300,
             workers=0), "workers"),
@@ -951,7 +945,7 @@ def test_model_curves_run_one_sum_for_two_models(quantity, T, monkeypatch):
             separate.append(cd.difference_force_curve(*SI, R, ZS_41, grid, low_freq_model=model))
         separate_rows.append(sum(rows) / 3)
     rows.clear()
-    both = lifshitz._model_curves(*SI, R, ZS_41, grid, 1)
+    both = lifshitz._model_curves(*SI, R, ZS_41, grid, ("a", "b"), 1)
     for curve, alone in zip(both, separate):
         assert curve.values == alone.values
         assert curve.metadata == alone.metadata
@@ -964,7 +958,8 @@ def test_model_curves_run_one_sum_for_two_models(quantity, T, monkeypatch):
 def test_model_curves_raise_at_the_term_cap_as_model_a():
     grid = cd.MatsubaraGrid(T=20.0, l_max_cap=100)
     errors = []
-    for curves in (lambda: lifshitz._model_curves(*SI, R_SPHERE, (1e-7, 2e-7), grid, 1),
+    for curves in (lambda: lifshitz._model_curves(*SI, R_SPHERE, (1e-7, 2e-7), grid, ("a", "b"),
+                                                  1),
                    lambda: cd.difference_force_curve(*SI, R_SPHERE, (1e-7, 2e-7), grid,
                                                      low_freq_model="a")):
         with pytest.raises(cd.TruncationError) as err:
@@ -1020,14 +1015,12 @@ def test_single_sums_take_few_tail_blocks(monkeypatch):
 
 def _thread_battery(configs, mats=SI):
     results = []
-    for quantity, T, nodes in configs:
+    for quantity, T, model in configs:
         grid = cd.MatsubaraGrid(T=T)
         if quantity == "force":
-            curve = cd.difference_force_curve(*mats, R_SPHERE, ZS_41, grid, low_freq_model="a",
-                                              nodes=nodes)
+            curve = cd.difference_force_curve(*mats, R_SPHERE, ZS_41, grid, low_freq_model=model)
         else:
-            curve = cd.difference_pressure_curve(*mats, ZS_41, grid, low_freq_model="b",
-                                                 nodes=nodes)
+            curve = cd.difference_pressure_curve(*mats, ZS_41, grid, low_freq_model=model)
         results.append((curve.values, curve.metadata["l_terms_per_z"]))
     return results
 
@@ -1037,8 +1030,8 @@ def test_threads_bit_identical():
     # read and replaced whole: four threads sharing freshly built materials,
     # running the curves in different orders, race on the memos across 77 K
     # and 300 K and still get the serial bits
-    configs = [(q, T, n) for q in ("force", "pressure") for T in (77.0, 300.0)
-               for n in (60, 120)]
+    configs = [(q, T, model) for q in ("force", "pressure") for T in (77.0, 300.0)
+               for model in ("a", "b")]
     serial = dict(zip(configs, _thread_battery(configs)))
     orders = [configs[k:] + configs[:k] for k in (0, 2, 4, 6)]
     shared = _fresh_materials(("gold-drude", "si-doped-n1", "si-doped-low"))

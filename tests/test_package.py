@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import casimirdiff as cd
@@ -63,3 +64,50 @@ def test_every_module_level_name_is_exported_or_read():
                      if not (n.startswith("__") and n.endswith("__"))
                      and n not in exported and n not in read]
     assert not dead
+
+
+# every exported callable and dataclass constructor -> its parameter names: a
+# new public option shows up here as an edit
+SIGNATURES = {
+    "CantileverParams": "k f_r Q B T",
+    "Curve": "separations values metadata",
+    "DrudeParams": "omega_p gamma",
+    "HalfspacePair": "side_a side_b sphere_radius",
+    "HighFreqTail": "eps_inf omega_inf",
+    "MatsubaraGrid": "T rel_tol l_max_cap",
+    "OpticalDataTable": "omega im_eps",
+    "OscillatorParams": "omega Gamma strength",
+    "PermittivityModel":
+        "label oscillators tail drude table dc_conductor te_zero perfect_conductor",
+    "ReflectionPair": "r_tm r_te",
+    "SumDiagnostics": "n_terms last_term_rel converged",
+    "TruncationError": "message diagnostics",
+    "build_material": "name drude table label",
+    "catalog_names": "",
+    "difference_force": "probe mat_high mat_low R z grid low_freq_model with_diagnostics",
+    "difference_force_curve": "probe mat_high mat_low R separations grid low_freq_model workers",
+    "difference_pressure": "probe mat_high mat_low z grid low_freq_model with_diagnostics",
+    "difference_pressure_curve": "probe mat_high mat_low separations grid low_freq_model workers",
+    "ev_to_rad_s": "energy_ev",
+    "five_point_gradient": "fn z",
+    "free_energy_per_area": "pair z grid with_diagnostics",
+    "kk_to_imaginary_axis": "table xi",
+    "load_optical_table": "path",
+    "matsubara_frequency": "l T",
+    "min_detectable_force": "p",
+    "plate_plate_pressure": "pair z grid with_diagnostics",
+    "polylog3": "x",
+    "pressure_from_force_gradient": "R dF_dz",
+    "reflection_coefficients": "eps xi k_perp te_zero plasma_omega_p",
+    "resonance_shift": "p force_gradient",
+    "sphere_plate_force": "pair z grid with_diagnostics",
+    "with_dc_conductivity": "model enabled",
+    "with_te_zero": "model rule",
+    "zero_freq_gap_force": "R z T eps0",
+    "zero_freq_gap_pressure": "z T eps0",
+}
+
+
+def test_exported_signatures_are_pinned():
+    assert {name: " ".join(inspect.signature(getattr(cd, name)).parameters)
+            for name in cd.__all__} == SIGNATURES
