@@ -12,18 +12,20 @@ approximation F = 2 pi R E(z).
 Every quantity is computed by one kernel, ``_thermal_sum``: a probe facing
 two plate sections, evaluated in a single pass as the difference of the two
 pairs, sharing the momentum grid and the probe reflection amplitudes between
-the sections.  A single-pair quantity is the difference against a vacuum
-section, whose amplitudes are exactly 0.  The half-weight l = 0 term is an
-input of the kernel (``_zero_term``).  Matsubara indices l >= 1 are
-evaluated in blocks, as fresh (rows x node) arrays; the terms are then added
-one at a time in index order, and the sum stops once the latest term falls
-below ``rel_tol`` times the running total.  That test bounds the last term,
-not the truncation error, which can be several times larger (4.6 times for
-the VO2 difference force at 100 nm with rel_tol = 1e-12).  Blocks are sized
-to the sum they finish, from the previous curve point's term count and then
-from the decay of the terms.  Every step of a block is elementwise or a
-per-row sum over the nodes, so a row's value does not depend on the block
-it falls in.  A curve computes its separations as runs of points in
+the sections.  A single pair is the difference against a vacuum section,
+whose amplitudes are exactly 0: its force and pressure are
+``difference_force`` and ``difference_pressure`` with a vacuum low section,
+and ``free_energy_per_area`` takes its vacuum internally.  The half-weight
+l = 0 term is an input of the kernel (``_zero_term``).  Matsubara indices
+l >= 1 are evaluated in blocks, as fresh (rows x node) arrays; the terms
+are then added one at a time in index order, and the sum stops once the
+latest term falls below ``rel_tol`` times the running total.  That test
+bounds the last term, not the truncation error, which can be several times
+larger (4.6 times for the VO2 difference force at 100 nm with
+rel_tol = 1e-12).  Blocks are sized to the sum they finish, from the
+previous curve point's term count and then from the decay of the terms.
+Every step of a block is elementwise or a per-row sum over the nodes, so a
+row's value does not depend on the block it falls in.  A curve computes its separations as runs of points in
 increasing z, each passing its term count on to the next; that sizes
 blocks only, so every value equals its pointwise one.  Every block slices
 eps(i xi) from each material's memo (see ``_matsubara_eps``), so a
@@ -69,15 +71,12 @@ from .materials import PermittivityModel, with_dc_conductivity
 __all__ = [
     "MatsubaraGrid",
     "ReflectionPair",
-    "HalfspacePair",
     "Curve",
     "SumDiagnostics",
     "TruncationError",
     "matsubara_frequency",
     "reflection_coefficients",
     "free_energy_per_area",
-    "sphere_plate_force",
-    "plate_plate_pressure",
     "difference_force",
     "difference_pressure",
     "difference_force_curve",
@@ -156,23 +155,6 @@ def _check_count(name: str, value, least: int = 1) -> None:
 class ReflectionPair(NamedTuple):
     r_tm: float
     r_te: float
-
-
-@dataclass(frozen=True)
-class HalfspacePair:
-    """Two bounding materials plus the probe geometry.
-
-    ``sphere_radius`` is None for plate-plate computations and the sphere
-    radius in meters for sphere-plate ones.
-    """
-
-    side_a: PermittivityModel
-    side_b: PermittivityModel
-    sphere_radius: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.sphere_radius is not None and not 0.0 < self.sphere_radius < math.inf:
-            raise ValueError("sphere radius must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -424,8 +406,8 @@ _QUANTITIES = {
 
 
 def _vacuum() -> PermittivityModel:
-    """The section a single-pair quantity is taken against; built per call,
-    so that no module-level model holds a memo."""
+    """The low section of ``free_energy_per_area``; built per call, so that
+    no module-level model holds a memo."""
     return PermittivityModel(label="vacuum")
 
 
@@ -580,49 +562,24 @@ def _check_sphere(R: float, z: float) -> None:
 
 
 def free_energy_per_area(
-    pair: HalfspacePair,
+    side_a: PermittivityModel,
+    side_b: PermittivityModel,
     z: float,
     grid: MatsubaraGrid,
     *,
     with_diagnostics: bool = False,
 ):
-    """Free energy per unit area (J/m^2) of two half-spaces at separation z.
+    """Free energy per unit area (J/m^2) of half-spaces ``side_a`` and
+    ``side_b`` at separation z.
 
-    Negative for attractive configurations.
+    Negative for attractive configurations.  The sphere-plate force and the
+    plate-plate pressure of a single pair are :func:`difference_force` and
+    :func:`difference_pressure` against a vacuum low section.
     """
-    models = (pair.side_a, pair.side_b, _vacuum())
+    models = (side_a, side_b, _vacuum())
     [(s, diag)] = _thermal_sum("energy", models, z, grid, DEFAULT_NODES,
                                [_zero_term("energy", models, z, DEFAULT_NODES)])
     value = KB * grid.T / (8.0 * math.pi * z * z) * s
-    return (value, diag) if with_diagnostics else value
-
-
-def sphere_plate_force(
-    pair: HalfspacePair,
-    z: float,
-    grid: MatsubaraGrid,
-    *,
-    with_diagnostics: bool = False,
-):
-    """Sphere-plate force (N) via the proximity force approximation 2 pi R E(z)."""
-    if pair.sphere_radius is None:
-        raise ValueError("sphere_plate_force needs a sphere-plate pair")
-    _check_sphere(pair.sphere_radius, z)
-    value, diag = _difference(pair.side_a, pair.side_b, _vacuum(), pair.sphere_radius, grid,
-                              None, DEFAULT_NODES, z)
-    return (value, diag) if with_diagnostics else value
-
-
-def plate_plate_pressure(
-    pair: HalfspacePair,
-    z: float,
-    grid: MatsubaraGrid,
-    *,
-    with_diagnostics: bool = False,
-):
-    """Pressure (Pa) between two half-space plates; negative = attractive."""
-    value, diag = _difference(pair.side_a, pair.side_b, _vacuum(), None, grid, None,
-                              DEFAULT_NODES, z)
     return (value, diag) if with_diagnostics else value
 
 
@@ -681,8 +638,8 @@ def difference_pressure(
 def _difference(probe, mat_high, mat_low, R, grid, low_freq_model, nodes, z):
     """(value, diagnostics) of the difference force on a sphere of radius R,
     or of the difference pressure for R = None, with ``nodes`` nodes per row
-    l >= 1: the public functions pass DEFAULT_NODES, the quadrature tests
-    other orders.  The caller has checked R."""
+    l >= 1: the public functions and the CLI's ``shift`` pass DEFAULT_NODES,
+    the quadrature tests other orders.  The caller has checked R."""
     lows = (_apply_low_freq_model(mat_low, low_freq_model),)
     return _point(probe, mat_high, lows, R, grid, nodes, None, z, _CHUNK)[0]
 

@@ -24,6 +24,7 @@ SI_LOW = cd.build_material("si-doped-low")
 VO2_INS = cd.build_material("vo2-insulator")
 VO2_MET = cd.build_material("vo2-metal")
 IDEAL = cd.build_material("ideal-metal")
+VACUUM = cd.build_material("vacuum")
 
 DEFAULT_GRID_41 = tuple(np.logspace(math.log10(100e-9), math.log10(300e-9), 41))
 
@@ -214,8 +215,7 @@ def test_criterion_7_model_gap_identity_pressure():
 
 
 def test_criterion_8_ideal_metal_oracle():
-    pair = cd.HalfspacePair(IDEAL, IDEAL)
-    p = cd.plate_plate_pressure(pair, 1e-6, cd.MatsubaraGrid(T=1.0))
+    p = cd.difference_pressure(IDEAL, IDEAL, VACUUM, 1e-6, cd.MatsubaraGrid(T=1.0))
     exact = -math.pi**2 * HBAR * C / (240.0 * 1e-6**4)
     _check("criterion-8 ideal-metal pressure at 1 um, 1 K", p, exact, 0.005)
 
@@ -227,9 +227,8 @@ def test_criterion_9_difference_consistency():
     z = 100e-9
     one = cd.difference_force(GOLD, SI_N1, SI_LOW, R, z, GRID300, low_freq_model="a")
     low_a = cd.with_dc_conductivity(SI_LOW, False)
-    two = cd.sphere_plate_force(
-        cd.HalfspacePair(GOLD, SI_N1, sphere_radius=R), z, GRID300
-    ) - cd.sphere_plate_force(cd.HalfspacePair(GOLD, low_a, sphere_radius=R), z, GRID300)
+    two = (cd.difference_force(GOLD, SI_N1, VACUUM, R, z, GRID300)
+           - cd.difference_force(GOLD, low_a, VACUUM, R, z, GRID300))
     _check_bound(
         "criterion-9 one-pass vs two-pass difference", abs(one / two - 1.0), 1e-6
     )
@@ -264,16 +263,15 @@ def test_criterion_9_attraction_monotonicity_ordering():
     zs = np.linspace(100e-9, 300e-9, 7)
     ok = True
     for plate in (SI_N1, SI_LOW, VO2_INS, VO2_MET):
-        pair = cd.HalfspacePair(GOLD, plate, sphere_radius=R)
-        forces = [cd.sphere_plate_force(pair, float(z), GRID340) for z in zs]
+        forces = [cd.difference_force(GOLD, plate, VACUUM, R, float(z), GRID340) for z in zs]
         ok &= all(f < 0.0 for f in forces)
         ok &= all(abs(b) < abs(a) for a, b in zip(forces, forces[1:]))
     for z in (100e-9, 300e-9):
-        f_hi = cd.sphere_plate_force(cd.HalfspacePair(GOLD, SI_N1, sphere_radius=R), z, GRID300)
-        f_lo = cd.sphere_plate_force(cd.HalfspacePair(GOLD, SI_LOW, sphere_radius=R), z, GRID300)
+        f_hi = cd.difference_force(GOLD, SI_N1, VACUUM, R, z, GRID300)
+        f_lo = cd.difference_force(GOLD, SI_LOW, VACUUM, R, z, GRID300)
         ok &= abs(f_hi) > abs(f_lo)
-        f_met = cd.sphere_plate_force(cd.HalfspacePair(GOLD, VO2_MET, sphere_radius=R), z, GRID340)
-        f_ins = cd.sphere_plate_force(cd.HalfspacePair(GOLD, VO2_INS, sphere_radius=R), z, GRID340)
+        f_met = cd.difference_force(GOLD, VO2_MET, VACUUM, R, z, GRID340)
+        f_ins = cd.difference_force(GOLD, VO2_INS, VACUUM, R, z, GRID340)
         ok &= abs(f_met) > abs(f_ins)
     status = "PASS" if ok else "FAIL"
     print(f"{status} criterion-9 attraction, monotonic decay, carrier ordering")

@@ -30,6 +30,7 @@ LOW_B = cd.with_dc_conductivity(LOW, True)
 VO2_M = cd.build_material("vo2-metal")
 VO2_I = cd.build_material("vo2-insulator")
 IDEAL = cd.build_material("ideal-metal")
+VACUUM = cd.build_material("vacuum")
 
 
 def _lorentz_table(rows: int) -> cd.OpticalDataTable:
@@ -45,8 +46,6 @@ TABULATED = cd.build_material("tabulated", table=_lorentz_table(600))
 force = partial(cd.difference_force, with_diagnostics=True)
 pressure = partial(cd.difference_pressure, with_diagnostics=True)
 energy = partial(cd.free_energy_per_area, with_diagnostics=True)
-sphere = partial(cd.sphere_plate_force, with_diagnostics=True)
-plates = partial(cd.plate_plate_pressure, with_diagnostics=True)
 
 # (name, computation returning (value, diagnostics))
 CASES = [
@@ -68,18 +67,16 @@ CASES = [
     ("pressure-si-b-150nm", partial(pressure, GOLD, N1, LOW, 150e-9, GRID300, low_freq_model="b")),
     ("pressure-si-a-77K", partial(pressure, GOLD, N1, LOW, 250e-9, GRID77, low_freq_model="a")),
     ("pressure-vo2-plasma-probe", partial(pressure, GOLD_PLASMA, VO2_M, VO2_I, 100e-9, GRID340)),
-    ("energy-gold-si", partial(energy, cd.HalfspacePair(GOLD, SI), 100e-9, GRID300)),
-    ("energy-plasma-gold-pair", partial(
-        energy, cd.HalfspacePair(GOLD_PLASMA, GOLD_PLASMA), 200e-9, GRID300)),
-    ("energy-ideal-pair", partial(energy, cd.HalfspacePair(IDEAL, IDEAL), 500e-9, GRID300)),
-    ("energy-tabulated-si", partial(energy, cd.HalfspacePair(TABULATED, SI), 120e-9, GRID300)),
-    ("sphere-gold-vo2-metal", partial(
-        sphere, cd.HalfspacePair(GOLD, VO2_M, sphere_radius=R), 100e-9, GRID340)),
+    ("energy-gold-si", partial(energy, GOLD, SI, 100e-9, GRID300)),
+    ("energy-plasma-gold-pair", partial(energy, GOLD_PLASMA, GOLD_PLASMA, 200e-9, GRID300)),
+    ("energy-ideal-pair", partial(energy, IDEAL, IDEAL, 500e-9, GRID300)),
+    ("energy-tabulated-si", partial(energy, TABULATED, SI, 120e-9, GRID300)),
+    # a single pair: the difference against a vacuum section
+    ("sphere-gold-vo2-metal", partial(force, GOLD, VO2_M, VACUUM, R, 100e-9, GRID340)),
     ("plates-plasma-gold-pair", partial(
-        plates, cd.HalfspacePair(GOLD_PLASMA, GOLD_PLASMA), 300e-9, GRID300)),
-    ("plates-ideal-pair", partial(plates, cd.HalfspacePair(IDEAL, IDEAL), 500e-9, GRID300)),
-    ("plates-gold-low-b-77K", partial(
-        plates, cd.HalfspacePair(GOLD, LOW_B), 200e-9, GRID77)),
+        pressure, GOLD_PLASMA, GOLD_PLASMA, VACUUM, 300e-9, GRID300)),
+    ("plates-ideal-pair", partial(pressure, IDEAL, IDEAL, VACUUM, 500e-9, GRID300)),
+    ("plates-gold-low-b-77K", partial(pressure, GOLD, LOW_B, VACUUM, 200e-9, GRID77)),
 ]
 
 # name -> (value, Matsubara term count)

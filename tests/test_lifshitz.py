@@ -301,67 +301,77 @@ def test_gap_errors():
 
 
 def test_vacuum_gives_zero():
-    pair = cd.HalfspacePair(MATS["vacuum"], MATS["gold"], sphere_radius=R_SPHERE)
-    assert cd.free_energy_per_area(pair, 100e-9, GRID300) == 0.0
-    assert cd.sphere_plate_force(pair, 100e-9, GRID300) == 0.0
-    assert cd.plate_plate_pressure(pair, 100e-9, GRID300) == 0.0
+    vacuum, gold = MATS["vacuum"], MATS["gold"]
+    assert cd.free_energy_per_area(vacuum, gold, 100e-9, GRID300) == 0.0
+    assert cd.difference_force(vacuum, gold, vacuum, R_SPHERE, 100e-9, GRID300) == 0.0
+    assert cd.difference_pressure(vacuum, gold, vacuum, 100e-9, GRID300) == 0.0
 
 
 def test_ideal_metal_pressure():
-    pair = cd.HalfspacePair(MATS["ideal"], MATS["ideal"])
-    p = cd.plate_plate_pressure(pair, 1e-6, cd.MatsubaraGrid(T=1.0))
+    p = cd.difference_pressure(MATS["ideal"], MATS["ideal"], MATS["vacuum"], 1e-6,
+                               cd.MatsubaraGrid(T=1.0))
     exact = -math.pi**2 * HBAR * C / (240.0 * 1e-6**4)
     assert abs(p / exact - 1.0) < 5e-3
     assert abs(abs(p) / 1.30e-3 - 1.0) < 5e-3
 
 
 def test_ideal_metal_energy():
-    pair = cd.HalfspacePair(MATS["ideal"], MATS["ideal"])
-    e = cd.free_energy_per_area(pair, 1e-6, cd.MatsubaraGrid(T=1.0))
+    e = cd.free_energy_per_area(MATS["ideal"], MATS["ideal"], 1e-6, cd.MatsubaraGrid(T=1.0))
     exact = -math.pi**2 * HBAR * C / (720.0 * 1e-6**3)
     assert abs(e / exact - 1.0) < 5e-3
 
 
 def test_free_energy_regression():
-    pair = cd.HalfspacePair(MATS["gold"], MATS["si_a"])
-    e = cd.free_energy_per_area(pair, 100e-9, GRID300)
+    e = cd.free_energy_per_area(MATS["gold"], MATS["si_a"], 100e-9, GRID300)
     assert e < 0.0
     assert abs(e / -1.5471751859687087e-07 - 1.0) < 1e-9
 
 
 def test_pressure_is_energy_derivative():
-    pair = cd.HalfspacePair(MATS["gold"], MATS["si_a"])
+    pair = (MATS["gold"], MATS["si_a"])
     z = 100e-9
     h = z / 1000.0
     dEdz = (
-        cd.free_energy_per_area(pair, z + h, GRID300)
-        - cd.free_energy_per_area(pair, z - h, GRID300)
+        cd.free_energy_per_area(*pair, z + h, GRID300)
+        - cd.free_energy_per_area(*pair, z - h, GRID300)
     ) / (2.0 * h)
-    p = cd.plate_plate_pressure(pair, z, GRID300)
+    p = cd.difference_pressure(*pair, MATS["vacuum"], z, GRID300)
     assert abs(-dEdz / p - 1.0) < 1e-4
 
 
 def test_sphere_force_linear_in_radius():
     z = 100e-9
-    f1 = cd.sphere_plate_force(
-        cd.HalfspacePair(MATS["gold"], MATS["si_a"], sphere_radius=R_SPHERE), z, GRID300
-    )
-    f2 = cd.sphere_plate_force(
-        cd.HalfspacePair(MATS["gold"], MATS["si_a"], sphere_radius=2 * R_SPHERE), z, GRID300
-    )
+    pair = (MATS["gold"], MATS["si_a"], MATS["vacuum"])
+    f1 = cd.difference_force(*pair, R_SPHERE, z, GRID300)
+    f2 = cd.difference_force(*pair, 2 * R_SPHERE, z, GRID300)
     assert f2 == pytest.approx(2.0 * f1, rel=1e-14)
 
 
+@pytest.mark.parametrize("T", [300.0, 77.0])
+def test_single_pair_force_is_pfa_of_energy(T):
+    # F = 2 pi R E(z): the force against a vacuum section and the energy per
+    # area differ only in the rounding of their scales; a pair that does not
+    # interact gives exactly 0.0 both ways
+    grid = cd.MatsubaraGrid(T=T)
+    names = [name for name in cd.catalog_names() if name not in ("si-doped", "tabulated")]
+    models = {name: cd.build_material(name) for name in names}
+    vacuum = cd.build_material("vacuum")
+    for a, b in itertools.product(names, repeat=2):
+        for z in (100e-9, 300e-9, 1e-6):
+            force = cd.difference_force(models[a], models[b], vacuum, R_SPHERE, z, grid)
+            energy = cd.free_energy_per_area(models[a], models[b], z, grid)
+            assert force == pytest.approx(2.0 * math.pi * R_SPHERE * energy, rel=1e-14), (a, b, z)
+
+
 def test_sphere_force_regression_gold_vo2_metal():
-    pair = cd.HalfspacePair(MATS["gold"], MATS["vo2m"], sphere_radius=R_SPHERE)
-    f = cd.sphere_plate_force(pair, 100e-9, GRID340)
+    f = cd.difference_force(MATS["gold"], MATS["vo2m"], MATS["vacuum"], R_SPHERE, 100e-9,
+                            GRID340)
     assert abs(f / -1.0719989133689821e-10 - 1.0) < 1e-9
 
 
 def test_pfa_validity_warning():
-    pair = cd.HalfspacePair(MATS["gold"], MATS["si_a"], sphere_radius=1e-6)
     with pytest.warns(UserWarning) as record:
-        cd.sphere_plate_force(pair, 100e-9, GRID300)
+        cd.difference_force(MATS["gold"], MATS["si_a"], MATS["vacuum"], 1e-6, 100e-9, GRID300)
     with pytest.warns(UserWarning) as more:
         cd.difference_force(MATS["gold"], MATS["n1"], MATS["low"], 1e-6, 100e-9, GRID300)
     assert {w.filename for w in (*record, *more)} == {__file__}
@@ -378,18 +388,11 @@ def test_curve_pfa_warning_points_at_caller(workers):
     assert "z/R = 0.0125" in str(record[0].message)
 
 
-def test_sphere_force_requires_radius():
-    pair = cd.HalfspacePair(MATS["gold"], MATS["si_a"])
-    with pytest.raises(ValueError):
-        cd.sphere_plate_force(pair, 100e-9, GRID300)
-
-
 def test_separation_validation():
-    pair = cd.HalfspacePair(MATS["gold"], MATS["si_a"])
     with pytest.raises(ValueError):
-        cd.free_energy_per_area(pair, 0.0, GRID300)
+        cd.free_energy_per_area(MATS["gold"], MATS["si_a"], 0.0, GRID300)
     with pytest.raises(ValueError):
-        cd.plate_plate_pressure(pair, -1e-9, GRID300)
+        cd.difference_pressure(MATS["gold"], MATS["si_a"], MATS["vacuum"], -1e-9, GRID300)
 
 
 # --- difference quantities ---------------------------------------------------
@@ -409,11 +412,8 @@ def test_difference_one_pass_matches_two_pass():
         MATS["gold"], MATS["n1"], MATS["low"], R_SPHERE, z, GRID300, low_freq_model="a"
     )
     low_a = cd.with_dc_conductivity(MATS["low"], False)
-    two = cd.sphere_plate_force(
-        cd.HalfspacePair(MATS["gold"], MATS["n1"], sphere_radius=R_SPHERE), z, GRID300
-    ) - cd.sphere_plate_force(
-        cd.HalfspacePair(MATS["gold"], low_a, sphere_radius=R_SPHERE), z, GRID300
-    )
+    two = (cd.difference_force(MATS["gold"], MATS["n1"], MATS["vacuum"], R_SPHERE, z, GRID300)
+           - cd.difference_force(MATS["gold"], low_a, MATS["vacuum"], R_SPHERE, z, GRID300))
     assert abs(one / two - 1.0) < 1e-6
 
 
@@ -422,9 +422,8 @@ def test_difference_pressure_one_pass_matches_two_pass():
     one = cd.difference_pressure(
         MATS["gold"], MATS["n1"], MATS["low"], z, GRID300, low_freq_model="b"
     )
-    two = cd.plate_plate_pressure(
-        cd.HalfspacePair(MATS["gold"], MATS["n1"]), z, GRID300
-    ) - cd.plate_plate_pressure(cd.HalfspacePair(MATS["gold"], MATS["low"]), z, GRID300)
+    two = (cd.difference_pressure(MATS["gold"], MATS["n1"], MATS["vacuum"], z, GRID300)
+           - cd.difference_pressure(MATS["gold"], MATS["low"], MATS["vacuum"], z, GRID300))
     assert abs(one / two - 1.0) < 1e-6
 
 
@@ -527,8 +526,8 @@ def test_te_convention_has_no_effect_on_differences():
 def test_attraction_and_monotonic_decay():
     zs = np.linspace(100e-9, 300e-9, 9)
     for plate in ("si_a", "n1", "low", "vo2i", "vo2m"):
-        pair = cd.HalfspacePair(MATS["gold"], MATS[plate], sphere_radius=R_SPHERE)
-        forces = [cd.sphere_plate_force(pair, float(z), GRID300) for z in zs]
+        pair = (MATS["gold"], MATS[plate], MATS["vacuum"])
+        forces = [cd.difference_force(*pair, R_SPHERE, float(z), GRID300) for z in zs]
         assert all(f < 0.0 for f in forces)
         mags = [abs(f) for f in forces]
         assert all(b < a for a, b in zip(mags, mags[1:]))
@@ -541,10 +540,8 @@ def test_carrier_density_ordering():
         for chain in chains:
             mags = [
                 abs(
-                    cd.sphere_plate_force(
-                        cd.HalfspacePair(MATS["gold"], MATS[name], sphere_radius=R_SPHERE),
-                        z,
-                        GRID340,
+                    cd.difference_force(
+                        MATS["gold"], MATS[name], MATS["vacuum"], R_SPHERE, z, GRID340
                     )
                 )
                 for name in chain
@@ -672,9 +669,8 @@ def test_truncation_tolerance_stability():
 
 def test_truncation_cap_raises_with_diagnostics():
     grid = cd.MatsubaraGrid(T=1.0, l_max_cap=200)
-    pair = cd.HalfspacePair(MATS["ideal"], MATS["ideal"])
     with pytest.raises(cd.TruncationError) as err:
-        cd.plate_plate_pressure(pair, 100e-9, grid)
+        cd.difference_pressure(MATS["ideal"], MATS["ideal"], MATS["vacuum"], 100e-9, grid)
     diag = err.value.diagnostics
     assert isinstance(diag, SumDiagnostics)
     assert diag.n_terms == 201
@@ -696,7 +692,7 @@ def test_non_finite_term_fails_at_once():
     with pytest.raises(ValueError, match="l = 1 is not finite"):
         cd.difference_force(MATS["gold"], plate, MATS["si_a"], R_SPHERE, 100e-9, GRID300)
     with pytest.raises(ValueError, match="l = 1 is not finite"):
-        cd.plate_plate_pressure(cd.HalfspacePair(MATS["gold"], plate), 100e-9, GRID300)
+        cd.difference_pressure(MATS["gold"], plate, MATS["vacuum"], 100e-9, GRID300)
 
 
 @pytest.mark.parametrize(
@@ -709,7 +705,8 @@ def test_non_finite_term_fails_at_once():
         (lambda: cd.OpticalDataTable(omega=(1e14, 1e15), im_eps=(math.nan, 1.0)), "im_eps"),
         (lambda: cd.MatsubaraGrid(T=math.inf), "T"),
         (lambda: cd.CantileverParams(k=math.inf, f_r=1e3, Q=1e3, B=0.3, T=300.0), "k"),
-        (lambda: cd.HalfspacePair(MATS["gold"], MATS["si_a"], sphere_radius=math.inf), "radius"),
+        (lambda: cd.difference_force(
+            MATS["gold"], MATS["si_a"], MATS["vacuum"], math.nan, 100e-9, GRID300), "radius"),
         (lambda: cd.difference_force(
             MATS["gold"], MATS["n1"], MATS["low"], math.inf, 100e-9, GRID300), "radius"),
         (lambda: cd.difference_pressure(
@@ -1073,8 +1070,8 @@ def _memo_calls(grid):
                                          with_diagnostics=True),
         lambda m: cd.five_point_gradient(
             lambda z: cd.difference_force(*m, R_SPHERE, z, grid, low_freq_model="a"), 200e-9),
-        lambda m: cd.plate_plate_pressure(cd.HalfspacePair(m[0], m[1]), 130e-9, grid,
-                                          with_diagnostics=True),
+        lambda m: cd.difference_pressure(m[0], m[1], cd.build_material("vacuum"), 130e-9, grid,
+                                         with_diagnostics=True),
     ]
 
 
@@ -1219,6 +1216,6 @@ def test_curve_validation():
         cd.Curve(separations=(1e-7, 2e-7), values=(0.1, math.nan), metadata={})
 
 
-def test_halfspace_pair_validation():
-    with pytest.raises(ValueError):
-        cd.HalfspacePair(MATS["gold"], MATS["si_a"], sphere_radius=0.0)
+def test_difference_force_radius_validation():
+    with pytest.raises(ValueError, match="radius"):
+        cd.difference_force(MATS["gold"], MATS["si_a"], MATS["vacuum"], 0.0, 100e-9, GRID300)

@@ -72,7 +72,6 @@ SIGNATURES = {
     "CantileverParams": "k f_r Q B T",
     "Curve": "separations values metadata",
     "DrudeParams": "omega_p gamma",
-    "HalfspacePair": "side_a side_b sphere_radius",
     "HighFreqTail": "eps_inf omega_inf",
     "MatsubaraGrid": "T rel_tol l_max_cap",
     "OpticalDataTable": "omega im_eps",
@@ -90,17 +89,15 @@ SIGNATURES = {
     "difference_pressure_curve": "probe mat_high mat_low separations grid low_freq_model workers",
     "ev_to_rad_s": "energy_ev",
     "five_point_gradient": "fn z",
-    "free_energy_per_area": "pair z grid with_diagnostics",
+    "free_energy_per_area": "side_a side_b z grid with_diagnostics",
     "kk_to_imaginary_axis": "table xi",
     "load_optical_table": "path",
     "matsubara_frequency": "l T",
     "min_detectable_force": "p",
-    "plate_plate_pressure": "pair z grid with_diagnostics",
     "polylog3": "x",
     "pressure_from_force_gradient": "R dF_dz",
     "reflection_coefficients": "eps xi k_perp te_zero plasma_omega_p",
     "resonance_shift": "p force_gradient",
-    "sphere_plate_force": "pair z grid with_diagnostics",
     "with_dc_conductivity": "model enabled",
     "with_te_zero": "model rule",
     "zero_freq_gap_force": "R z T eps0",
