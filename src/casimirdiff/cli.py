@@ -15,7 +15,7 @@ import math
 import re
 import sys
 import warnings
-from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -95,23 +95,24 @@ def _jsonable(x: float) -> float:
 
 # --- configuration -------------------------------------------------------
 
-# Every sweep setting under one name: its config-file key is its argparse
-# dest and its SweepConfig field.  key: (flag, default, parser, help), where
-# the parser is a unit table for a quantity, int for a count, or None for a
-# word or a path.
+# Every sweep setting, declared once: its config-file key is its argparse
+# dest and its SweepConfig attribute.  key: (flag, default, check, help),
+# where the check, applied to every value as it is read, is a unit table for
+# a quantity that must be positive and finite, a tuple of the allowed words,
+# int for a count, or None for a name or a path.
 _SETTINGS = {
-    "quantity": ("--quantity", "force", None, "'force' or 'pressure'"),
+    "quantity": ("--quantity", "force", ("force", "pressure"), "computed quantity"),
     "z_min": ("--zmin", "100 nm", _LENGTH_UNITS, "smallest separation"),
     "z_max": ("--zmax", "300 nm", _LENGTH_UNITS, "largest separation"),
     "points": ("--points", "41", int, "number of separation points"),
-    "spacing": ("--spacing", "log", None, "'linear' or 'log'"),
+    "spacing": ("--spacing", "log", ("linear", "log"), "separation spacing"),
     "temperature": ("--temperature", "300 K", _TEMPERATURE_UNITS, "temperature"),
     "radius": ("--radius", "100 um", _LENGTH_UNITS, "sphere radius"),
     "probe": ("--probe", "gold-drude", None, "probe-side material"),
     "high": ("--high", "si-doped-n1", None, "higher carrier density section"),
     "low": ("--low", "si-doped-low", None, "lower carrier density section"),
-    "model": ("--model", "a", None, "low-frequency conductivity model, 'a' or 'b'"),
-    "format": ("--format", "csv", None, "'csv' or 'json'"),
+    "model": ("--model", "a", ("a", "b"), "low-frequency conductivity model"),
+    "format": ("--format", "csv", ("csv", "json"), "output format"),
     "out": ("--out", None, None, "output path ('-' for stdout)"),
     "workers": ("--workers", "1", int, "worker processes for the separation sweep; no "
                 "crossover measured (on 2 vCPUs, 41 points at 300 K took 13-18 ms serially and "
@@ -122,46 +123,9 @@ _SETTINGS = {
 _DRUDE_KEY = re.compile(r"^drude_(omega_p|gamma)\.(.+)$")
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """Resolved sweep settings (SI units), one field per key of ``_SETTINGS``."""
-
-    quantity: str
-    z_min: float
-    z_max: float
-    points: int
-    spacing: str
-    temperature: float
-    radius: float
-    probe: str
-    high: str
-    low: str
-    model: str
-    format: str
-    out: str | None
-    workers: int
-    optical_table: str | None
-    drude_overrides: dict[str, DrudeParams]
-
-    def __post_init__(self) -> None:
-        if self.quantity not in ("force", "pressure"):
-            raise UsageError("quantity must be 'force' or 'pressure'")
-        # before any grid is built: np.logspace warns on an infinite end
-        for name in ("z_min", "z_max", "temperature", "radius"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise UsageError(f"{name} must be positive and finite")
-        if not self.z_min < self.z_max:
-            raise UsageError("z_min must be smaller than z_max")
-        if self.points < 2:
-            raise UsageError("at least 2 separation points are required")
-        if self.spacing not in ("linear", "log"):
-            raise UsageError("spacing must be 'linear' or 'log'")
-        if self.model not in ("a", "b"):
-            raise UsageError("low-frequency model must be 'a' or 'b'")
-        if self.format not in ("csv", "json"):
-            raise UsageError("format must be 'csv' or 'json'")
-        if self.workers < 1:
-            raise UsageError("workers must be >= 1")
+class SweepConfig(SimpleNamespace):
+    """Resolved sweep settings (SI units): one attribute per key of
+    ``_SETTINGS``, and ``drude_overrides``."""
 
     def separations(self) -> tuple[float, ...]:
         if self.spacing == "log":
@@ -198,42 +162,68 @@ class SweepConfig:
         }
 
 
-def _setting(key: str, text: str | None):
-    """The value of one setting from its text."""
-    parser = _SETTINGS[key][2]
-    if text is None or parser is None:
+def _positive(text: str, units: dict[str, float], what: str) -> float:
+    """A quantity that must be positive and finite, checked before any grid
+    is built from it: np.logspace warns on an infinite end."""
+    value = parse_quantity(text, units, what)
+    if not 0.0 < value < math.inf:
+        raise UsageError(f"{what} must be positive and finite")
+    return value
+
+
+def _setting(key: str, text: str | None = None):
+    """The value of one setting from its text, or from its default for None,
+    checked as its row of ``_SETTINGS`` says."""
+    _, default, check, _ = _SETTINGS[key]
+    text = default if text is None else text
+    if text is None or check is None:
         return text
-    if parser is int:
+    if check is int:
         try:
             return int(text)
         except ValueError:
             raise UsageError(f"{key} must be an integer: got {text!r}") from None
-    return parse_quantity(text, parser, key)
+    if isinstance(check, tuple):
+        if text not in check:
+            raise UsageError(f"{key} must be {' or '.join(map(repr, check))}: got {text!r}")
+        return text
+    return _positive(text, check, key)
 
 
 def _resolve(args) -> SweepConfig:
-    """Defaults, then the --config file, then the flags; a later source wins."""
-    settings = {key: default for key, (_, default, _, _) in _SETTINGS.items()}
+    """Defaults, then the --config file, then the flags; a later source wins.
+
+    Each value is checked as it is read, so a bad value in the file fails,
+    with its file and line, even where a flag overrides it.
+    """
+    values = {key: _setting(key) for key in _SETTINGS}
     overrides: dict[str, dict[str, float]] = {}  # NAME -> {"omega_p": x, "gamma": y}
     lines = _content_lines(args.config) if args.config else []
     for lineno, line in lines:
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise UsageError(f"{args.config}:{lineno}: expected 'key = value'")
-        key, value = key.strip(), value.strip()
+        key, sep, value = (part.strip() for part in line.partition("="))
         drude = _DRUDE_KEY.match(key)
-        if drude:
-            overrides.setdefault(drude.group(2), {})[drude.group(1)] = parse_quantity(
-                value, _ANGFREQ_UNITS, key
-            )
-        elif key in _SETTINGS:
-            settings[key] = value
-        else:
-            raise UsageError(f"{args.config}:{lineno}: unknown setting {key!r}")
+        try:
+            if not sep:
+                raise UsageError("expected 'key = value'")
+            if drude:
+                overrides.setdefault(drude.group(2), {})[drude.group(1)] = parse_quantity(
+                    value, _ANGFREQ_UNITS, key
+                )
+            elif key in _SETTINGS:
+                values[key] = _setting(key, value)
+            else:
+                raise UsageError(f"unknown setting {key!r}")
+        except UsageError as exc:
+            raise UsageError(f"{args.config}:{lineno}: {exc}") from None
     for key in _SETTINGS:
         if (flag := getattr(args, key, None)) is not None:
-            settings[key] = flag
-    values = {key: _setting(key, text) for key, text in settings.items()}
+            values[key] = _setting(key, flag)
+    if not values["z_min"] < values["z_max"]:
+        raise UsageError("z_min must be smaller than z_max")
+    if values["points"] < 2:
+        raise UsageError("at least 2 separation points are required")
+    if values["workers"] < 1:
+        raise UsageError("workers must be >= 1")
     drude = {name: _drude_override(name, pair) for name, pair in overrides.items()}
     return SweepConfig(**values, drude_overrides=drude)
 
@@ -387,19 +377,16 @@ def cmd_permittivity(args) -> int:
     if not args.material:
         raise UsageError("--material NAME is required (or --list)")
     model = _build_named(args.material, {}, _optical_table(args.optical_table))
-    xi_min = parse_quantity(args.ximin, _ANGFREQ_UNITS, "ximin")
-    xi_max = parse_quantity(args.ximax, _ANGFREQ_UNITS, "ximax")
-    for name, value in (("ximin", xi_min), ("ximax", xi_max)):
-        if not 0.0 < value < math.inf:
-            raise UsageError(f"{name} must be positive and finite")
-    if not 0.0 < xi_min < xi_max:
+    xi_min = _positive(args.ximin, _ANGFREQ_UNITS, "ximin")
+    xi_max = _positive(args.ximax, _ANGFREQ_UNITS, "ximax")
+    if not xi_min < xi_max:
         raise UsageError("need 0 < ximin < ximax")
     points = _setting("points", args.points)
     if points < 2:
         raise UsageError("at least 2 grid points are required")
+    fmt = _setting("format", args.format)
     grid = np.logspace(math.log10(xi_min), math.log10(xi_max), points)
     rows = permittivity_table(model, grid)
-    fmt = args.format or "csv"
     if fmt == "json" and not all(math.isfinite(eps) for _, eps in rows):
         raise UsageError(f"eps of {args.material!r} is infinite, which JSON cannot "
                          "hold; use --format csv")
@@ -423,7 +410,7 @@ def _cantilever_from_args(args) -> CantileverParams:
         f_r=parse_quantity(args.resonance_frequency, _FREQUENCY_UNITS, "resonance frequency"),
         Q=args.quality_factor,
         B=parse_quantity(args.bandwidth, _FREQUENCY_UNITS, "bandwidth"),
-        T=parse_quantity(args.temperature or "300 K", _TEMPERATURE_UNITS, "temperature"),
+        T=_setting("temperature", args.temperature),
     )
 
 
@@ -435,9 +422,7 @@ def cmd_sensitivity(args) -> int:
 
 def cmd_shift(args) -> int:
     params = _cantilever_from_args(args)
-    z = parse_quantity(args.z, _LENGTH_UNITS, "z")
-    if not 0.0 < z < math.inf:
-        raise UsageError("z must be positive and finite")
+    z = _positive(args.z, _LENGTH_UNITS, "z")
     config = _resolve(args)
     radius = config.radius
     if args.gradient is not None:
@@ -476,14 +461,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _add_settings(sub, keys):
+    """A flag for each setting of ``keys``, with its help from ``_SETTINGS``."""
+    for key in keys:
+        flag, default, check, help_text = _SETTINGS[key]
+        if isinstance(check, tuple):
+            help_text += f", {' or '.join(map(repr, check))}"
+        if default is not None:
+            help_text += f" (default: {default})"
+        sub.add_argument(flag, dest=key, help=help_text)
+
+
 def _add_sweep_flags(sub, exclude=()):
     """--config and a flag for each setting of ``_SETTINGS`` not in ``exclude``."""
     sub.add_argument("--config", help="flat 'key = value' settings file")
-    for key, (flag, default, _, help_text) in _SETTINGS.items():
-        if key not in exclude:
-            if default is not None:
-                help_text += f" (default: {default})"
-            sub.add_argument(flag, dest=key, help=help_text)
+    _add_settings(sub, [key for key in _SETTINGS if key not in exclude])
 
 
 def _add_cantilever_flags(sub):
@@ -512,9 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     perm.add_argument("--ximin", default="1e13 rad/s")
     perm.add_argument("--ximax", default="1e17 rad/s")
     perm.add_argument("--points", default="60")
-    perm.add_argument("--format", choices=["csv", "json"])
-    perm.add_argument("--out")
-    perm.add_argument("--optical-table", dest="optical_table")
+    _add_settings(perm, ("format", "out", "optical_table"))
     perm.set_defaults(func=cmd_permittivity)
 
     sens = subs.add_parser("sensitivity", help="thermal-noise force sensitivity")

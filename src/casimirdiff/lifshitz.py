@@ -295,6 +295,8 @@ def reflection_coefficients(
         raise ValueError("eps must be >= 1 or the 'infinite' marker math.inf")
     if te_zero not in ("zero", "plasma"):
         raise ValueError("te_zero must be 'zero' or 'plasma'")
+    if plasma_omega_p is not None and not 0.0 < plasma_omega_p < math.inf:
+        raise ValueError("plasma_omega_p must be None or positive and finite")
     if xi == 0.0:
         r = _zero_freq_reflections(eps, te_zero, plasma_omega_p, k_perp)
     elif math.isinf(eps):
@@ -548,11 +550,17 @@ def _thermal_sum(quantity, models, z, grid, nodes, zero_terms, first_rows=_CHUNK
 # --- core quantities -----------------------------------------------------
 
 
-def _check_sphere(R: float, z: float) -> None:
-    """Reject a bad radius and warn, at the public function's caller, beyond
-    z/R = PFA_RATIO_LIMIT."""
+def _check_sphere(R: float, z: float, low_freq_models=(), workers: int = 1) -> None:
+    """Reject a bad radius, separation, low-frequency model or worker count,
+    then warn, at the public function's caller, beyond z/R = PFA_RATIO_LIMIT:
+    a call that fails does not warn first."""
     if not 0.0 < R < math.inf:
         raise ValueError("sphere radius must be positive and finite")
+    if not 0.0 < z < math.inf:
+        raise ValueError("separation z must be positive and finite")
+    for low_freq_model in low_freq_models:
+        _check_low_freq_model(low_freq_model)
+    _check_count("workers", workers)
     if z / R > PFA_RATIO_LIMIT:
         warnings.warn(
             f"z/R = {z / R:.3g} exceeds {PFA_RATIO_LIMIT}; the proximity force "
@@ -583,14 +591,16 @@ def free_energy_per_area(
     return (value, diag) if with_diagnostics else value
 
 
+def _check_low_freq_model(low_freq_model: str | None) -> None:
+    if low_freq_model not in (None, "a", "b"):
+        raise ValueError("low_freq_model must be None, 'a' or 'b'")
+
+
 def _apply_low_freq_model(model: PermittivityModel, low_freq_model: str | None):
+    _check_low_freq_model(low_freq_model)
     if low_freq_model is None:
         return model
-    if low_freq_model == "a":
-        return with_dc_conductivity(model, False)
-    if low_freq_model == "b":
-        return with_dc_conductivity(model, True)
-    raise ValueError("low_freq_model must be None, 'a' or 'b'")
+    return with_dc_conductivity(model, low_freq_model == "b")
 
 
 def difference_force(
@@ -611,7 +621,7 @@ def difference_force(
     keeps it; by default the material is used as built.  The two models
     differ only in the l = 0 term.
     """
-    _check_sphere(R, z)
+    _check_sphere(R, z, (low_freq_model,))
     value, diag = _difference(probe, mat_high, mat_low, R, grid, low_freq_model, DEFAULT_NODES, z)
     return (value, diag) if with_diagnostics else value
 
@@ -760,7 +770,7 @@ def difference_force_curve(
     arguments are those of :func:`difference_force`.
     """
     zs = _separation_grid(separations)
-    _check_sphere(R, zs[-1])
+    _check_sphere(R, zs[-1], (low_freq_model,), workers)
     return _sweep(probe, mat_high, mat_low, R, zs, grid, (low_freq_model,), workers)[0]
 
 
@@ -787,7 +797,7 @@ def _model_curves(probe, high, low, R, separations, grid, low_freq_models,
     for bit, and two cost about one."""
     zs = _separation_grid(separations)
     if R is not None:
-        _check_sphere(R, zs[-1])
+        _check_sphere(R, zs[-1], low_freq_models, workers)
     return _sweep(probe, high, low, R, zs, grid, low_freq_models, workers)
 
 

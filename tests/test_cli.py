@@ -174,12 +174,16 @@ def test_sweep_config_validation_exit_1(capsys):
     assert "z_min" in err
     code, _, err = run_cli(capsys, "sweep", "--points", "1")
     assert code == 1
+    # a case for each word and each unit setting of the table
+    words = {key: (flag, " or ".join(map(repr, check)))
+             for key, (flag, _, check, _) in cli._SETTINGS.items() if isinstance(check, tuple)}
+    units = {key: (flag, next(iter(check)))
+             for key, (flag, _, check, _) in cli._SETTINGS.items() if isinstance(check, dict)}
     for flag, value, field in (
-        ("--quantity", "energy", "quantity"),
-        ("--spacing", "cubic", "spacing"),
-        ("--model", "c", "model"),
-        ("--format", "xml", "format"),
-        ("--zmin", "-50 nm", "z_min"),
+        *((flag, "bogus", f"{key} must be {allowed}: got 'bogus'")
+          for key, (flag, allowed) in words.items()),
+        *((flag, f"-50 {unit}", f"{key} must be positive and finite")
+          for key, (flag, unit) in units.items()),
         ("--temperature", "0 K", "temperature"),
         ("--radius", "0 um", "radius"),
         ("--workers", "0", "workers"),
@@ -188,6 +192,14 @@ def test_sweep_config_validation_exit_1(capsys):
         code, out, err = run_cli(capsys, "sweep", "--points", "2", flag, value)
         assert (code, out) == (1, "")
         assert field in err
+    assert {"quantity", "spacing", "model", "format"} <= words.keys()
+    assert {"z_min", "z_max", "temperature", "radius"} <= units.keys()
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["sweep", "--help"])
+    assert exit_.value.code == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    for flag, allowed in words.values():
+        assert allowed in help_text, flag
 
 
 def test_sweep_output_is_self_describing(capsys):
@@ -578,6 +590,22 @@ def test_config_unknown_key_exit_1(tmp_path, capsys):
     code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
     assert (code, out) == (1, "")
     assert f"{cfg}:2: expected 'key = value'" in err
+
+
+@pytest.mark.parametrize("line, flags, message", [
+    ("model = c", (), "model must be 'a' or 'b': got 'c'"),
+    ("model = c", ("--model", "b"), "model must be 'a' or 'b': got 'c'"),
+    ("points = abc", (), "points must be an integer: got 'abc'"),
+    ("z_min = -1 nm", ("--zmin", "100 nm"), "z_min must be positive and finite"),
+    ("drude_gamma.gold-drude = 0.05", (), "drude_gamma.gold-drude must carry a unit suffix"),
+], ids=["word", "word-overridden", "count", "quantity-overridden", "drude-unit"])
+def test_config_bad_value_names_its_line_exit_1(line, flags, message, tmp_path, capsys):
+    # each value is checked as the file is read, also where a flag overrides it
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"points = 2\n{line}\n")
+    code, out, err = run_cli(capsys, "sweep", "--config", str(cfg), *flags)
+    assert (code, out) == (1, "")
+    assert f"error: {cfg}:2: {message}" in err
 
 
 @pytest.mark.parametrize(

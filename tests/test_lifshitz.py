@@ -7,6 +7,7 @@ import pickle
 import platform
 import subprocess
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from pathlib import Path
@@ -159,6 +160,11 @@ def test_reflection_errors():
         cd.reflection_coefficients(11.66, 1e15, -1.0)
     with pytest.raises(ValueError, match="te_zero"):
         cd.reflection_coefficients(math.inf, 0.0, 1e6, te_zero="drude")
+    # a plasma frequency is positive and finite, as DrudeParams requires
+    for omega_p in (math.nan, math.inf, -1e15, 0.0):
+        with pytest.raises(ValueError, match="plasma_omega_p"):
+            cd.reflection_coefficients(math.inf, 0.0, 1e6, te_zero="plasma",
+                                       plasma_omega_p=omega_p)
 
 
 def test_reflection_coefficients_are_the_kernel_amplitudes():
@@ -386,6 +392,22 @@ def test_curve_pfa_warning_points_at_caller(workers):
                                   (100e-9, 150e-9, 250e-9), GRID300, workers=workers)
     assert [w.filename for w in record] == [__file__]
     assert "z/R = 0.0125" in str(record[0].message)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: cd.difference_force(MATS["gold"], MATS["n1"], MATS["low"], 100e-6, math.inf,
+                                GRID300),
+    lambda: cd.difference_force(MATS["gold"], MATS["n1"], MATS["low"], 100e-6, 5e-6, GRID300,
+                                low_freq_model="c"),
+    lambda: cd.difference_force_curve(MATS["gold"], MATS["n1"], MATS["low"], 100e-6,
+                                      (1e-6, 5e-6), GRID300, workers=0),
+], ids=["infinite-z", "model-c", "workers-0"])
+def test_failing_call_does_not_warn_first(call):
+    # z/R exceeds 0.01 in each call, but the call fails on its arguments
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_separation_validation():
