@@ -28,13 +28,12 @@ from .experiment import (
     resonance_shift,
 )
 from .lifshitz import (
-    DEFAULT_NODES,
     MatsubaraGrid,
     TruncationError,
     reflection_coefficients,
-    _check_sphere,
-    _difference,
+    _checked_lows,
     _model_curves,
+    _sums,
     _zero_freq_gap,
 )
 from .materials import (
@@ -425,20 +424,18 @@ def cmd_shift(args) -> int:
     z = _positive(args.z, _LENGTH_UNITS, "z")
     config = _resolve(args)
     radius = config.radius
+    # checked also for a given --gradient: a bad material setting fails, and
+    # the equivalent pressure is the proximity force relation, valid while
+    # z/R is small.  The stencil's four sums are difference_force's at
+    # z +- h, z +- 2h, with one z/R warning, at z itself, not one per sum.
+    probe, high, low = config.materials()
+    lows = _checked_lows(radius, z, low, (config.model,))
     if args.gradient is not None:
         gradient = args.gradient
     else:
-        probe, high, low = config.materials()
         grid = config.grid()
-
-        # the stencil's four sums are difference_force's at z +- h, z +- 2h,
-        # with one z/R warning, at z itself, instead of one per sum
-        _check_sphere(radius, z)
-
-        def force(zz: float) -> float:
-            return _difference(probe, high, low, radius, grid, config.model, DEFAULT_NODES, zz)[0]
-
-        gradient = five_point_gradient(force, z)
+        gradient = five_point_gradient(
+            lambda zz: _sums(probe, high, lows, radius, (zz,), grid)[0][0][0], z)
     shift = resonance_shift(params, gradient)
     pressure = pressure_from_force_gradient(radius, gradient)
     sys.stdout.write(f"force_gradient_N_per_m = {sig12(gradient)}\n")
@@ -453,9 +450,10 @@ def cmd_shift(args) -> int:
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # values, not flags: argparse's own pattern misses -1e-5 and -inf
+        # values, not flags: argparse's own pattern misses -1e-5, -inf and a
+        # quantity glued to its unit, -50nm, which the setting then rejects
         self._negative_number_matcher = re.compile(
-            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-inf$", re.I)
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?[a-zµ/]*$|^-inf$", re.I)
 
     def error(self, message):
         raise UsageError(message)

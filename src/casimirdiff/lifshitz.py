@@ -23,19 +23,24 @@ latest term falls below ``rel_tol`` times the running total.  That test
 bounds the last term, not the truncation error, which can be several times
 larger (4.6 times for the VO2 difference force at 100 nm with
 rel_tol = 1e-12).  Blocks are sized to the sum they finish, from the
-previous curve point's term count and then from the decay of the terms.
-Every step of a block is elementwise or a per-row sum over the nodes, so a
-row's value does not depend on the block it falls in.  A curve computes its separations as runs of points in
-increasing z, each passing its term count on to the next; that sizes
-blocks only, so every value equals its pointwise one.  Every block slices
+previous point's term count and then from the decay of the terms.  Every
+step of a block is elementwise or a per-row sum over the nodes, so a row's
+value does not depend on the block it falls in.  Every block slices
 eps(i xi) from each material's memo (see ``_matsubara_eps``), so a
 material is evaluated once per temperature, not once per sum or curve.
 
-A curve also computes once what its points repeat.  The l = 0 term is the
-same float at every separation, so a curve evaluates it once per run and
-passes it to every point, unless a plasma TE amplitude at xi = 0 makes it
-depend on z (``_zero_term_depends_on_z``); then each point evaluates its
-own.  The two low-frequency models differ only in the l = 0 term, so the
+One loop, ``_run``, takes separations to the kernel, and ``_sums`` sets it
+up for every caller: a sum at one separation is a run of one point, and a
+curve is one run of points in increasing z, or one per process of a pool.
+Each point passes its term count on to the next; that sizes blocks only,
+so every value equals its pointwise one.  ``nodes`` is the Gauss-Legendre
+order of a row l >= 1, DEFAULT_NODES everywhere but the quadrature tests.
+
+A run also computes once what its points repeat.  The l = 0 term is the
+same float at every separation, so ``_sums`` evaluates it once and passes
+it to every point, unless a plasma TE amplitude at xi = 0 makes it depend
+on z (``_zero_term_depends_on_z``); then each point evaluates its own.
+The two low-frequency models differ only in the l = 0 term, so the
 kernel takes one half-term per model and keeps one running total and one
 stopping test for each over a single set of rows l >= 1: ``compare``'s two
 curves cost about one, and each equals its own curve bit for bit.
@@ -550,23 +555,33 @@ def _thermal_sum(quantity, models, z, grid, nodes, zero_terms, first_rows=_CHUNK
 # --- core quantities -----------------------------------------------------
 
 
-def _check_sphere(R: float, z: float, low_freq_models=(), workers: int = 1) -> None:
-    """Reject a bad radius, separation, low-frequency model or worker count,
-    then warn, at the public function's caller, beyond z/R = PFA_RATIO_LIMIT:
-    a call that fails does not warn first."""
-    if not 0.0 < R < math.inf:
+def _checked_lows(R: float | None, z: float, low: PermittivityModel, low_freq_models,
+                  workers: int = 1) -> tuple[PermittivityModel, ...]:
+    """``low`` under each of ``low_freq_models``: None uses it as built, "a"
+    neglects its dc conductivity (finite static permittivity), "b" keeps it.
+
+    Rejects a bad radius, separation (a curve's largest), low-frequency model
+    or worker count, builds the sections, then warns, at the public
+    function's caller, beyond z/R = PFA_RATIO_LIMIT: a call that fails does
+    not warn first.  R = None, the plates of a pressure, has neither a
+    radius nor the warning.
+    """
+    if R is not None and not 0.0 < R < math.inf:
         raise ValueError("sphere radius must be positive and finite")
     if not 0.0 < z < math.inf:
         raise ValueError("separation z must be positive and finite")
-    for low_freq_model in low_freq_models:
-        _check_low_freq_model(low_freq_model)
+    if any(model not in (None, "a", "b") for model in low_freq_models):
+        raise ValueError("low_freq_model must be None, 'a' or 'b'")
+    lows = tuple(low if model is None else with_dc_conductivity(low, model == "b")
+                 for model in low_freq_models)
     _check_count("workers", workers)
-    if z / R > PFA_RATIO_LIMIT:
+    if R is not None and z / R > PFA_RATIO_LIMIT:
         warnings.warn(
             f"z/R = {z / R:.3g} exceeds {PFA_RATIO_LIMIT}; the proximity force "
             "approximation error grows like z/R",
             stacklevel=3,
         )
+    return lows
 
 
 def free_energy_per_area(
@@ -591,18 +606,6 @@ def free_energy_per_area(
     return (value, diag) if with_diagnostics else value
 
 
-def _check_low_freq_model(low_freq_model: str | None) -> None:
-    if low_freq_model not in (None, "a", "b"):
-        raise ValueError("low_freq_model must be None, 'a' or 'b'")
-
-
-def _apply_low_freq_model(model: PermittivityModel, low_freq_model: str | None):
-    _check_low_freq_model(low_freq_model)
-    if low_freq_model is None:
-        return model
-    return with_dc_conductivity(model, low_freq_model == "b")
-
-
 def difference_force(
     probe: PermittivityModel,
     mat_high: PermittivityModel,
@@ -621,8 +624,8 @@ def difference_force(
     keeps it; by default the material is used as built.  The two models
     differ only in the l = 0 term.
     """
-    _check_sphere(R, z, (low_freq_model,))
-    value, diag = _difference(probe, mat_high, mat_low, R, grid, low_freq_model, DEFAULT_NODES, z)
+    lows = _checked_lows(R, z, mat_low, (low_freq_model,))
+    [[(value, diag)]] = _sums(probe, mat_high, lows, R, (z,), grid)
     return (value, diag) if with_diagnostics else value
 
 
@@ -640,34 +643,9 @@ def difference_pressure(
 
     The arguments are those of :func:`difference_force`.
     """
-    value, diag = _difference(probe, mat_high, mat_low, None, grid, low_freq_model,
-                              DEFAULT_NODES, z)
+    lows = _checked_lows(None, z, mat_low, (low_freq_model,))
+    [[(value, diag)]] = _sums(probe, mat_high, lows, None, (z,), grid)
     return (value, diag) if with_diagnostics else value
-
-
-def _difference(probe, mat_high, mat_low, R, grid, low_freq_model, nodes, z):
-    """(value, diagnostics) of the difference force on a sphere of radius R,
-    or of the difference pressure for R = None, with ``nodes`` nodes per row
-    l >= 1: the public functions and the CLI's ``shift`` pass DEFAULT_NODES,
-    the quadrature tests other orders.  The caller has checked R."""
-    lows = (_apply_low_freq_model(mat_low, low_freq_model),)
-    return _point(probe, mat_high, lows, R, grid, nodes, None, z, _CHUNK)[0]
-
-
-def _point(probe, high, lows, R, grid, nodes, zero_terms, z, first_rows):
-    """[(value, diagnostics)] at separation z, one per section of ``lows``
-    (low-frequency variants of one material): the difference force on a
-    sphere of radius R, or the difference pressure for R = None.
-
-    ``zero_terms`` holds the sections' l = 0 half-terms, or is None to
-    compute them at z; ``first_rows`` as in _thermal_sum.
-    """
-    quantity = "pressure" if R is None else "energy"
-    if zero_terms is None:
-        zero_terms = [_zero_term(quantity, (probe, high, low), z, nodes) for low in lows]
-    sums = _thermal_sum(quantity, (probe, high, lows[0]), z, grid, nodes, zero_terms, first_rows)
-    scale = _scale(grid.T, z, R)
-    return [(scale * s, diag) for s, diag in sums]
 
 
 def _scale(T: float, z: float, R: float | None) -> float:
@@ -679,56 +657,76 @@ def _scale(T: float, z: float, R: float | None) -> float:
     return KB * T * R / (4.0 * z * z)
 
 
-# --- separation sweeps ---------------------------------------------------
+# --- runs of separations -------------------------------------------------
 
 
-def _run(point, zs):
-    """``point(z, first_rows) -> [(value, diagnostics)]`` at the increasing
-    separations ``zs``: each point's first block covers the previous
-    point's longest term count, since counts fall as z grows."""
-    results, rows = [], _CHUNK
-    for z in zs:
-        result = point(z, rows)
-        results.append(result)
-        rows = max(diag.n_terms for _, diag in result) - 1
-    return results
+def _sums(probe, high, lows, R, zs, grid, workers=1, nodes=DEFAULT_NODES):
+    """[(value, diagnostics) per section of ``lows``] at each of the checked,
+    increasing separations ``zs``: the difference force on a sphere of
+    radius R, or the difference pressure for R = None.  A single sum is a
+    run of one point.
 
-
-def _sweep(probe, high, low, R, zs, grid, low_freq_models, workers) -> list[Curve]:
-    """Difference force curves on a sphere of radius R, or difference
-    pressure curves for R = None, over the checked separations ``zs``: one
-    per model of ``low_freq_models``, from one run of sums.
-
+    ``lows`` are low-frequency variants of one material (``_checked_lows``);
+    they share their rows l >= 1.  A row l >= 1 takes ``nodes`` nodes and
+    the l = 0 term three times as many: the public functions and the CLI
+    take DEFAULT_NODES, the quadrature tests' reference rule other orders.
     The l = 0 half-terms are computed once, at zs[0], and passed to every
     point, a pool's runs included, unless a plasma TE amplitude makes them
     depend on z (``_zero_term_depends_on_z``); then each point computes its
-    own.
+    own.  With ``workers > 1`` the separations are split into contiguous
+    runs, one per process of a pool.  ``workers`` has no upper bound: the
+    pool starts as many processes as there are runs, up to one per point.
     """
-    _check_count("workers", workers)
-    lows = tuple(_apply_low_freq_model(low, model) for model in low_freq_models)
     zero_terms = None
     if not _zero_term_depends_on_z((probe, high) + lows):
         quantity = "pressure" if R is None else "energy"
-        zero_terms = tuple(_zero_term(quantity, (probe, high, section), zs[0], DEFAULT_NODES)
-                           for section in lows)
-    point = partial(_point, probe, high, lows, R, grid, DEFAULT_NODES, zero_terms)
-    if workers > 1:
-        # imported on demand: the pool's modules add about 2 MB to every
-        # process, and most sweeps run serially
-        from concurrent.futures import ProcessPoolExecutor
+        zero_terms = tuple(_zero_term(quantity, (probe, high, low), zs[0], nodes) for low in lows)
+    run = partial(_run, probe, high, lows, R, grid, nodes, zero_terms)
+    if workers == 1:
+        return run(zs)
+    # imported on demand: the pool's modules add about 2 MB to every
+    # process, and most sweeps run serially
+    from concurrent.futures import ProcessPoolExecutor
 
-        # one contiguous run of separations per worker: a task unpickles
-        # the materials, with their memos, once for its run.  There can be
-        # fewer runs than workers, and the pool forks all its processes at
-        # the first task, so it gets one per run.
-        size = -(-len(zs) // workers)
-        runs = [zs[k:k + size] for k in range(0, len(zs), size)]
-        with ProcessPoolExecutor(max_workers=len(runs)) as pool:
-            results = [result for run in pool.map(partial(_run, point), runs) for result in run]
-    else:
-        results = _run(point, zs)
+    # one contiguous run of separations per worker: a task unpickles the
+    # materials, with their memos, once for its run.  There can be fewer
+    # runs than workers, and the pool forks all its processes at the first
+    # task, so it gets one per run.
+    size = -(-len(zs) // workers)
+    runs = [zs[k:k + size] for k in range(0, len(zs), size)]
+    with ProcessPoolExecutor(max_workers=len(runs)) as pool:
+        return [result for results in pool.map(run, runs) for result in results]
+
+
+def _run(probe, high, lows, R, grid, nodes, zero_terms, zs):
+    """The one loop from separations to ``_thermal_sum``: [(value,
+    diagnostics) per section of ``lows``] at the increasing separations
+    ``zs``, with the arguments of ``_sums``.
+
+    Each point takes the half-terms ``zero_terms``, or computes its own for
+    None, sums, and scales.  Its first block covers the previous point's
+    longest term count, since counts fall as z grows; block sizes move no
+    number, so every value equals its pointwise one.
+    """
+    quantity = "pressure" if R is None else "energy"
+    results, rows = [], _CHUNK
+    for z in zs:
+        terms = zero_terms
+        if terms is None:
+            terms = [_zero_term(quantity, (probe, high, low), z, nodes) for low in lows]
+        sums = _thermal_sum(quantity, (probe, high, lows[0]), z, grid, nodes, terms, rows)
+        scale = _scale(grid.T, z, R)
+        results.append([(scale * s, diag) for s, diag in sums])
+        rows = max(diag.n_terms for _, diag in sums) - 1
+    return results
+
+
+def _sweep(probe, high, lows, R, zs, grid, low_freq_models, workers) -> list[Curve]:
+    """The curves of ``_sums`` over the checked separations ``zs``, one per
+    section of ``lows``, the low section under each of ``low_freq_models``."""
+    results = _sums(probe, high, lows, R, zs, grid, workers)
     curves = []
-    for k, low_freq_model in enumerate(low_freq_models):
+    for k, (low, low_freq_model) in enumerate(zip(lows, low_freq_models)):
         diags = [result[k][1] for result in results]
         metadata = {
             "probe": probe.label,
@@ -770,8 +768,8 @@ def difference_force_curve(
     arguments are those of :func:`difference_force`.
     """
     zs = _separation_grid(separations)
-    _check_sphere(R, zs[-1], (low_freq_model,), workers)
-    return _sweep(probe, mat_high, mat_low, R, zs, grid, (low_freq_model,), workers)[0]
+    lows = _checked_lows(R, zs[-1], mat_low, (low_freq_model,), workers)
+    return _sweep(probe, mat_high, lows, R, zs, grid, (low_freq_model,), workers)[0]
 
 
 def difference_pressure_curve(
@@ -785,8 +783,8 @@ def difference_pressure_curve(
     workers: int = 1,
 ) -> Curve:
     """Difference pressure over a separation grid (see difference_force_curve)."""
-    return _sweep(probe, mat_high, mat_low, None, _separation_grid(separations), grid,
-                  (low_freq_model,), workers)[0]
+    return _model_curves(probe, mat_high, mat_low, None, separations, grid, (low_freq_model,),
+                         workers)[0]
 
 
 def _model_curves(probe, high, low, R, separations, grid, low_freq_models,
@@ -796,9 +794,8 @@ def _model_curves(probe, high, low, R, separations, grid, low_freq_models,
     ``low_freq_models``, from one run of sums: each equals its own curve bit
     for bit, and two cost about one."""
     zs = _separation_grid(separations)
-    if R is not None:
-        _check_sphere(R, zs[-1], low_freq_models, workers)
-    return _sweep(probe, high, low, R, zs, grid, low_freq_models, workers)
+    lows = _checked_lows(R, zs[-1], low, low_freq_models, workers)
+    return _sweep(probe, high, lows, R, zs, grid, low_freq_models, workers)
 
 
 # --- trilogarithm and zero-frequency gap formulas ------------------------

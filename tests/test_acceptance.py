@@ -281,7 +281,8 @@ def test_criterion_9_attraction_monotonicity_ordering():
 def test_criterion_9_quadrature_and_truncation_stability():
     z = 100e-9
     base = cd.difference_pressure(GOLD, SI_N1, SI_LOW, z, GRID300, low_freq_model="a")
-    doubled, _ = lifshitz._difference(GOLD, SI_N1, SI_LOW, None, GRID300, "a", 240, z)
+    doubled, _ = lifshitz._sums(GOLD, SI_N1, (cd.with_dc_conductivity(SI_LOW, False),), None,
+                                (z,), GRID300, nodes=240)[0][0]
     tightened = cd.difference_pressure(
         GOLD, SI_N1, SI_LOW, z, cd.MatsubaraGrid(T=300.0, rel_tol=5e-10),
         low_freq_model="a",

@@ -174,7 +174,8 @@ def test_sweep_config_validation_exit_1(capsys):
     assert "z_min" in err
     code, _, err = run_cli(capsys, "sweep", "--points", "1")
     assert code == 1
-    # a case for each word and each unit setting of the table
+    # a case for each word and each unit setting of the table; a negative
+    # quantity glued to its unit is a value, not a flag
     words = {key: (flag, " or ".join(map(repr, check)))
              for key, (flag, _, check, _) in cli._SETTINGS.items() if isinstance(check, tuple)}
     units = {key: (flag, next(iter(check)))
@@ -182,8 +183,8 @@ def test_sweep_config_validation_exit_1(capsys):
     for flag, value, field in (
         *((flag, "bogus", f"{key} must be {allowed}: got 'bogus'")
           for key, (flag, allowed) in words.items()),
-        *((flag, f"-50 {unit}", f"{key} must be positive and finite")
-          for key, (flag, unit) in units.items()),
+        *((flag, value, f"{key} must be positive and finite")
+          for key, (flag, unit) in units.items() for value in (f"-50 {unit}", f"-50{unit}")),
         ("--temperature", "0 K", "temperature"),
         ("--radius", "0 um", "radius"),
         ("--workers", "0", "workers"),
@@ -194,6 +195,11 @@ def test_sweep_config_validation_exit_1(capsys):
         assert field in err
     assert {"quantity", "spacing", "model", "format"} <= words.keys()
     assert {"z_min", "z_max", "temperature", "radius"} <= units.keys()
+    # a flag after a setting's flag is still a flag
+    for flag in ("-h", "--x"):
+        code, out, err = run_cli(capsys, "sweep", "--zmin", flag)
+        assert (code, out) == (1, "")
+        assert "argument --zmin: expected one argument" in err
     with pytest.raises(SystemExit) as exit_:
         cli.main(["sweep", "--help"])
     assert exit_.value.code == 0
@@ -497,13 +503,26 @@ def test_shift_negative_gradient_is_a_value(text, code, message, capsys):
     assert message in spaced[2]
 
 
-@pytest.mark.parametrize("z", ["-100 nm", "0 nm", "1e400 nm"])
+@pytest.mark.parametrize("z", ["-100 nm", "-2nm", "0 nm", "1e400 nm"])
 @pytest.mark.parametrize("gradient", [(), ("--gradient=1e-6",)], ids=["computed", "given"])
 def test_shift_separation_must_be_positive(z, gradient, capsys):
-    # the last of a repeated flag wins
-    code, out, err = run_cli(capsys, *_SHIFT, f"--z={z}", *gradient)
+    # the last of a repeated flag wins, in either form: -2nm is a value
+    for separation in ((f"--z={z}",), ("--z", z)):
+        code, out, err = run_cli(capsys, *_SHIFT, *separation, *gradient)
+        assert (code, out) == (1, "")
+        assert "z must be positive" in err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--probe", "nosuchmaterial"), "unknown material 'nosuchmaterial'"),
+    (("--probe", "tabulated"), "material 'tabulated' requires --optical-table PATH"),
+], ids=["unknown-material", "tabulated-without-table"])
+def test_shift_given_gradient_still_builds_the_materials(flags, message, capsys):
+    # --gradient skips the sums, not the material settings (the optical
+    # table: test_optical_table_read_whenever_given_exit_1)
+    code, out, err = run_cli(capsys, *_SHIFT, "--gradient", "1e-5", *flags)
     assert (code, out) == (1, "")
-    assert "z must be positive" in err
+    assert message in err
 
 
 def test_usage_error_on_bad_flag(capsys):
@@ -554,7 +573,9 @@ _SHIFT = (
     ("sweep", "--model", "b", "--zmax", "20 um", "--points", "3", "--out", "-"),
     ("compare", "--zmax", "20 um", "--points", "3", "--out", "-"),
     (*_SHIFT, "--z=2 um"),
-], ids=["sweep", "compare", "shift"])
+    # the equivalent pressure of a given gradient is the proximity force relation
+    (*_SHIFT, "--z=2 um", "--gradient", "1e-5"),
+], ids=["sweep", "compare", "shift", "shift-gradient"])
 def test_pfa_warning_is_one_stderr_line(argv, capsys):
     # z/R beyond 0.01: the command warns once, as errors are printed, and
     # writes what it writes with the warning ignored
@@ -566,6 +587,20 @@ def test_pfa_warning_is_one_stderr_line(argv, capsys):
     assert out == quiet[1] and out
     assert len(err.splitlines()) == 1 and err.startswith("warning: z/R = ")
     assert "cli.py" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--zmax", "5 um", "--points", "2"),
+    ("compare", "--zmax", "5 um", "--points", "2"),
+    (*_SHIFT, "--z=2 um"),
+    (*_SHIFT, "--z=2 um", "--gradient", "1e-5"),
+], ids=["sweep", "compare", "shift", "shift-gradient"])
+def test_failing_command_does_not_warn_first(argv, capsys):
+    # z/R beyond 0.01, but model a cannot drop a perfect conductor's dc
+    # conductivity: the error line alone
+    code, out, err = run_cli(capsys, *argv, "--low", "ideal-metal")
+    assert (code, out) == (1, "")
+    assert err == "error: a perfect conductor cannot drop its dc conductivity\n"
 
 
 def test_compare_non_reflecting_probe_exit_1(capsys, monkeypatch):
@@ -685,6 +720,7 @@ def test_optical_table_read_whenever_given_exit_1(content, message, tmp_path, ca
         ("sweep", "--points", "2"),
         ("compare", "--points", "2"),
         _SHIFT,
+        (*_SHIFT, "--gradient", "1e-5"),
         ("permittivity", "--material", "gold-drude", "--points", "2"),
     ):
         code, out, err = run_cli(capsys, *argv, "--optical-table", str(table))

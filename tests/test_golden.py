@@ -26,6 +26,7 @@ GOLD_PLASMA = cd.with_te_zero(GOLD, "plasma")
 SI = cd.build_material("si-dielectric")
 N1 = cd.build_material("si-doped-n1")
 LOW = cd.build_material("si-doped-low")
+LOW_A = cd.with_dc_conductivity(LOW, False)
 LOW_B = cd.with_dc_conductivity(LOW, True)
 VO2_M = cd.build_material("vo2-metal")
 VO2_I = cd.build_material("vo2-insulator")
@@ -55,9 +56,9 @@ CASES = [
     ("force-si-gap-200nm", partial(
         force, GOLD, LOW_B, LOW, R, 200e-9, GRID300, low_freq_model="a")),
     ("force-si-a-77K", partial(force, GOLD, N1, LOW, R, 150e-9, GRID77, low_freq_model="a")),
-    # the order is private: the reference rule of _difference
-    ("force-si-a-60-nodes", partial(lifshitz._difference, GOLD, N1, LOW, R, GRID300, "a", 60,
-                                    120e-9)),
+    # the order is private: the reference rule of _sums, a run of one point
+    ("force-si-a-60-nodes", lambda: lifshitz._sums(GOLD, N1, (LOW_A,), R, (120e-9,), GRID300,
+                                                   nodes=60)[0][0]),
     ("force-si-a-tight", partial(force, GOLD, N1, LOW, R, 100e-9, TIGHT300, low_freq_model="a")),
     ("force-vo2-100nm", partial(force, GOLD, VO2_M, VO2_I, R, 100e-9, GRID340)),
     ("force-vo2-300nm", partial(force, GOLD, VO2_M, VO2_I, R, 300e-9, GRID340)),

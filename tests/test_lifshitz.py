@@ -401,7 +401,12 @@ def test_curve_pfa_warning_points_at_caller(workers):
                                 low_freq_model="c"),
     lambda: cd.difference_force_curve(MATS["gold"], MATS["n1"], MATS["low"], 100e-6,
                                       (1e-6, 5e-6), GRID300, workers=0),
-], ids=["infinite-z", "model-c", "workers-0"])
+    # a perfect conductor cannot drop its dc conductivity
+    lambda: cd.difference_force(MATS["gold"], MATS["n1"], MATS["ideal"], 100e-6, 5e-6, GRID300,
+                                low_freq_model="a"),
+    lambda: cd.difference_force_curve(MATS["gold"], MATS["n1"], MATS["ideal"], 100e-6,
+                                      (1e-6, 5e-6), GRID300, low_freq_model="a"),
+], ids=["infinite-z", "model-c", "workers-0", "ideal-metal-a", "ideal-metal-a-curve"])
 def test_failing_call_does_not_warn_first(call):
     # z/R exceeds 0.01 in each call, but the call fails on its arguments
     with warnings.catch_warnings():
@@ -588,22 +593,23 @@ def test_pfa_gradient_consistency():
 
 
 def test_quadrature_doubling_stability():
-    # the public functions take DEFAULT_NODES; the private _difference takes
-    # any order
+    # the public functions take DEFAULT_NODES; the private _sums takes any
+    # order
     z = 100e-9
     base = cd.difference_pressure(
         MATS["gold"], MATS["n1"], MATS["low"], z, GRID300, low_freq_model="a"
     )
-    doubled, _ = lifshitz._difference(
-        MATS["gold"], MATS["n1"], MATS["low"], None, GRID300, "a", 240, z
-    )
+    doubled, _ = lifshitz._sums(
+        MATS["gold"], MATS["n1"], (cd.with_dc_conductivity(MATS["low"], False),), None, (z,),
+        GRID300, nodes=240,
+    )[0][0]
     assert abs(doubled / base - 1.0) < 1e-5
     f_base = cd.difference_force(
         MATS["gold"], MATS["vo2m"], MATS["vo2i"], R_SPHERE, z, GRID340
     )
-    f_doubled, _ = lifshitz._difference(
-        MATS["gold"], MATS["vo2m"], MATS["vo2i"], R_SPHERE, GRID340, None, 240, z
-    )
+    f_doubled, _ = lifshitz._sums(
+        MATS["gold"], MATS["vo2m"], (MATS["vo2i"],), R_SPHERE, (z,), GRID340, nodes=240
+    )[0][0]
     assert abs(f_doubled / f_base - 1.0) < 1e-5
 
 
@@ -650,7 +656,8 @@ def test_default_rule_within_1e_13_of_480_nodes(name):
         for compute, R in ((partial(cd.difference_force, probe, high, low, 1e-3, z, grid), 1e-3),
                            (partial(cd.difference_pressure, probe, high, low, z, grid), None)):
             value, diag = compute(low_freq_model=model, with_diagnostics=True)
-            ref, ref_diag = lifshitz._difference(probe, high, low, R, grid, model, 480, z)
+            lows = lifshitz._checked_lows(R, z, low, (model,))
+            ref, ref_diag = lifshitz._sums(probe, high, lows, R, (z,), grid, nodes=480)[0][0]
             assert abs(value / ref - 1.0) <= 1e-13, (T, z, compute.func.__name__)
             assert diag.n_terms == ref_diag.n_terms
 

@@ -16,3 +16,15 @@ def test_src_lines_counts_every_module():
     modules = sorted(path.name for path in (ROOT / "src" / "casimirdiff").glob("*.py"))
     assert [row[0] for row in rows] == modules
     assert total == ["total"] + [str(sum(int(row[k]) for row in rows)) for k in (1, 2)]
+
+
+def test_golden_bits_prints_one_line_per_case():
+    from test_golden import CASES
+
+    result = subprocess.run([sys.executable, str(ROOT / "tools" / "golden_bits.py")],
+                            capture_output=True, text=True, check=False)
+    assert result.returncode == 0, result.stderr
+    lines = [line.split() for line in result.stdout.splitlines()]
+    assert [line[0] for line in lines] == [name for name, _ in CASES]
+    for name, value, n_terms, last_term_rel in lines:
+        assert float(value) < 0.0 and int(n_terms) >= 2 and float(last_term_rel) >= 0.0, name
