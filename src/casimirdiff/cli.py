@@ -30,7 +30,6 @@ from .experiment import (
 from .lifshitz import (
     MatsubaraGrid,
     TruncationError,
-    reflection_coefficients,
     _checked_lows,
     _model_curves,
     _sums,
@@ -113,9 +112,10 @@ _SETTINGS = {
     "model": ("--model", "a", ("a", "b"), "low-frequency conductivity model"),
     "format": ("--format", "csv", ("csv", "json"), "output format"),
     "out": ("--out", None, None, "output path ('-' for stdout)"),
-    "workers": ("--workers", "1", int, "worker processes for the separation sweep; no "
-                "crossover measured (on 2 vCPUs, 41 points at 300 K took 13-18 ms serially and "
-                "43-44 ms pooled, 201 points at 77 K 154-206 and 143-216 ms)"),
+    "workers": ("--workers", "1", int, "worker processes for the separation sweep, at most "
+                "the CPU count; no crossover measured (on 2 vCPUs, 41 points at 300 K took "
+                "13-18 ms serially and 43-44 ms pooled, 201 points at 77 K 154-206 and "
+                "143-216 ms)"),
     "optical_table": ("--optical-table", None, None, "two-column (omega_eV, Im eps) file"),
 }
 
@@ -323,9 +323,9 @@ def cmd_compare(args) -> int:
     """
     config = _resolve(args)
     probe, high, low = config.materials()
-    # the zero-frequency TM amplitude does not depend on k_perp
-    r_probe = reflection_coefficients(probe.static_permittivity(), 0.0, 1.0).r_tm
-    if r_probe == 0.0:
+    # a static permittivity of 1 gives a zero-frequency TM amplitude of 0
+    eps_probe = probe.static_permittivity()
+    if eps_probe == 1.0:
         raise UsageError(
             f"probe {config.probe!r} does not reflect at zero frequency, "
             "so the two low-frequency models cannot differ"
@@ -335,7 +335,7 @@ def cmd_compare(args) -> int:
     curve_a, curve_b = _model_curves(probe, high, low, radius, config.separations(),
                                      config.grid(), ("a", "b"), config.workers)
     zs = curve_a.separations
-    gaps = [_zero_freq_gap(r_probe, eps0, z, config.temperature, radius) for z in zs]
+    gaps = [_zero_freq_gap(eps_probe, eps0, z, config.temperature, radius) for z in zs]
     deviations = [
         abs((a - b) - gap) / abs(gap) for a, b, gap in zip(curve_a.values, curve_b.values, gaps)
     ]
@@ -481,7 +481,7 @@ def _add_cantilever_flags(sub):
     sub.add_argument("--resonance-frequency", required=True, help="e.g. '1130.9 Hz'")
     sub.add_argument("--quality-factor", required=True, type=float, help="dimensionless")
     sub.add_argument("--bandwidth", required=True, help="e.g. '0.3 Hz'")
-    sub.add_argument("--temperature", help="e.g. '77 K'")
+    _add_settings(sub, ("temperature",))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -37,9 +37,9 @@ so every value equals its pointwise one.  ``nodes`` is the Gauss-Legendre
 order of a row l >= 1, DEFAULT_NODES everywhere but the quadrature tests.
 
 A run also computes once what its points repeat.  The l = 0 term is the
-same float at every separation, so ``_sums`` evaluates it once and passes
-it to every point, unless a plasma TE amplitude at xi = 0 makes it depend
-on z (``_zero_term_depends_on_z``); then each point evaluates its own.
+same float at every separation, so ``_run`` evaluates it at its first point
+and keeps it, unless a plasma TE amplitude at xi = 0 makes it depend on z
+(``_zero_term_depends_on_z``); then each point evaluates its own.
 The two low-frequency models differ only in the l = 0 term, so the
 kernel takes one half-term per model and keeps one running total and one
 stopping test for each over a single set of rows l >= 1: ``compare``'s two
@@ -63,6 +63,7 @@ closed-form gap between the two low-frequency conductivity models.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -248,7 +249,8 @@ def _fresnel(eps, y, ymin2):
 
 
 def _zero_freq_reflections(eps0, te_zero, omega_p, y, s=1.0):
-    """The xi = 0 reflection rule: r_TM, r_TE over y = s k_perp (float or array).
+    """The xi = 0 reflection rule: r_TM, r_TE over y = s k_perp, a float or
+    an array; only the kernel takes the plasma rule, on its arrays.
 
     A finite static permittivity gives r_TM = (eps0 - 1)/(eps0 + 1) and
     r_TE = 0.  ``eps0 = math.inf`` marks a dc conductor: r_TM = 1, and r_TE
@@ -262,19 +264,11 @@ def _zero_freq_reflections(eps0, te_zero, omega_p, y, s=1.0):
         return 1.0, 0.0
     if omega_p is None:
         return 1.0, 1.0
-    # ufuncs, not ** (pow on floats): a float y gets the bits of an array
     p2 = np.square(s * omega_p / C)
     return 1.0, p2 / np.square(np.sqrt(y * y + p2) + y)
 
 
-def reflection_coefficients(
-    eps: float,
-    xi: float,
-    k_perp: float,
-    *,
-    te_zero: str = "zero",
-    plasma_omega_p: float | None = None,
-) -> ReflectionPair:
+def reflection_coefficients(eps: float, xi: float, k_perp: float) -> ReflectionPair:
     """TM/TE reflection amplitudes at imaginary frequency xi.
 
     For xi > 0 and finite eps >= 1:
@@ -283,12 +277,11 @@ def reflection_coefficients(
         r_TM = (eps q - k)/(eps q + k),  r_TE = (k - q)/(k + q).
 
     ``eps = math.inf`` is the marker for a diverging (dc conducting)
-    permittivity: r_TM = 1 at any frequency.  At xi = 0 the TE amplitude of
-    such a material follows ``te_zero``: 0 for the default prescription, or
-    the plasma-limit value computed from ``plasma_omega_p`` (1 if no plasma
-    frequency is given, i.e. the perfect-conductor limit).  Finite-eps
-    materials always have r_TE = 0 at zero frequency.  The amplitudes are
-    those of the kernel's block arithmetic, bit for bit.
+    permittivity: r_TM = 1 at any frequency, and r_TE = 1 at xi > 0.  At
+    xi = 0 a finite eps gives r_TM = (eps - 1)/(eps + 1), and r_TE = 0 for
+    any eps.  A material's own xi = 0 TE rule, such as the plasma one, is its
+    ``te_zero`` (see :func:`with_te_zero`), which the sums apply.  The
+    amplitudes are those of the kernel's block arithmetic, bit for bit.
     """
     if not 0.0 <= k_perp < math.inf:
         raise ValueError("k_perp must be non-negative and finite")
@@ -298,12 +291,8 @@ def reflection_coefficients(
         raise ValueError("xi and k_perp cannot both vanish (undefined direction)")
     if not eps >= 1.0:
         raise ValueError("eps must be >= 1 or the 'infinite' marker math.inf")
-    if te_zero not in ("zero", "plasma"):
-        raise ValueError("te_zero must be 'zero' or 'plasma'")
-    if plasma_omega_p is not None and not 0.0 < plasma_omega_p < math.inf:
-        raise ValueError("plasma_omega_p must be None or positive and finite")
     if xi == 0.0:
-        r = _zero_freq_reflections(eps, te_zero, plasma_omega_p, k_perp)
+        r = _zero_freq_reflections(eps, "zero", None, k_perp)
     elif math.isinf(eps):
         r = 1.0, 1.0
     else:
@@ -670,18 +659,14 @@ def _sums(probe, high, lows, R, zs, grid, workers=1, nodes=DEFAULT_NODES):
     they share their rows l >= 1.  A row l >= 1 takes ``nodes`` nodes and
     the l = 0 term three times as many: the public functions and the CLI
     take DEFAULT_NODES, the quadrature tests' reference rule other orders.
-    The l = 0 half-terms are computed once, at zs[0], and passed to every
-    point, a pool's runs included, unless a plasma TE amplitude makes them
-    depend on z (``_zero_term_depends_on_z``); then each point computes its
-    own.  With ``workers > 1`` the separations are split into contiguous
-    runs, one per process of a pool.  ``workers`` has no upper bound: the
-    pool starts as many processes as there are runs, up to one per point.
+    The separations form one ``_run``, or with ``workers > 1`` contiguous
+    runs, one per process of a pool.  The runs are at most ``os.cpu_count()``
+    (1 if unknown), so a one-CPU host runs serially.
     """
-    zero_terms = None
-    if not _zero_term_depends_on_z((probe, high) + lows):
-        quantity = "pressure" if R is None else "energy"
-        zero_terms = tuple(_zero_term(quantity, (probe, high, low), zs[0], nodes) for low in lows)
-    run = partial(_run, probe, high, lows, R, grid, nodes, zero_terms)
+    run = partial(_run, probe, high, lows, R, grid, nodes)
+    if workers > 1:
+        # asked only here: a serial sum reads no CPU count
+        workers = min(workers, os.cpu_count() or 1)
     if workers == 1:
         return run(zs)
     # imported on demand: the pool's modules add about 2 MB to every
@@ -698,23 +683,26 @@ def _sums(probe, high, lows, R, zs, grid, workers=1, nodes=DEFAULT_NODES):
         return [result for results in pool.map(run, runs) for result in results]
 
 
-def _run(probe, high, lows, R, grid, nodes, zero_terms, zs):
+def _run(probe, high, lows, R, grid, nodes, zs):
     """The one loop from separations to ``_thermal_sum``: [(value,
     diagnostics) per section of ``lows``] at the increasing separations
     ``zs``, with the arguments of ``_sums``.
 
-    Each point takes the half-terms ``zero_terms``, or computes its own for
-    None, sums, and scales.  Its first block covers the previous point's
-    longest term count, since counts fall as z grows; block sizes move no
-    number, so every value equals its pointwise one.
+    The l = 0 half-terms are computed at the first point and kept for the
+    others, since they are the same float at every z, unless a plasma TE
+    amplitude makes them depend on z (``_zero_term_depends_on_z``); then
+    each point computes its own.  Each point then sums and scales.  Its
+    first block covers the previous point's longest term count, since counts
+    fall as z grows; block sizes move no number, so every value equals its
+    pointwise one.
     """
     quantity = "pressure" if R is None else "energy"
-    results, rows = [], _CHUNK
+    per_point = _zero_term_depends_on_z((probe, high) + lows)
+    results, rows, zero_terms = [], _CHUNK, None
     for z in zs:
-        terms = zero_terms
-        if terms is None:
-            terms = [_zero_term(quantity, (probe, high, low), z, nodes) for low in lows]
-        sums = _thermal_sum(quantity, (probe, high, lows[0]), z, grid, nodes, terms, rows)
+        if zero_terms is None or per_point:
+            zero_terms = [_zero_term(quantity, (probe, high, low), z, nodes) for low in lows]
+        sums = _thermal_sum(quantity, (probe, high, lows[0]), z, grid, nodes, zero_terms, rows)
         scale = _scale(grid.T, z, R)
         results.append([(scale * s, diag) for s, diag in sums])
         rows = max(diag.n_terms for _, diag in sums) - 1
@@ -844,20 +832,23 @@ def polylog3(x: float) -> float:
     )
 
 
-def _zero_freq_gap(r_probe: float, eps0: float, z: float, T: float, R: float | None) -> float:
-    """Model-a minus model-b value of a probe over a plate of static permittivity eps0.
+def _zero_freq_gap(eps_probe: float, eps0: float, z: float, T: float, R: float | None) -> float:
+    """Model-a minus model-b value of a probe of static permittivity
+    ``eps_probe`` (``math.inf`` for a metal) over a plate of static
+    permittivity eps0.
 
     Only the l = 0 term differs between the two low-frequency models: a plate
     with dc conductivity reflects TM with 1, without it with
-    (eps0 - 1)/(eps0 + 1).  ``r_probe`` is the probe's zero-frequency TM
-    amplitude (1 for a metal).  Returns the sphere-plate force for a sphere
+    (eps0 - 1)/(eps0 + 1); both TM amplitudes are those of
+    ``_zero_freq_reflections``.  Returns the sphere-plate force for a sphere
     of radius ``R``, or the plate-plate pressure when ``R`` is None.
 
     The l = 0 integrals over y in [0, inf) are trilogarithms of the TM
     amplitude product A: that of y ln(1 - A e^{-y}) (energy) is -Li3(A), that
     of y^2 A e^{-y}/(1 - A e^{-y}) (pressure) is 2 Li3(A).
     """
-    r_plate = _zero_freq_reflections(eps0, "zero", None, 0.0)[0]
+    r_probe, r_plate = (_zero_freq_reflections(eps, "zero", None, 0.0)[0]
+                        for eps in (eps_probe, eps0))
     factor = 2.0 if R is None else -1.0
     # the half-weight l = 0 term of the sum, in the quantity's scale
     return _scale(T, z, R) * (0.5 * factor * (polylog3(r_probe) - polylog3(r_probe * r_plate)))
@@ -874,7 +865,7 @@ def zero_freq_gap_force(R: float, z: float, T: float, eps0: float) -> float:
         raise ValueError("R, z, T must be positive and finite")
     if not eps0 > 1.0:
         raise ValueError("eps0 must exceed 1")
-    return _zero_freq_gap(1.0, eps0, z, T, R)
+    return _zero_freq_gap(math.inf, eps0, z, T, R)
 
 
 def zero_freq_gap_pressure(z: float, T: float, eps0: float) -> float:
@@ -883,4 +874,4 @@ def zero_freq_gap_pressure(z: float, T: float, eps0: float) -> float:
         raise ValueError("z, T must be positive and finite")
     if not eps0 > 1.0:
         raise ValueError("eps0 must exceed 1")
-    return _zero_freq_gap(1.0, eps0, z, T, None)
+    return _zero_freq_gap(math.inf, eps0, z, T, None)

@@ -3,7 +3,7 @@ Dielectric permittivity models evaluated along the imaginary frequency axis.
 
 Every force and pressure computation in this package consumes a single
 abstraction, :class:`PermittivityModel`, which evaluates eps(i*xi) for
-xi >= 0 from some combination of
+xi > 0, and gives eps(0) by ``static_permittivity``, from some combination of
 
 * Lorentz oscillators  ``s / (1 + xi^2/w^2 + Gamma*xi/w)``,
 * a high-frequency electronic-transition tail ``(eps_inf - 1)/(1 + xi^2/w_inf^2)``,
@@ -192,31 +192,20 @@ class PermittivityModel:
         return self.drude is not None
 
     def eval(self, xi):
-        """Permittivity eps(i*xi) at angular frequency xi >= 0 (rad/s).
+        """Permittivity eps(i*xi) at angular frequencies xi > 0 (rad/s).
 
-        ``xi`` is a float, giving a float, or an array of positive
-        frequencies, giving an array of the same shape.  Raises
-        ``ValueError`` for xi < 0, and for xi = 0 when the model has dc
-        conductivity (the permittivity diverges there; callers must use the
-        zero-frequency reflection limits instead).
+        ``xi`` is a float, giving a float, or an array, giving an array of
+        its shape; a value has the same bits either way.  Raises
+        ``ValueError`` unless every xi is positive: eps at xi = 0 is
+        :meth:`static_permittivity`.
         """
-        if isinstance(xi, np.ndarray):
-            if not np.all(xi > 0.0):
-                raise ValueError("an array of imaginary-axis frequencies must be positive")
-            value = np.ones(xi.shape)
-        else:
-            if not xi >= 0.0:
-                raise ValueError("imaginary-axis frequency must be non-negative")
-            if xi == 0.0 and not self.perfect_conductor:
-                if self.has_dc_conductivity:
-                    raise ValueError(
-                        f"{self.label}: permittivity diverges at zero frequency; "
-                        "use static_permittivity / zero-frequency reflection limits"
-                    )
-                return self._bound_static()
-            value = 1.0
+        xi = np.asarray(xi, dtype=float)
+        if not np.all(xi > 0.0):
+            raise ValueError("every imaginary-axis frequency must be positive; "
+                             "eps at xi = 0 is static_permittivity()")
+        value = np.ones(xi.shape)
         if self.perfect_conductor:
-            return value * math.inf
+            value *= math.inf
         for osc in self.oscillators:
             ratio = xi / osc.omega
             value += osc.strength / (1.0 + ratio * ratio + osc.Gamma * ratio)
@@ -227,10 +216,13 @@ class PermittivityModel:
             value += self.drude.omega_p**2 / (xi * (xi + self.drude.gamma))
         if self.table is not None:
             value += kk_to_imaginary_axis(self.table, xi) - 1.0
-        return value
+        return value if value.ndim else float(value)
 
-    def _bound_static(self) -> float:
-        """eps(0) of the bound-charge response (free carriers excluded)."""
+    def static_permittivity(self) -> float:
+        """eps(0): ``math.inf`` as the marker for dc-conducting models, else
+        the bound-charge response with the free carriers excluded."""
+        if self.has_dc_conductivity:
+            return math.inf
         value = 1.0
         for osc in self.oscillators:
             value += osc.strength
@@ -239,12 +231,6 @@ class PermittivityModel:
         if self.table is not None:
             value += self.table._kk_static - 1.0
         return value
-
-    def static_permittivity(self) -> float:
-        """eps(0), or ``math.inf`` as the marker for dc-conducting models."""
-        if self.has_dc_conductivity:
-            return math.inf
-        return self._bound_static()
 
 
 def with_dc_conductivity(model: PermittivityModel, enabled: bool) -> PermittivityModel:

@@ -206,6 +206,13 @@ def test_sweep_config_validation_exit_1(capsys):
     help_text = " ".join(capsys.readouterr().out.split())
     for flag, allowed in words.values():
         assert allowed in help_text, flag
+    # the cantilever commands read the temperature from the same setting
+    for command in ("sweep", "sensitivity", "shift"):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main([command, "--help"])
+        assert exit_.value.code == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "--temperature TEMPERATURE temperature (default: 300 K)" in help_text, command
 
 
 def test_sweep_output_is_self_describing(capsys):

@@ -140,6 +140,15 @@ def test_eval_array_matches_float(name):
         scalar = model.eval(x)
         assert type(scalar) is float
         assert v == scalar, (x, v, scalar)
+    # outside xi > 0 a float and a one-element array raise the same error
+    for x in (0.0, -1.0, math.nan):
+        messages = []
+        for arg in (x, np.array([x])):
+            with pytest.raises(ValueError) as error:
+                model.eval(arg)
+            messages.append(str(error.value))
+        assert messages[0] == messages[1], (x, messages)
+        assert "static_permittivity()" in messages[0]
 
 
 def test_kk_bits_do_not_depend_on_the_call_shape():

@@ -120,12 +120,18 @@ def test_reflection_static_conductor():
     r = cd.reflection_coefficients(math.inf, 0.0, 1e6)
     assert r.r_tm == 1.0
     assert r.r_te == 0.0
-    r_plasma = cd.reflection_coefficients(
-        math.inf, 0.0, 1e6, te_zero="plasma", plasma_omega_p=1.37e16
-    )
-    assert 0.0 < r_plasma.r_te < 1.0
-    r_perfect = cd.reflection_coefficients(math.inf, 0.0, 1e6, te_zero="plasma")
-    assert r_perfect.r_te == 1.0
+    # the plasma TE rule at xi = 0 is a material's te_zero, which the kernel
+    # applies through _zero_freq_reflections
+    y = np.array([[1e6]])
+    r_plasma = _zero_freq_reflections(math.inf, "plasma", 1.37e16, y)
+    assert r_plasma[0] == 1.0 and 0.0 < r_plasma[1][0, 0] < 1.0
+    gold_plasma = cd.with_te_zero(MATS["gold"], "plasma")
+    omega_p = gold_plasma.drude.omega_p
+    assert lifshitz._reflections(gold_plasma, None, y, None, 1.0) == (
+        _zero_freq_reflections(math.inf, "plasma", omega_p, y))
+    # a perfect conductor reflects both polarizations fully
+    assert _zero_freq_reflections(math.inf, "plasma", None, y) == (1.0, 1.0)
+    assert lifshitz._reflections(MATS["ideal"], None, y, None, 1.0) == (1.0, 1.0)
     # a diverging permittivity reflects both polarizations fully at xi > 0
     assert cd.reflection_coefficients(math.inf, 1e15, 1e6) == (1.0, 1.0)
 
@@ -158,13 +164,16 @@ def test_reflection_errors():
         cd.reflection_coefficients(11.66, -1.0, 1e6)
     with pytest.raises(ValueError):
         cd.reflection_coefficients(11.66, 1e15, -1.0)
+    # the xi = 0 TE rule and its plasma frequency belong to the material
+    for option in ({"te_zero": "plasma"}, {"plasma_omega_p": 1.37e16}):
+        with pytest.raises(TypeError):
+            cd.reflection_coefficients(math.inf, 0.0, 1e6, **option)
     with pytest.raises(ValueError, match="te_zero"):
-        cd.reflection_coefficients(math.inf, 0.0, 1e6, te_zero="drude")
+        cd.with_te_zero(MATS["gold"], "drude")
     # a plasma frequency is positive and finite, as DrudeParams requires
     for omega_p in (math.nan, math.inf, -1e15, 0.0):
-        with pytest.raises(ValueError, match="plasma_omega_p"):
-            cd.reflection_coefficients(math.inf, 0.0, 1e6, te_zero="plasma",
-                                       plasma_omega_p=omega_p)
+        with pytest.raises(ValueError, match="omega_p"):
+            cd.DrudeParams(omega_p=omega_p, gamma=1e13)
 
 
 def test_reflection_coefficients_are_the_kernel_amplitudes():
@@ -181,10 +190,16 @@ def test_reflection_coefficients_are_the_kernel_amplitudes():
         ymin2 = np.square(np.full((1, 1), x / C))
         r_tm, r_te = _fresnel(np.full((1, 1), e), np.sqrt(k * k + ymin2), ymin2)
         assert r == (r_tm[0, 0], r_te[0, 0]), (e, x, k)
-        r0 = cd.reflection_coefficients(math.inf, 0.0, k, te_zero="plasma", plasma_omega_p=w)
-        r0_tm, r0_te = _zero_freq_reflections(math.inf, "plasma", w, np.full((1, 1), k))
-        assert r0 == (r0_tm, r0_te[0, 0]), (k, w)
+        r0 = cd.reflection_coefficients(e, 0.0, k)
+        assert r0 == ((e - 1.0) / (e + 1.0), 0.0), (e, k)
+        assert cd.reflection_coefficients(math.inf, 0.0, k) == (1.0, 0.0)
         assert all(type(v) is float for v in r + r0)
+        # the plasma rule of the kernel: (kappa - y)/(kappa + y) without the
+        # cancellation, kappa^2 = y^2 + (omega_p/c)^2
+        r0_tm, r0_te = _zero_freq_reflections(math.inf, "plasma", w, np.full((1, 1), k))
+        kappa = math.hypot(k, w / C)
+        assert r0_tm == 1.0
+        assert abs(r0_te[0, 0] - (kappa - k) / (kappa + k)) <= 1e-15, (k, w)
 
 
 def test_momentum_grid_covers_window():
@@ -817,10 +832,11 @@ def test_pressure_curve_matches_pointwise(case):
 
 @pytest.fixture
 def serial_pool(monkeypatch):
-    """A process pool stand-in that maps in this process; returns the list
-    that receives each pool's ``max_workers``."""
+    """A process pool stand-in that maps in this process, on a host of 64
+    CPUs; returns the list that receives each pool's ``max_workers``."""
     import concurrent.futures
 
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
     sizes = []
 
     class SerialPool:
@@ -840,18 +856,26 @@ def serial_pool(monkeypatch):
     return sizes
 
 
-@pytest.mark.parametrize("points, workers, processes",
-                         [(3, 8, 3), (41, 40, 21), (41, 2, 2), (5, 4, 3), (1, 2, 1)])
-def test_pool_starts_one_process_per_run(points, workers, processes, serial_pool):
+@pytest.mark.parametrize("points, workers, processes, cpus", [
+    *(pytest.param(*case, 64, id="-".join(map(str, case)))
+      for case in [(3, 8, 3), (41, 40, 21), (41, 2, 2), (5, 4, 3), (1, 2, 1)]),
+    pytest.param(41, 40, 4, 4, id="41-40-4-cpus4"),
+    pytest.param(41, 40, 0, None, id="41-40-serial-cpus-unknown"),
+    pytest.param(41, 2, 0, 1, id="41-2-serial-cpus1"),
+])
+def test_pool_starts_one_process_per_run(points, workers, processes, cpus, serial_pool,
+                                         monkeypatch):
     # the pool forks all its processes at the first task, so it gets no
-    # more than the runs it is given
+    # more than the runs it is given, and the runs are at most the CPU count
+    # (1 if unknown): a cap of 1 runs serially, with no pool
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     sizes = serial_pool
     zs = tuple(np.linspace(100e-9, 300e-9, points))
     mats = (MATS["gold"], MATS["n1"], MATS["low"])
     serial = cd.difference_force_curve(*mats, R_SPHERE, zs, GRID300, low_freq_model="a")
     pooled = cd.difference_force_curve(*mats, R_SPHERE, zs, GRID300, low_freq_model="a",
                                        workers=workers)
-    assert sizes == [processes]
+    assert sizes == ([processes] if processes else [])
     assert pooled.values == serial.values
     assert pooled.metadata == serial.metadata
 
@@ -897,16 +921,18 @@ def _zero_term_calls(monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2, 40])
 def test_curve_computes_the_zero_term_once_per_run(workers, serial_pool, monkeypatch):
-    # in the y-form the l = 0 row is the same float at every separation; the
-    # pool's runs (here mapped in this process) get it passed in
+    # in the y-form the l = 0 row is the same float at every separation; each
+    # of the pool's runs (here mapped in this process) computes it at its
+    # first point
     calls = _zero_term_calls(monkeypatch)
+    firsts = list(ZS_41[::-(-len(ZS_41) // workers)])
     force = cd.difference_force_curve(*SI, R_SPHERE, ZS_41, GRID300, low_freq_model="a",
                                       workers=workers)
-    assert calls == [ZS_41[0]]
+    assert calls == firsts
     pressure = cd.difference_pressure_curve(*SI, ZS_41, GRID300, low_freq_model="b",
                                             workers=workers)
-    assert calls == [ZS_41[0]] * 2
-    assert serial_pool == ([] if workers == 1 else [min(workers, 21)] * 2)
+    assert calls == firsts * 2
+    assert serial_pool == ([] if workers == 1 else [len(firsts)] * 2)
     assert force.values == tuple(
         cd.difference_force(*SI, R_SPHERE, z, GRID300, low_freq_model="a") for z in ZS_41)
     assert pressure.values == tuple(

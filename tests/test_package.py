@@ -96,7 +96,7 @@ SIGNATURES = {
     "min_detectable_force": "p",
     "polylog3": "x",
     "pressure_from_force_gradient": "R dF_dz",
-    "reflection_coefficients": "eps xi k_perp te_zero plasma_omega_p",
+    "reflection_coefficients": "eps xi k_perp",
     "resonance_shift": "p force_gradient",
     "with_dc_conductivity": "model enabled",
     "with_te_zero": "model rule",

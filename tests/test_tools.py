@@ -1,5 +1,8 @@
 """The repository's own scripts under ``tools/`` keep working."""
 
+import importlib.util
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -28,3 +31,18 @@ def test_golden_bits_prints_one_line_per_case():
     assert [line[0] for line in lines] == [name for name, _ in CASES]
     for name, value, n_terms, last_term_rel in lines:
         assert float(value) < 0.0 and int(n_terms) >= 2 and float(last_term_rel) >= 0.0, name
+
+
+def test_cli_bits_prints_one_line_per_command():
+    spec = importlib.util.spec_from_file_location("cli_bits", ROOT / "tools" / "cli_bits.py")
+    cli_bits = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cli_bits)
+    result = subprocess.run([sys.executable, str(ROOT / "tools" / "cli_bits.py")],
+                            capture_output=True, text=True, check=False)
+    assert result.returncode == 0, result.stderr
+    lines = [shlex.split(line) for line in result.stdout.splitlines()]
+    assert [line[:-3] for line in lines] == cli_bits.COMMANDS
+    for *argv, code, out, err in lines:
+        # only the non-reflecting probe is refused
+        assert code == ("1" if argv == ["compare", "--probe", "vacuum"] else "0"), argv
+        assert all(re.fullmatch("[0-9a-f]{64}", digest) for digest in (out, err)), argv
