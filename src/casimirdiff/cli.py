@@ -94,29 +94,31 @@ def _jsonable(x: float) -> float:
 # --- configuration -------------------------------------------------------
 
 # Every sweep setting, declared once: its config-file key is its argparse
-# dest and its SweepConfig attribute.  key: (flag, default, check, help),
-# where the check, applied to every value as it is read, is a unit table for
-# a quantity that must be positive and finite, a tuple of the allowed words,
-# int for a count, or None for a name or a path.
+# dest and its SweepConfig attribute.  key: (flag, default, check, output key,
+# help), where the check, applied to every value as it is read, is a unit table
+# for a quantity that must be positive and finite, a tuple of the allowed
+# words, the least value of a count, or None for a name or a path; the output
+# key names the setting in the sweep and compare metadata, None for none.
 _SETTINGS = {
-    "quantity": ("--quantity", "force", ("force", "pressure"), "computed quantity"),
-    "z_min": ("--zmin", "100 nm", _LENGTH_UNITS, "smallest separation"),
-    "z_max": ("--zmax", "300 nm", _LENGTH_UNITS, "largest separation"),
-    "points": ("--points", "41", int, "number of separation points"),
-    "spacing": ("--spacing", "log", ("linear", "log"), "separation spacing"),
-    "temperature": ("--temperature", "300 K", _TEMPERATURE_UNITS, "temperature"),
-    "radius": ("--radius", "100 um", _LENGTH_UNITS, "sphere radius"),
-    "probe": ("--probe", "gold-drude", None, "probe-side material"),
-    "high": ("--high", "si-doped-n1", None, "higher carrier density section"),
-    "low": ("--low", "si-doped-low", None, "lower carrier density section"),
-    "model": ("--model", "a", ("a", "b"), "low-frequency conductivity model"),
-    "format": ("--format", "csv", ("csv", "json"), "output format"),
-    "out": ("--out", None, None, "output path ('-' for stdout)"),
-    "workers": ("--workers", "1", int, "worker processes for the separation sweep, at most "
-                "the CPU count; no crossover measured (on 2 vCPUs, 41 points at 300 K took "
-                "13-18 ms serially and 43-44 ms pooled, 201 points at 77 K 154-206 and "
+    "quantity": ("--quantity", "force", ("force", "pressure"), "quantity", "computed quantity"),
+    "z_min": ("--zmin", "100 nm", _LENGTH_UNITS, "z_min_m", "smallest separation"),
+    "z_max": ("--zmax", "300 nm", _LENGTH_UNITS, "z_max_m", "largest separation"),
+    "points": ("--points", "41", 2, "points", "number of separation points"),
+    "spacing": ("--spacing", "log", ("linear", "log"), "spacing", "separation spacing"),
+    "temperature": ("--temperature", "300 K", _TEMPERATURE_UNITS, "temperature_K",
+                    "temperature"),
+    "radius": ("--radius", "100 um", _LENGTH_UNITS, "sphere_radius_m", "sphere radius"),
+    "probe": ("--probe", "gold-drude", None, "probe", "probe-side material"),
+    "high": ("--high", "si-doped-n1", None, "material_high", "higher carrier density section"),
+    "low": ("--low", "si-doped-low", None, "material_low", "lower carrier density section"),
+    "model": ("--model", "a", ("a", "b"), "low_freq_model", "low-frequency conductivity model"),
+    "format": ("--format", "csv", ("csv", "json"), None, "output format"),
+    "out": ("--out", None, None, None, "output path ('-' for stdout)"),
+    "workers": ("--workers", "1", 1, None, "worker processes for the separation sweep, at "
+                "most the CPU count; no crossover measured (on 2 vCPUs, 41 points at 300 K "
+                "took 13-18 ms serially and 43-44 ms pooled, 201 points at 77 K 154-206 and "
                 "143-216 ms)"),
-    "optical_table": ("--optical-table", None, None, "two-column (omega_eV, Im eps) file"),
+    "optical_table": ("--optical-table", None, None, None, "two-column (omega_eV, Im eps) file"),
 }
 
 _DRUDE_KEY = re.compile(r"^drude_(omega_p|gamma)\.(.+)$")
@@ -145,20 +147,12 @@ class SweepConfig(SimpleNamespace):
         )
 
     def as_metadata(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "quantity": self.quantity,
-            "z_min_m": _jsonable(self.z_min),
-            "z_max_m": _jsonable(self.z_max),
-            "points": self.points,
-            "spacing": self.spacing,
-            "temperature_K": _jsonable(self.temperature),
-            "sphere_radius_m": _jsonable(self.radius),
-            "probe": self.probe,
-            "material_high": self.high,
-            "material_low": self.low,
-            "low_freq_model": self.model,
-        }
+        meta = {"schema": SCHEMA_VERSION}
+        for key, (_, _, check, name, _) in _SETTINGS.items():
+            if name is not None:
+                value = getattr(self, key)
+                meta[name] = _jsonable(value) if isinstance(check, dict) else value
+        return meta
 
 
 def _positive(text: str, units: dict[str, float], what: str) -> float:
@@ -173,15 +167,18 @@ def _positive(text: str, units: dict[str, float], what: str) -> float:
 def _setting(key: str, text: str | None = None):
     """The value of one setting from its text, or from its default for None,
     checked as its row of ``_SETTINGS`` says."""
-    _, default, check, _ = _SETTINGS[key]
+    _, default, check, _, _ = _SETTINGS[key]
     text = default if text is None else text
     if text is None or check is None:
         return text
-    if check is int:
+    if isinstance(check, int):
         try:
-            return int(text)
+            value = int(text)
         except ValueError:
             raise UsageError(f"{key} must be an integer: got {text!r}") from None
+        if value < check:
+            raise UsageError(f"{key} must be at least {check}: got {value}")
+        return value
     if isinstance(check, tuple):
         if text not in check:
             raise UsageError(f"{key} must be {' or '.join(map(repr, check))}: got {text!r}")
@@ -219,10 +216,6 @@ def _resolve(args) -> SweepConfig:
             values[key] = _setting(key, flag)
     if not values["z_min"] < values["z_max"]:
         raise UsageError("z_min must be smaller than z_max")
-    if values["points"] < 2:
-        raise UsageError("at least 2 separation points are required")
-    if values["workers"] < 1:
-        raise UsageError("workers must be >= 1")
     drude = {name: _drude_override(name, pair) for name, pair in overrides.items()}
     return SweepConfig(**values, drude_overrides=drude)
 
@@ -255,11 +248,8 @@ def _optical_table(path: str | None):
 def _build_named(name: str, drude_overrides: dict, table):
     if name == "tabulated" and table is None:
         raise UsageError("material 'tabulated' requires --optical-table PATH")
-    try:
-        return build_material(name, drude=drude_overrides.get(name),
-                              table=table if name == "tabulated" else None)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return build_material(name, drude=drude_overrides.get(name),
+                          table=table if name == "tabulated" else None)
 
 
 # --- output writers -------------------------------------------------------
@@ -361,8 +351,6 @@ def cmd_compare(args) -> int:
 def permittivity_table(model, xi_grid) -> list[tuple[float, float]]:
     """(xi, eps(i xi)) rows; a xi = 0 static row leads for non-conducting models."""
     xi = np.asarray(xi_grid, dtype=float)
-    if not np.all(xi > 0.0):
-        raise ValueError("permittivity grid frequencies must be positive")
     rows = list(zip(xi.tolist(), model.eval(xi).tolist()))
     if not model.has_dc_conductivity:
         rows.insert(0, (0.0, model.static_permittivity()))
@@ -381,8 +369,6 @@ def cmd_permittivity(args) -> int:
     if not xi_min < xi_max:
         raise UsageError("need 0 < ximin < ximax")
     points = _setting("points", args.points)
-    if points < 2:
-        raise UsageError("at least 2 grid points are required")
     fmt = _setting("format", args.format)
     grid = np.logspace(math.log10(xi_min), math.log10(xi_max), points)
     rows = permittivity_table(model, grid)
@@ -462,7 +448,7 @@ class _Parser(argparse.ArgumentParser):
 def _add_settings(sub, keys):
     """A flag for each setting of ``keys``, with its help from ``_SETTINGS``."""
     for key in keys:
-        flag, default, check, help_text = _SETTINGS[key]
+        flag, default, check, _, help_text = _SETTINGS[key]
         if isinstance(check, tuple):
             help_text += f", {' or '.join(map(repr, check))}"
         if default is not None:

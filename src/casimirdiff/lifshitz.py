@@ -248,24 +248,20 @@ def _fresnel(eps, y, ymin2):
     return (ey - K) / (ey + K), d / np.square(K + y)
 
 
-def _zero_freq_reflections(eps0, te_zero, omega_p, y, s=1.0):
-    """The xi = 0 reflection rule: r_TM, r_TE over y = s k_perp, a float or
-    an array; only the kernel takes the plasma rule, on its arrays.
+def _static_tm(eps0: float) -> float:
+    """r_TM at xi = 0 from the static permittivity: (eps0 - 1)/(eps0 + 1),
+    and 1 for the dc-conductor marker ``eps0 = math.inf``."""
+    return 1.0 if math.isinf(eps0) else (eps0 - 1.0) / (eps0 + 1.0)
 
-    A finite static permittivity gives r_TM = (eps0 - 1)/(eps0 + 1) and
-    r_TE = 0.  ``eps0 = math.inf`` marks a dc conductor: r_TM = 1, and r_TE
-    follows ``te_zero``: 0 for ``"zero"``; for ``"plasma"`` the plasma-limit
-    value (kappa - y)/(kappa + y) = p^2/(kappa + y)^2 with p = s omega_p/c and
-    kappa^2 = y^2 + p^2, which is 1 for ``omega_p = None`` (a perfect conductor).
-    """
-    if not math.isinf(eps0):
-        return (eps0 - 1.0) / (eps0 + 1.0), 0.0
-    if te_zero == "zero":
-        return 1.0, 0.0
-    if omega_p is None:
-        return 1.0, 1.0
-    p2 = np.square(s * omega_p / C)
-    return 1.0, p2 / np.square(np.sqrt(y * y + p2) + y)
+
+def _plasma_omega_p(model: PermittivityModel) -> float | None:
+    """The plasma frequency that scales the xi = 0 TE amplitude of ``model``,
+    or None where that amplitude is a constant: only a dc conductor with the
+    plasma TE rule and free-carrier parameters, not a perfect conductor, has
+    one."""
+    if model.te_zero == "plasma" and model.has_dc_conductivity and not model.perfect_conductor:
+        return None if model.drude is None else model.drude.omega_p
+    return None
 
 
 def reflection_coefficients(eps: float, xi: float, k_perp: float) -> ReflectionPair:
@@ -292,7 +288,7 @@ def reflection_coefficients(eps: float, xi: float, k_perp: float) -> ReflectionP
     if not eps >= 1.0:
         raise ValueError("eps must be >= 1 or the 'infinite' marker math.inf")
     if xi == 0.0:
-        r = _zero_freq_reflections(eps, "zero", None, k_perp)
+        r = _static_tm(eps), 0.0
     elif math.isinf(eps):
         r = 1.0, 1.0
     else:
@@ -309,12 +305,15 @@ def _reflections(model: PermittivityModel, eps, y, ymin2, s):
     (rows, nodes), ``ymin2`` = (s xi/c)^2 shape (rows, 1), and s = 2z.
     """
     if eps is None:
-        # the plasma scale of the TE rule: none for a perfect conductor, 0
-        # (hence r_TE = 0) for a dc flag without free-carrier parameters
-        omega_p = model.drude.omega_p if model.drude is not None else 0.0
-        if model.perfect_conductor:
-            omega_p = None
-        return _zero_freq_reflections(model.static_permittivity(), model.te_zero, omega_p, y, s)
+        # r_TE of the plasma TE rule: (kappa - y)/(kappa + y) = p^2/(kappa + y)^2
+        # with p = s omega_p/c and kappa^2 = y^2 + p^2, and 1 for a perfect
+        # conductor; 0 for the zero rule and for a dc flag without free carriers
+        omega_p = _plasma_omega_p(model)
+        if omega_p is None:
+            return (_static_tm(model.static_permittivity()),
+                    float(model.perfect_conductor and model.te_zero == "plasma"))
+        p2 = np.square(s * omega_p / C)
+        return 1.0, p2 / np.square(np.sqrt(y * y + p2) + y)
     if model.perfect_conductor:
         return 1.0, 1.0
     return _fresnel(eps, y, ymin2)
@@ -478,12 +477,9 @@ def _zero_term(quantity, models, z, nodes):
 
 
 def _zero_term_depends_on_z(models) -> bool:
-    """Whether the l = 0 term of any of ``models`` depends on z: only a dc
-    conductor with the plasma TE rule and a plasma frequency, not a perfect
-    conductor, has a xi = 0 amplitude that scales with s = 2z
-    (see ``_zero_freq_reflections``)."""
-    return any(m.has_dc_conductivity and m.te_zero == "plasma" and m.drude is not None
-               and not m.perfect_conductor for m in models)
+    """Whether the l = 0 term of any of ``models`` depends on z: only a
+    plasma TE amplitude at xi = 0 scales with s = 2z (see ``_plasma_omega_p``)."""
+    return any(_plasma_omega_p(m) is not None for m in models)
 
 
 def _thermal_sum(quantity, models, z, grid, nodes, zero_terms, first_rows=_CHUNK):
@@ -839,16 +835,15 @@ def _zero_freq_gap(eps_probe: float, eps0: float, z: float, T: float, R: float |
 
     Only the l = 0 term differs between the two low-frequency models: a plate
     with dc conductivity reflects TM with 1, without it with
-    (eps0 - 1)/(eps0 + 1); both TM amplitudes are those of
-    ``_zero_freq_reflections``.  Returns the sphere-plate force for a sphere
-    of radius ``R``, or the plate-plate pressure when ``R`` is None.
+    (eps0 - 1)/(eps0 + 1); both TM amplitudes are those of ``_static_tm``.
+    Returns the sphere-plate force for a sphere of radius ``R``, or the
+    plate-plate pressure when ``R`` is None.
 
     The l = 0 integrals over y in [0, inf) are trilogarithms of the TM
     amplitude product A: that of y ln(1 - A e^{-y}) (energy) is -Li3(A), that
     of y^2 A e^{-y}/(1 - A e^{-y}) (pressure) is 2 Li3(A).
     """
-    r_probe, r_plate = (_zero_freq_reflections(eps, "zero", None, 0.0)[0]
-                        for eps in (eps_probe, eps0))
+    r_probe, r_plate = _static_tm(eps_probe), _static_tm(eps0)
     factor = 2.0 if R is None else -1.0
     # the half-weight l = 0 term of the sum, in the quantity's scale
     return _scale(T, z, R) * (0.5 * factor * (polylog3(r_probe) - polylog3(r_probe * r_plate)))

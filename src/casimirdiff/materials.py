@@ -178,6 +178,13 @@ class PermittivityModel:
     def __post_init__(self) -> None:
         if self.te_zero not in ("zero", "plasma"):
             raise ValueError("te_zero must be 'zero' or 'plasma'")
+        # a type test, since 0 == False, 1 == True and a word such as "no" is truthy
+        if not (self.dc_conductor is None or isinstance(self.dc_conductor, bool)):
+            raise ValueError(f"dc_conductor must be None, True or False: "
+                             f"got {self.dc_conductor!r}")
+        if not isinstance(self.perfect_conductor, bool):
+            raise ValueError(f"perfect_conductor must be True or False: "
+                             f"got {self.perfect_conductor!r}")
         # the Matsubara memo: entry = (T, eps array), read and replaced
         # whole, so a thread never pairs one key with another's values
         object.__setattr__(self, "_eps_memo", SimpleNamespace(entry=(None, None)))
@@ -387,9 +394,10 @@ def kk_to_imaginary_axis(table: OpticalDataTable, xi):
     Evaluates ``1 + (2/pi) * integral of omega Im eps(omega)/(omega^2+xi^2)``
     with the trapezoidal rule on the tabulated grid.  Im eps is extrapolated
     as a constant below the first tabulated frequency and as omega^-3 above
-    the last one; both extensions are integrated in closed form.  ``xi`` is
-    a float, giving a float, or an array, giving an array of its shape; a
-    value has the same bits whether its xi comes alone or in an array.
+    the last one; both extensions are integrated in closed form, finite at
+    every xi > 0.  ``xi`` is a float, giving a float, or an array, giving an
+    array of its shape; a value has the same bits whether its xi comes alone
+    or in an array.
     """
     xi = np.asarray(xi, dtype=float)
     if not np.all(xi > 0.0):
@@ -398,12 +406,18 @@ def kk_to_imaginary_axis(table: OpticalDataTable, xi):
     for i in range(0, xi.size, _KK_SLICE):
         core[i:i + _KK_SLICE] = _kk_sum(*table._kk_weights, flat[i:i + _KK_SLICE])
     w, g = table.omega, table.im_eps
-    low = g[0] * 0.5 * np.log1p((w[0] / xi) ** 2)
+    # 0.5 log1p((w0/xi)^2), which is log(w0) - log(xi) where the square overflows
+    with np.errstate(over="ignore"):
+        r2 = (w[0] / xi) ** 2
+    low = g[0] * np.where(r2 < math.inf, 0.5 * np.log1p(r2), math.log(w[0]) - np.log(xi))
     # (1 - atan(t)/t) / t^2, the omega^-3 extrapolation integral; the series
-    # branch avoids cancellation for small t
+    # branch avoids cancellation for small t, and the exact one is evaluated
+    # at t >= 1e-3 only, where t^2 is not 0
     t = xi / w[-1]
     t2 = t * t
-    tail = np.where(t < 1e-3, 1.0 / 3.0 - t2 / 5.0 + t2 * t2 / 7.0, (1.0 - np.arctan(t) / t) / t2)
+    big = np.maximum(t, 1e-3)
+    tail = np.where(t < 1e-3, 1.0 / 3.0 - t2 / 5.0 + t2 * t2 / 7.0,
+                    (1.0 - np.arctan(big) / big) / (big * big))
     value = 1.0 + (2.0 / math.pi) * (core.reshape(xi.shape) + low + g[-1] * tail)
     return value if value.ndim else float(value)
 

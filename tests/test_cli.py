@@ -174,12 +174,13 @@ def test_sweep_config_validation_exit_1(capsys):
     assert "z_min" in err
     code, _, err = run_cli(capsys, "sweep", "--points", "1")
     assert code == 1
+    assert "error: points must be at least 2: got 1" in err
     # a case for each word and each unit setting of the table; a negative
     # quantity glued to its unit is a value, not a flag
     words = {key: (flag, " or ".join(map(repr, check)))
-             for key, (flag, _, check, _) in cli._SETTINGS.items() if isinstance(check, tuple)}
+             for key, (flag, _, check, _, _) in cli._SETTINGS.items() if isinstance(check, tuple)}
     units = {key: (flag, next(iter(check)))
-             for key, (flag, _, check, _) in cli._SETTINGS.items() if isinstance(check, dict)}
+             for key, (flag, _, check, _, _) in cli._SETTINGS.items() if isinstance(check, dict)}
     for flag, value, field in (
         *((flag, "bogus", f"{key} must be {allowed}: got 'bogus'")
           for key, (flag, allowed) in words.items()),
@@ -187,7 +188,7 @@ def test_sweep_config_validation_exit_1(capsys):
           for key, (flag, unit) in units.items() for value in (f"-50 {unit}", f"-50{unit}")),
         ("--temperature", "0 K", "temperature"),
         ("--radius", "0 um", "radius"),
-        ("--workers", "0", "workers"),
+        ("--workers", "0", "workers must be at least 1: got 0"),
         ("--workers", "two", "workers must be an integer"),
     ):
         code, out, err = run_cli(capsys, "sweep", "--points", "2", flag, value)
@@ -388,7 +389,7 @@ def test_permittivity_requires_material(capsys):
     for argv, message in (
         (("--material", "tabulated"), "--optical-table"),
         (("--material", "vacuum", "--ximin", "1 eV", "--ximax", "1 eV"), "ximin < ximax"),
-        (("--material", "vacuum", "--points", "1"), "at least 2 grid points"),
+        (("--material", "vacuum", "--points", "1"), "error: points must be at least 2: got 1"),
         (("--material", "vacuum", "--points", "abc"), "points must be an integer: got 'abc'"),
     ):
         code, out, err = run_cli(capsys, "permittivity", *argv)
@@ -640,7 +641,10 @@ def test_config_unknown_key_exit_1(tmp_path, capsys):
     ("points = abc", (), "points must be an integer: got 'abc'"),
     ("z_min = -1 nm", ("--zmin", "100 nm"), "z_min must be positive and finite"),
     ("drude_gamma.gold-drude = 0.05", (), "drude_gamma.gold-drude must carry a unit suffix"),
-], ids=["word", "word-overridden", "count", "quantity-overridden", "drude-unit"])
+    ("points = 1", ("--points", "3"), "points must be at least 2: got 1"),
+    ("workers = 0", ("--workers", "1"), "workers must be at least 1: got 0"),
+], ids=["word", "word-overridden", "count", "quantity-overridden", "drude-unit",
+        "points-overridden", "workers-overridden"])
 def test_config_bad_value_names_its_line_exit_1(line, flags, message, tmp_path, capsys):
     # each value is checked as the file is read, also where a flag overrides it
     cfg = tmp_path / "bad.cfg"

@@ -25,7 +25,6 @@ from casimirdiff.lifshitz import (
     Y_WINDOW,
     _fresnel,
     _momentum_grid,
-    _zero_freq_reflections,
 )
 from test_golden import _lorentz_table
 
@@ -109,6 +108,11 @@ def test_grid_validation():
 # --- reflection amplitudes --------------------------------------------------
 
 
+def _plasma_model(omega_p):
+    """A dc conductor of plasma frequency ``omega_p`` with the plasma TE rule."""
+    return cd.PermittivityModel("p", drude=cd.DrudeParams(omega_p, 0.0), te_zero="plasma")
+
+
 def test_reflection_static_dielectric():
     r = cd.reflection_coefficients(11.66, 0.0, 1e6)
     assert abs(r.r_tm - 0.8420) < 1e-4
@@ -121,16 +125,18 @@ def test_reflection_static_conductor():
     assert r.r_tm == 1.0
     assert r.r_te == 0.0
     # the plasma TE rule at xi = 0 is a material's te_zero, which the kernel
-    # applies through _zero_freq_reflections
+    # applies through _reflections
     y = np.array([[1e6]])
-    r_plasma = _zero_freq_reflections(math.inf, "plasma", 1.37e16, y)
+    r_plasma = lifshitz._reflections(_plasma_model(1.37e16), None, y, None, 1.0)
     assert r_plasma[0] == 1.0 and 0.0 < r_plasma[1][0, 0] < 1.0
+    # the plasma amplitude depends on omega_p alone, not on gamma
     gold_plasma = cd.with_te_zero(MATS["gold"], "plasma")
-    omega_p = gold_plasma.drude.omega_p
-    assert lifshitz._reflections(gold_plasma, None, y, None, 1.0) == (
-        _zero_freq_reflections(math.inf, "plasma", omega_p, y))
+    r_gold = lifshitz._reflections(gold_plasma, None, y, None, 1.0)
+    assert r_gold == lifshitz._reflections(_plasma_model(gold_plasma.drude.omega_p), None, y,
+                                           None, 1.0)
+    # with the zero rule a dc conductor's TE amplitude vanishes
+    assert lifshitz._reflections(MATS["gold"], None, y, None, 1.0) == (1.0, 0.0)
     # a perfect conductor reflects both polarizations fully
-    assert _zero_freq_reflections(math.inf, "plasma", None, y) == (1.0, 1.0)
     assert lifshitz._reflections(MATS["ideal"], None, y, None, 1.0) == (1.0, 1.0)
     # a diverging permittivity reflects both polarizations fully at xi > 0
     assert cd.reflection_coefficients(math.inf, 1e15, 1e6) == (1.0, 1.0)
@@ -196,7 +202,8 @@ def test_reflection_coefficients_are_the_kernel_amplitudes():
         assert all(type(v) is float for v in r + r0)
         # the plasma rule of the kernel: (kappa - y)/(kappa + y) without the
         # cancellation, kappa^2 = y^2 + (omega_p/c)^2
-        r0_tm, r0_te = _zero_freq_reflections(math.inf, "plasma", w, np.full((1, 1), k))
+        r0_tm, r0_te = lifshitz._reflections(_plasma_model(w), None, np.full((1, 1), k), None,
+                                             1.0)
         kappa = math.hypot(k, w / C)
         assert r0_tm == 1.0
         assert abs(r0_te[0, 0] - (kappa - k) / (kappa + k)) <= 1e-15, (k, w)

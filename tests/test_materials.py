@@ -1,6 +1,8 @@
 """Permittivity models, catalog parameters, and tabulated-data ingestion."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -238,6 +240,19 @@ def test_parameter_validation():
         cd.HighFreqTail(eps_inf=0.5, omega_inf=1e15)
     with pytest.raises(ValueError, match="omega_inf"):
         cd.HighFreqTail(eps_inf=5.0, omega_inf=0.0)
+    # the two flags of a model are checked by type: 0 == False and 1 == True,
+    # and a word such as "no" is truthy
+    for key, allowed, bad in (("dc_conductor", "None, True or False", ("no", 0, 1, 1.0)),
+                              ("perfect_conductor", "True or False", ("false", None, 0, 1))):
+        for value in bad:
+            message = re.escape(f"{key} must be {allowed}: got {value!r}")
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                cd.PermittivityModel("m", **{key: value})
+    with pytest.raises(ValueError, match="^dc_conductor must be None, True or False: got 'no'$"):
+        cd.with_dc_conductivity(cd.build_material("si-doped-low"), "no")
+    for flags in ({"dc_conductor": None}, {"dc_conductor": True}, {"dc_conductor": False},
+                  {"perfect_conductor": True}, {"perfect_conductor": False}):
+        cd.PermittivityModel("m", **flags)
 
 
 # --- Kramers-Kronig ingestion -------------------------------------------
@@ -285,6 +300,21 @@ def test_kk_errors():
         cd.kk_to_imaginary_axis(table, 0.0)
     with pytest.raises(ValueError):
         cd.kk_to_imaginary_axis(table, -1e14)
+    # every positive xi, down to the least double, gives a finite value and no
+    # warning, though (w0/xi)^2 overflows below about 1e-140 rad/s here, w0/xi
+    # itself below about 1e-294, and t^2 of the omega^-3 tail is 0
+    xi = np.array([5e-324, 1e-300, 1e-200, 1e-141, 1e-140, 1e-100, 1e-20, 1.0])
+    zero_first = cd.OpticalDataTable(omega=(1e14, 1e15, 1e16), im_eps=(0.0, 1.0, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for data in (table, zero_first):
+            values = cd.kk_to_imaginary_axis(data, xi)
+            assert values.tolist() == [cd.kk_to_imaginary_axis(data, x) for x in xi.tolist()]
+        # Im eps(w0) > 0: the constant extension below w0 grows as log(w0/xi)
+        values = cd.kk_to_imaginary_axis(table, xi)
+        assert np.all(np.isfinite(values)) and np.all(np.diff(values) < 0.0)
+        # Im eps(w0) = 0: the static limit
+        assert cd.kk_to_imaginary_axis(zero_first, xi).tolist() == [zero_first._kk_static] * 8
 
 
 def test_optical_table_validation():

@@ -1,6 +1,7 @@
 """The repository's own scripts under ``tools/`` keep working."""
 
 import importlib.util
+import os
 import re
 import shlex
 import subprocess
@@ -21,16 +22,31 @@ def test_src_lines_counts_every_module():
     assert total == ["total"] + [str(sum(int(row[k]) for row in rows)) for k in (1, 2)]
 
 
-def test_golden_bits_prints_one_line_per_case():
+def _golden_bits(pythonpath):
+    """golden_bits.py run with ``pythonpath`` as PYTHONPATH, or without one."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    if pythonpath is not None:
+        env["PYTHONPATH"] = str(pythonpath)
+    return subprocess.run([sys.executable, str(ROOT / "tools" / "golden_bits.py")],
+                          capture_output=True, text=True, check=False, env=env)
+
+
+def test_golden_bits_prints_one_line_per_case(tmp_path):
     from test_golden import CASES
 
-    result = subprocess.run([sys.executable, str(ROOT / "tools" / "golden_bits.py")],
-                            capture_output=True, text=True, check=False)
+    result = _golden_bits(None)
     assert result.returncode == 0, result.stderr
     lines = [line.split() for line in result.stdout.splitlines()]
     assert [line[0] for line in lines] == [name for name, _ in CASES]
     for name, value, n_terms, last_term_rel in lines:
         assert float(value) < 0.0 and int(n_terms) >= 2 and float(last_term_rel) >= 0.0, name
+    # the package comes from PYTHONPATH when it names one, as in cli_bits.py
+    assert _golden_bits(ROOT / "src").stdout == result.stdout
+    stub = tmp_path / "casimirdiff"
+    stub.mkdir()
+    (stub / "__init__.py").write_text("raise ImportError('the package on PYTHONPATH')\n")
+    result = _golden_bits(tmp_path)
+    assert result.returncode != 0 and "the package on PYTHONPATH" in result.stderr
 
 
 def test_cli_bits_prints_one_line_per_command():

@@ -5,13 +5,15 @@ and ``repr`` of the last term's relative size.  The cases are read from that
 file's ``CASES``, so they are listed once.  Two checkouts compute the same
 bits when they print the same text:
 
-    python tools/golden_bits.py > before.txt          # in one checkout
-    python tools/golden_bits.py | diff before.txt -   # in the other
+    PYTHONPATH=/path/to/other/src python tools/golden_bits.py > before.txt
+    python tools/golden_bits.py | diff before.txt -
 
-The package is imported from this checkout's ``src/``.
+The package is imported from ``PYTHONPATH`` when it names one, else from
+this checkout's ``src/``, as in ``cli_bits.py``.
 """
 
 import importlib.util
+import os
 import sys
 from pathlib import Path
 
@@ -19,7 +21,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def main() -> None:
-    sys.path.insert(0, str(ROOT / "src"))
+    if not os.environ.get("PYTHONPATH"):
+        sys.path.insert(0, str(ROOT / "src"))
     spec = importlib.util.spec_from_file_location("test_golden", ROOT / "tests" / "test_golden.py")
     golden = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(golden)
