@@ -9,40 +9,53 @@ analog; the pressure sums r^a r^b e^{-2 q z} / (1 - r^a r^b e^{-2 q z})
 instead.  The sphere-plate force follows from the proximity force
 approximation F = 2 pi R E(z).
 
-Every quantity is computed by one kernel, ``_thermal_sum``: a probe facing
-two plate sections, evaluated in a single pass as the difference of the two
-pairs, sharing the momentum grid and the probe reflection amplitudes between
-the sections.  A single pair is the difference against a vacuum section,
-whose amplitudes are exactly 0: its force and pressure are
-``difference_force`` and ``difference_pressure`` with a vacuum low section,
-and ``free_energy_per_area`` takes its vacuum internally.  The half-weight
-l = 0 term is an input of the kernel (``_zero_term``).  Matsubara indices
-l >= 1 are evaluated in blocks, as fresh (rows x node) arrays; the terms
-are then added one at a time in index order, and the sum stops once the
-latest term falls below ``rel_tol`` times the running total.  That test
-bounds the last term, not the truncation error, which can be several times
-larger (4.6 times for the VO2 difference force at 100 nm with
-rel_tol = 1e-12).  Blocks are sized to the sum they finish, from the
-previous point's term count and then from the decay of the terms.  Every
-step of a block is elementwise or a per-row sum over the nodes, so a row's
-value does not depend on the block it falls in.  Every block slices
-eps(i xi) from each material's memo (see ``_matsubara_eps``), so a
-material is evaluated once per temperature, not once per sum or curve.
+Every quantity is computed by one kernel: a probe facing two plate
+sections, evaluated in a single pass as the difference of the two pairs,
+sharing the momentum grid and the probe reflection amplitudes between the
+sections.  A single pair is the difference against a vacuum section, whose
+amplitudes are exactly 0: its force and pressure are ``difference_force``
+and ``difference_pressure`` with a vacuum low section, and
+``free_energy_per_area`` takes its vacuum internally.  The kernel has three
+parts, which ``_run`` drives:
+
+* the row evaluator, ``_block_terms``: the terms of a block of rows, each
+  row a Matsubara index l >= 1 with its own separation, as fresh
+  (rows x node) arrays with z a (rows, 1) column beside xi.  Every step is
+  elementwise or a per-row sum over the nodes, so a row's value does not
+  depend on the block it falls in or on the other rows there.  The
+  half-weight l = 0 term is one row of its own at a float z
+  (``_zero_term``);
+* the accumulator, ``_Sum``, one per point and l = 0 half-term: it adds
+  the point's terms one at a time in index order and stops once the latest
+  term falls below ``rel_tol`` times the running total.  That test bounds
+  the last term, not the truncation error, which can be several times
+  larger (4.6 times for the VO2 difference force at 100 nm with
+  rel_tol = 1e-12).  It owns the diagnostics and both errors;
+* the row chooser, ``_next_block``: it fills each block, of at most
+  _MAX_CELLS rows x nodes, with the rows the points of a run ask for.  A
+  run's two ends ask first; every point between them then asks for the
+  count interpolated in 1/z from theirs, and a point still running asks
+  for more from the decay of its terms.
+
+Every block takes eps(i xi) from each material's memo (see
+``_matsubara_eps``), so a material is evaluated once per temperature, not
+once per sum or curve.
 
 One loop, ``_run``, takes separations to the kernel, and ``_sums`` sets it
-up for every caller: a sum at one separation is a run of one point, and a
-curve is one run of points in increasing z, or one per process of a pool.
-Each point passes its term count on to the next; that sizes blocks only,
-so every value equals its pointwise one.  ``nodes`` is the Gauss-Legendre
-order of a row l >= 1, DEFAULT_NODES everywhere but the quadrature tests.
+up for the force and the pressure: a sum at one separation is a run of one
+point, and a curve is one run of points in increasing z, or one per process
+of a pool.  ``free_energy_per_area`` is a run of one point with its own
+scale.  The blocks a run shares between its points move no number, so every
+value equals its pointwise one.  ``nodes`` is the Gauss-Legendre order of a
+row l >= 1, DEFAULT_NODES everywhere but the quadrature tests.
 
 A run also computes once what its points repeat.  The l = 0 term is the
 same float at every separation, so ``_run`` evaluates it at its first point
 and keeps it, unless a plasma TE amplitude at xi = 0 makes it depend on z
 (``_zero_term_depends_on_z``); then each point evaluates its own.
 The two low-frequency models differ only in the l = 0 term, so the
-kernel takes one half-term per model and keeps one running total and one
-stopping test for each over a single set of rows l >= 1: ``compare``'s two
+kernel takes one half-term per model and keeps one accumulator for each
+over a single set of rows l >= 1: ``compare``'s two
 curves cost about one, and each equals its own curve bit for bit.
 
 The momentum integral is evaluated after the substitution y = 2 q z, which
@@ -65,6 +78,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import NamedTuple
@@ -111,12 +125,18 @@ DEFAULT_NODES = 80
 PFA_RATIO_LIMIT = 0.01
 
 # Matsubara indices l >= 1 a material's memo grows by at a time, and the
-# first block of a sum with no earlier point to size it by.
+# first rows of a run's end points, which nothing earlier sizes.
 _CHUNK = 32
 
-# Most rows of a block (Matsubara indices evaluated together, as
-# (rows x nodes) arrays): a bound on a block's memory.
-_MAX_ROWS = 64
+# Most cells (rows x nodes) of a block of rows l >= 1, evaluated together as
+# (rows x nodes) arrays: a bound on a block's memory.  A block keeps about
+# 12 such arrays alive at once, 82 KB each at 128 rows of 80 nodes: about
+# 1 MB, half of glibc's 2 MB heap trim threshold (see ``_nodes``).  Near
+# the threshold the heap is trimmed after each block and faulted back in:
+# at 256 rows of 80 nodes, 41-point curves in a process holding other
+# arrays took thousands of minor faults each and 1.45 times as long, and at
+# 320 rows they did so alone.  Of 96 to 256 rows, 128 also cost least per row.
+_MAX_CELLS = 128 * DEFAULT_NODES
 
 
 class TruncationError(RuntimeError):
@@ -356,10 +376,10 @@ def _nodes(n: int, window: float):
     # Allocate and free one 1 MB array.  Freeing an mmapped block raises
     # glibc's mmap threshold to its size and the heap trim threshold to twice
     # that (mallopt(3), "dynamic mmap threshold"), so the arrays of a block
-    # (0.54 MB at a time for 64 rows of 80 nodes) stay on a resident heap
-    # instead of being trimmed after each block and faulted back in: a warm
-    # 41-point 300 K curve in a fresh process went from 1000-1550 minor
-    # faults to 0.1.
+    # (about 1 MB at a time at _MAX_CELLS, 128 rows of 80 nodes) stay on a
+    # resident heap instead of being trimmed after each block and faulted
+    # back in: a warm 41-point 300 K curve in a fresh process went from
+    # 1000-1550 minor faults to 0.1.
     # Another C library just allocates and frees it.
     np.empty(1 << 17)
     x, w = _gauss_legendre(n)
@@ -371,12 +391,14 @@ def _nodes(n: int, window: float):
     return u2, weights
 
 
-def _momentum_grid(xi, z: float, nodes: int, window: float):
+def _momentum_grid(xi, z, nodes: int, window: float):
     """Quadrature grid in y = 2 q z over [y_min, y_min + window]: ``(y_min, y, weights)``.
 
-    y_min = 2 z xi/c has shape (1,) for a float xi and (len(xi), 1) for an
-    array of frequencies; y has shape (nodes,) or (len(xi), nodes), and the
-    weights, shape (nodes,), are shared.
+    y_min = 2 z xi/c has shape (1,) for a float xi and z, and (len(xi), 1)
+    for an array of frequencies, with z a float or a (len(xi), 1) column of
+    each row's separation; y has shape (nodes,) or (len(xi), nodes), and the
+    weights, shape (nodes,), are shared.  Each element of y_min is the same
+    IEEE expression, so a row has the same bits whatever rows it is with.
     Nodes are placed in u with y = y_min + u^2, which clusters points at the
     lower edge; the zero-frequency integrand has a y ln y endpoint behaviour
     that the substitution turns into the quadrature-friendly u^3 ln u.
@@ -426,32 +448,33 @@ def _matsubara_eps(model: PermittivityModel, T: float, n: int):
 
 
 def _next_rows(terms, total: float, rel_tol: float) -> int:
-    """Rows the next block needs, at most _MAX_ROWS: as many as the geometric
-    decay of the last two ``terms`` takes to meet the stopping test, plus
-    one, or _CHUNK if they do not decay.  The margin row spares most sums a
-    1-3-row last block when the decay estimate falls just short of the stop."""
-    rows = _CHUNK
+    """Rows a running sum needs next: as many as the geometric decay of its
+    last two ``terms`` takes to meet the stopping test, plus one, or _CHUNK
+    if they do not decay.  The margin row spares most sums a 1-3-row last
+    block when the decay estimate falls just short of the stop."""
     if len(terms) >= 2 and terms[-2]:
         last = abs(terms[-1])
         ratio, goal = last / abs(terms[-2]), rel_tol * abs(total) / last
         if 0.0 < ratio < 1.0 and goal > 0.0:
-            rows = math.ceil(math.log(goal) / math.log(ratio) + 1.0)
-    return min(_MAX_ROWS, rows)
+            return math.ceil(math.log(goal) / math.log(ratio) + 1.0)
+    return _CHUNK
 
 
 def _block_terms(quantity, models, z, xi, block_eps, nodes, window):
     """Terms of ``quantity`` at the frequencies ``xi`` for models = (probe,
     high, low): one per row, ``nodes`` nodes on a window of ``window``.
 
-    ``block_eps`` holds each model's eps(i xi) as in _reflections.  The node
-    sum is numpy's own einsum loop, which gives each row the same bits in
-    any block, where a BLAS product ``g @ weights`` does not.
+    ``z`` is each row's separation, a (rows, 1) column, or a float for the
+    l = 0 row; ``block_eps`` holds each model's eps(i xi) as in
+    _reflections.  The node sum is numpy's own einsum loop, which gives each
+    row the same bits in any block, where a BLAS product ``g @ weights``
+    does not.
     """
     shared, integrand, measure = _QUANTITIES[quantity]
     y_min, y, weights = _momentum_grid(xi, z, nodes, window)
-    ymin2 = y_min * y_min
+    ymin2, s = y_min * y_min, 2.0 * z
     (rtp, rep), (rth, reh), (rtl, rel) = [
-        _reflections(m, e, y, ymin2, 2.0 * z) for m, e in zip(models, block_eps)
+        _reflections(m, e, y, ymin2, s) for m, e in zip(models, block_eps)
     ]
     f = shared(y)
     # grouped per polarization: identical sections cancel exactly
@@ -482,59 +505,104 @@ def _zero_term_depends_on_z(models) -> bool:
     return any(_plasma_omega_p(m) is not None for m in models)
 
 
-def _thermal_sum(quantity, models, z, grid, nodes, zero_terms, first_rows=_CHUNK):
-    """Matsubara sums of ``quantity`` for a probe facing ``high`` minus facing
-    ``low``, models = (probe, high, low), one per l = 0 half-term.
+class _Sum:
+    """The accumulator of one Matsubara sum: a point of a run under one
+    l = 0 half-term.  It takes the point's terms l >= 1 in index order and
+    owns the stopping test, the diagnostics and the errors."""
 
-    ``zero_terms`` holds half the l = 0 term (``_zero_term``) of each
-    low-frequency variant of the low section; the variants share their
-    terms l >= 1, which are evaluated once.  Returns a list of the
-    dimensionless sum and its :class:`SumDiagnostics`, one per half-term.
-    A block's rows are sized to the sums it finishes: the first block
-    covers ``first_rows`` (a curve passes the previous point's l >= 1 term
-    count), later ones follow the decay of the last two terms; at most
-    _MAX_ROWS each.  Each sum adds the block's terms one at a time in index
-    order and stops by its own test, so it has the bits of a call with its
-    half-term alone; the kernel stops after the block in which the last sum
-    stopped.  Raises ``ValueError`` at the first non-finite term and
-    :class:`TruncationError` at the term cap.
+    __slots__ = ("total", "result")
+
+    def __init__(self, zero_term: float):
+        self.total, self.result = zero_term, None
+
+    def add(self, terms, start: int, rel_tol: float) -> bool:
+        """Adds ``terms``, the indices ``start``, ``start`` + 1, ..., one at a
+        time until a term falls below ``rel_tol`` times the running total,
+        and returns whether one did.  Raises ``ValueError`` at a non-finite
+        term."""
+        total = self.total
+        for l, t in enumerate(terms, start):
+            if not math.isfinite(t):
+                raise ValueError(f"Matsubara term l = {l} is not finite")
+            total += t
+            if abs(t) <= rel_tol * abs(total):
+                rel = abs(t) / abs(total) if total != 0.0 else 0.0
+                self.result = total, SumDiagnostics(n_terms=l + 1, last_term_rel=rel,
+                                                    converged=True)
+                return True
+        self.total = total
+        return False
+
+    def truncated(self, last: float, grid: MatsubaraGrid, z: float) -> TruncationError:
+        """The error of a sum still running after the term l_max_cap, ``last``."""
+        rel = abs(last) / abs(self.total) if self.total != 0.0 else math.inf
+        diag = SumDiagnostics(n_terms=grid.l_max_cap + 1, last_term_rel=rel, converged=False)
+        return TruncationError(
+            f"not converged at T = {grid.T:g} K, z = {z * 1e9:g} nm: this temperature needs "
+            f"more Matsubara terms than l_max_cap = {grid.l_max_cap} (terms={diag.n_terms}, "
+            f"tail_rel={rel:.3e}, rel_tol={grid.rel_tol:.1e})",
+            diag,
+        )
+
+
+class _Point:
+    """A separation of a run: its sums, one per l = 0 half-term, and its
+    rows l >= 1, those evaluated and those asked for."""
+
+    __slots__ = ("index", "z", "sums", "running", "next", "wanted", "tail")
+
+    def __init__(self, index: int, z: float, zero_terms):
+        self.index, self.z = index, z
+        self.sums = [_Sum(t) for t in zero_terms]
+        self.running = self.sums
+        # the next index to evaluate, the rows asked for from it on, and
+        # the last two terms evaluated
+        self.next, self.wanted, self.tail = 1, 0, []
+
+    def add(self, terms, start: int, rel_tol: float) -> bool:
+        """Gives the terms l = start, start + 1, ... to each running sum;
+        returns whether one still runs."""
+        self.running = [s for s in self.running if not s.add(terms, start, rel_tol)]
+        self.tail = (self.tail + terms[-2:])[-2:]
+        return bool(self.running)
+
+    def rows(self) -> int:
+        """Rows l >= 1 the point needed, or has evaluated while it runs."""
+        if self.running:
+            return self.next - 1
+        return max(s.result[1].n_terms for s in self.sums) - 1
+
+
+def _predicted_rows(z: float, first: _Point, last: _Point) -> int:
+    """Rows l >= 1 a point at z between the ends ``first`` and ``last`` of
+    its run should need: interpolated in 1/z, since a term decays as
+    e^{-2 z xi_l/c}, so that a sum's term count goes about as 1/z."""
+    a, b = first.rows(), last.rows()
+    return math.ceil(b + (a - b) * (1.0 / z - 1.0 / last.z) / (1.0 / first.z - 1.0 / last.z))
+
+
+def _next_block(queue, max_rows: int, cap: int, live: int):
+    """The row chooser: the next block's rows, [(point, start, stop)], up to
+    ``max_rows`` of those asked for by the points at the front of ``queue``.
+
+    A point's rows run on from its next index, and at most to l_max_cap =
+    ``cap``.  A point leaves the queue once all its asked rows are taken, or
+    when it is found stopped or dropped (its index is ``live`` or more).
     """
-    totals, results = list(zero_terms), [None] * len(zero_terms)
-    start, rows = 1, min(_MAX_ROWS, first_rows)
-    while start <= grid.l_max_cap:
-        stop = min(start + rows, grid.l_max_cap + 1)
-        block_eps = [_matsubara_eps(m, grid.T, stop - 1)[start - 1:stop - 1, None] for m in models]
-        terms = _block_terms(quantity, models, z, _xi(np.arange(start, stop), grid.T), block_eps,
-                             nodes, _ROW_WINDOW)
-        rows = 0
-        for k, total in enumerate(totals):
-            if results[k] is not None:
-                continue
-            for l, t in enumerate(terms, start):
-                if not math.isfinite(t):
-                    raise ValueError(f"Matsubara term l = {l} is not finite")
-                total += t
-                if abs(t) <= grid.rel_tol * abs(total):
-                    rel = abs(t) / abs(total) if total != 0.0 else 0.0
-                    results[k] = total, SumDiagnostics(n_terms=l + 1, last_term_rel=rel,
-                                                       converged=True)
-                    break
-            else:
-                # still running: the next block is sized for the slowest sum
-                totals[k] = total
-                rows = max(rows, _next_rows(terms, total, grid.rel_tol))
-        if None not in results:
-            return results
-        start = stop
-    total, t = totals[results.index(None)], terms[-1]
-    rel = abs(t) / abs(total) if total != 0.0 else math.inf
-    diag = SumDiagnostics(n_terms=grid.l_max_cap + 1, last_term_rel=rel, converged=False)
-    raise TruncationError(
-        f"not converged at T = {grid.T:g} K, z = {z * 1e9:g} nm: this temperature needs "
-        f"more Matsubara terms than l_max_cap = {grid.l_max_cap} (terms={diag.n_terms}, "
-        f"tail_rel={rel:.3e}, rel_tol={grid.rel_tol:.1e})",
-        diag,
-    )
+    segments, room = [], max_rows
+    while queue and room:
+        point = queue[0]
+        if point.index >= live or not point.running:
+            queue.popleft()
+            continue
+        take = min(point.wanted, room, cap + 1 - point.next)
+        segments.append((point, point.next, point.next + take))
+        point.next += take
+        point.wanted -= take
+        room -= take
+        if not point.wanted or point.next > cap:
+            queue.popleft()
+    return segments
 
 
 # --- core quantities -----------------------------------------------------
@@ -584,10 +652,8 @@ def free_energy_per_area(
     plate-plate pressure of a single pair are :func:`difference_force` and
     :func:`difference_pressure` against a vacuum low section.
     """
-    models = (side_a, side_b, _vacuum())
-    [(s, diag)] = _thermal_sum("energy", models, z, grid, DEFAULT_NODES,
-                               [_zero_term("energy", models, z, DEFAULT_NODES)])
-    value = KB * grid.T / (8.0 * math.pi * z * z) * s
+    [[(value, diag)]] = _run("energy", lambda x: KB * grid.T / (8.0 * math.pi * x * x),
+                             side_a, side_b, (_vacuum(),), grid, DEFAULT_NODES, (z,))
     return (value, diag) if with_diagnostics else value
 
 
@@ -633,7 +699,7 @@ def difference_pressure(
     return (value, diag) if with_diagnostics else value
 
 
-def _scale(T: float, z: float, R: float | None) -> float:
+def _scale(T: float, R: float | None, z: float) -> float:
     """The sphere-plate force (N) per unit of the energy sum for a sphere of
     radius R, or the plate-plate pressure (Pa) per unit of the pressure sum for
     R = None: 2 pi R kB T/(8 pi z^2) and -kB T/(8 pi z^3)."""
@@ -659,7 +725,8 @@ def _sums(probe, high, lows, R, zs, grid, workers=1, nodes=DEFAULT_NODES):
     runs, one per process of a pool.  The runs are at most ``os.cpu_count()``
     (1 if unknown), so a one-CPU host runs serially.
     """
-    run = partial(_run, probe, high, lows, R, grid, nodes)
+    quantity = "pressure" if R is None else "energy"
+    run = partial(_run, quantity, partial(_scale, grid.T, R), probe, high, lows, grid, nodes)
     if workers > 1:
         # asked only here: a serial sum reads no CPU count
         workers = min(workers, os.cpu_count() or 1)
@@ -679,30 +746,80 @@ def _sums(probe, high, lows, R, zs, grid, workers=1, nodes=DEFAULT_NODES):
         return [result for results in pool.map(run, runs) for result in results]
 
 
-def _run(probe, high, lows, R, grid, nodes, zs):
-    """The one loop from separations to ``_thermal_sum``: [(value,
-    diagnostics) per section of ``lows``] at the increasing separations
-    ``zs``, with the arguments of ``_sums``.
+def _run(quantity, scale, probe, high, lows, grid, nodes, zs):
+    """The one loop from separations to the kernel: [(value, diagnostics)
+    per section of ``lows``] at the increasing separations ``zs``, each value
+    ``scale(z)`` times its sum of ``quantity``; the other arguments are
+    those of ``_sums``.
 
     The l = 0 half-terms are computed at the first point and kept for the
     others, since they are the same float at every z, unless a plasma TE
     amplitude makes them depend on z (``_zero_term_depends_on_z``); then
-    each point computes its own.  Each point then sums and scales.  Its
-    first block covers the previous point's longest term count, since counts
-    fall as z grows; block sizes move no number, so every value equals its
-    pointwise one.
+    each point computes its own.  The rows l >= 1 of all points share
+    blocks of at most _MAX_CELLS cells, each row with its own z beside its
+    xi.  The two ends of the run ask for _CHUNK rows each, and once they
+    have stopped, every point between them asks for the rows interpolated
+    from theirs (``_predicted_rows``).  A point still running after the
+    rows it asked for asks for ``_next_rows`` more, queued behind the
+    others; a block takes the rows asked for in queue order.  Each sum adds
+    its point's terms in index order, so block sizes move no number, and
+    every value and term count equals its pointwise one.
+
+    A sum fails at its first non-finite term l >= 1 or at l_max_cap.  The
+    points after its point are dropped, and its error is raised once the
+    points before it have stopped: a run raises the error of its first
+    failing point, as a loop over its points in order would.  The l = 0
+    half-terms are all computed first, and raise at once.
     """
-    quantity = "pressure" if R is None else "energy"
     per_point = _zero_term_depends_on_z((probe, high) + lows)
-    results, rows, zero_terms = [], _CHUNK, None
-    for z in zs:
+    points, zero_terms = [], None
+    for index, z in enumerate(zs):
         if zero_terms is None or per_point:
             zero_terms = [_zero_term(quantity, (probe, high, low), z, nodes) for low in lows]
-        sums = _thermal_sum(quantity, (probe, high, lows[0]), z, grid, nodes, zero_terms, rows)
-        scale = _scale(grid.T, z, R)
-        results.append([(scale * s, diag) for s, diag in sums])
-        rows = max(diag.n_terms for _, diag in sums) - 1
-    return results
+        points.append(_Point(index, z, zero_terms))
+    # the points from index ``live`` on are dropped: one before them failed
+    live, error = len(points), None
+    ends, between = points[:1] + points[1:][-1:], points[1:-1]
+    for point in ends:
+        point.wanted = _CHUNK
+    queue = deque(ends)
+    models, T, rel_tol, cap = (probe, high, lows[0]), grid.T, grid.rel_tol, grid.l_max_cap
+    max_rows = max(1, _MAX_CELLS // nodes)
+    while queue or between:
+        if not queue:
+            for point in between:
+                point.wanted = max(1, _predicted_rows(point.z, points[0], points[-1]))
+            queue.extend(between)
+            between = ()
+        segments = _next_block(queue, max_rows, cap, live)
+        if not segments:
+            continue
+        ls = np.concatenate([np.arange(a, b) for _, a, b in segments])
+        z = np.array([point.z for point, _, _ in segments]).repeat(
+            [b - a for _, a, b in segments])[:, None]
+        top, at = max(b for _, _, b in segments) - 1, ls - 1
+        block_eps = [_matsubara_eps(m, T, top)[at][:, None] for m in models]
+        terms = _block_terms(quantity, models, z, _xi(ls, T), block_eps, nodes, _ROW_WINDOW)
+        k = 0
+        for point, a, b in segments:
+            block, k = terms[k:k + b - a], k + b - a
+            if point.index >= live:
+                continue
+            try:
+                if not point.add(block, a, rel_tol):
+                    continue
+            except ValueError as err:
+                live, error = point.index, err
+                continue
+            if point.next > cap:
+                live, error = point.index, point.running[0].truncated(block[-1], grid, point.z)
+            elif not point.wanted:
+                point.wanted = min(max_rows, max(_next_rows(point.tail, s.total, rel_tol)
+                                                 for s in point.running))
+                queue.append(point)
+    if error is not None:
+        raise error
+    return [[(scale(point.z) * s.result[0], s.result[1]) for s in point.sums] for point in points]
 
 
 def _sweep(probe, high, lows, R, zs, grid, low_freq_models, workers) -> list[Curve]:
@@ -744,10 +861,9 @@ def difference_force_curve(
 
     The separations are computed as runs of points in increasing z: one
     run, or with ``workers > 1`` one contiguous run per process of a pool.
-    Within a run each point's first block covers the previous point's term
-    count; block sizes move no number, and the per-point Matsubara sums run
-    in fixed index order, so every value equals its pointwise one for any
-    worker count.  The z/R warning is given once, for the largest
+    Within a run the points share their Matsubara blocks; blocks move no
+    number, and each point's sums run in fixed index order, so every value
+    equals its pointwise one for any worker count.  The z/R warning is given once, for the largest
     separation, before any point runs, so a pool cannot lose it.  The other
     arguments are those of :func:`difference_force`.
     """
@@ -846,7 +962,7 @@ def _zero_freq_gap(eps_probe: float, eps0: float, z: float, T: float, R: float |
     r_probe, r_plate = _static_tm(eps_probe), _static_tm(eps0)
     factor = 2.0 if R is None else -1.0
     # the half-weight l = 0 term of the sum, in the quantity's scale
-    return _scale(T, z, R) * (0.5 * factor * (polylog3(r_probe) - polylog3(r_probe * r_plate)))
+    return _scale(T, R, z) * (0.5 * factor * (polylog3(r_probe) - polylog3(r_probe * r_plate)))
 
 
 def zero_freq_gap_force(R: float, z: float, T: float, eps0: float) -> float:

@@ -815,7 +815,7 @@ TABULATED = cd.build_material("tabulated", table=_lorentz_table(600))
 SI = (MATS["gold"], MATS["n1"], MATS["low"])
 ZS_41 = tuple(np.logspace(math.log10(100e-9), math.log10(300e-9), 41))
 # case -> (materials, grid, force separations, pressure separations); the
-# 41-point cases size every block after the first from the previous point
+# 41-point cases share most blocks between many points
 CURVE_CASES = {
     "si": (SI, GRID300, (100e-9, 160e-9, 240e-9, 300e-9), (100e-9, 200e-9)),
     "vo2-tabulated": ((TABULATED, MATS["vo2m"], MATS["vo2i"]), GRID340,
@@ -990,8 +990,8 @@ def test_plasma_pair_keeps_a_zero_term_per_point(workers, monkeypatch):
 def test_model_curves_run_one_sum_for_two_models(quantity, T, monkeypatch):
     # models a and b differ only in the l = 0 term: one run evaluates the
     # rows l >= 1 once and stops each sum by its own test.  Measured rows:
-    # 2525, 2831, 8790 and 9985, each equal to the model-b curve's own,
-    # where the two curves took 5020, 5642, 17555 and 19946.
+    # 2500, 2817, 8793 and 9978, each equal to the model-b curve's own,
+    # where the two curves took 4969, 5604, 17559 and 19936.
     grid = cd.MatsubaraGrid(T=T)
     R = R_SPHERE if quantity == "force" else None
     rows = _block_rows(monkeypatch)
@@ -1027,6 +1027,36 @@ def test_model_curves_raise_at_the_term_cap_as_model_a():
     assert errors[0] == errors[1]
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("quantity", ["force", "pressure"])
+def test_curve_raises_the_error_of_its_first_failing_point(quantity, workers):
+    # at 40 K and l_max_cap = 200 the sums from 100 nm to 283 nm (force) or
+    # 400 nm (pressure) need more terms, 605 and 691 at 100 nm, and those
+    # beyond converge: the curve raises what a loop over its points in order
+    # would, the error of the smallest z, however far the shared blocks ran
+    # ahead
+    grid = cd.MatsubaraGrid(T=40.0, l_max_cap=200)
+    zs = tuple(np.logspace(math.log10(100e-9), math.log10(1.6e-6), 9))
+    if quantity == "force":
+        single = partial(cd.difference_force, *SI, R_SPHERE, grid=grid, low_freq_model="a")
+        curve = partial(cd.difference_force_curve, *SI, R_SPHERE, zs, grid, low_freq_model="a",
+                        workers=workers)
+    else:
+        single = partial(cd.difference_pressure, *SI, grid=grid, low_freq_model="a")
+        curve = partial(cd.difference_pressure_curve, *SI, zs, grid, low_freq_model="a",
+                        workers=workers)
+    assert single(z=zs[5]) < 0.0
+    with pytest.raises(cd.TruncationError) as expected:
+        single(z=zs[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # z/R beyond 0.01
+        with pytest.raises(cd.TruncationError) as err:
+            curve()
+    assert str(err.value) == str(expected.value)
+    assert "z = 100 nm" in str(err.value)
+    assert err.value.diagnostics == expected.value.diagnostics
+
+
 def _block_rows(monkeypatch):
     """A list that receives the rows of every _fresnel call: one call per
     block for each of a sum's three materials."""
@@ -1041,20 +1071,29 @@ def _block_rows(monkeypatch):
     return rows
 
 
-@pytest.mark.parametrize("quantity, T, max_blocks", [
-    ("force", 300.0, 65), ("pressure", 300.0, 70), ("force", 77.0, 165), ("pressure", 77.0, 185),
-], ids=["force-300K", "pressure-300K", "force-77K", "pressure-77K"])
-def test_curve_evaluates_few_terms_past_the_stop(quantity, T, max_blocks, monkeypatch):
-    # blocks are sized to the sum they finish; fixed blocks of 32 evaluated
-    # 3136 terms in 98 blocks where the 300 K force sums need 2451 (1.28x).
-    # Measured blocks: 58, 63, 158 and 176; a point whose first block lost
-    # the previous point's term count took 87, 86, 178 and 196.
+ZS_3UM = tuple(np.logspace(math.log10(100e-9), math.log10(3e-6), 41))
+
+
+@pytest.mark.filterwarnings("ignore:z/R")
+@pytest.mark.parametrize("quantity, T, zs, max_blocks", [
+    ("force", 300.0, ZS_41, 24), ("pressure", 300.0, ZS_41, 25), ("force", 77.0, ZS_41, 77),
+    ("pressure", 77.0, ZS_41, 87), ("force", 300.0, ZS_3UM, 14), ("pressure", 77.0, ZS_3UM, 45),
+], ids=["force-300K", "pressure-300K", "force-77K", "pressure-77K", "force-300K-3um",
+        "pressure-77K-3um"])
+def test_curve_evaluates_few_terms_past_the_stop(quantity, T, zs, max_blocks, monkeypatch):
+    # the points of a run share blocks: the ends first, then every point
+    # between them from the count interpolated in 1/z, then top-ups sized
+    # to the sums they finish.  Measured blocks: 22, 23, 70 and 79 on
+    # 100-300 nm, 13 and 41 on 100 nm - 3 um; blocks of one point each took
+    # 58, 63, 158, 176, 47 and 100, fixed blocks of 32 evaluated 3136 terms
+    # in 98 where the 300 K force sums need 2451.  Rows evaluated: at most
+    # 1.012 of those needed on 100-300 nm, 1.048 on 100 nm - 3 um.
     rows = _block_rows(monkeypatch)
     grid = cd.MatsubaraGrid(T=T)
     if quantity == "force":
-        curve = cd.difference_force_curve(*SI, R_SPHERE, ZS_41, grid, low_freq_model="a")
+        curve = cd.difference_force_curve(*SI, R_SPHERE, zs, grid, low_freq_model="a")
     else:
-        curve = cd.difference_pressure_curve(*SI, ZS_41, grid, low_freq_model="a")
+        curve = cd.difference_pressure_curve(*SI, zs, grid, low_freq_model="a")
     needed = sum(n - 1 for n in curve.metadata["l_terms_per_z"])  # l >= 1
     assert sum(rows) / 3 <= 1.10 * needed
     assert len(rows) / 3 <= max_blocks
@@ -1249,7 +1288,7 @@ def test_values_do_not_depend_on_block_split(max_rows, monkeypatch):
     # capping the rows of a block splits every sum at other indices; each
     # term, hence every value and term count, must stay the same bits
     reference = _split_battery()
-    monkeypatch.setattr(lifshitz, "_MAX_ROWS", max_rows)
+    monkeypatch.setattr(lifshitz, "_MAX_CELLS", max_rows * lifshitz.DEFAULT_NODES)
     assert _split_battery() == reference
 
 
@@ -1258,8 +1297,7 @@ def test_curve_separations_checked_before_any_sum(separations, monkeypatch):
     def no_sum(*args, **kwargs):
         raise AssertionError("a Matsubara sum ran")
 
-    monkeypatch.setattr(lifshitz, "_thermal_sum", no_sum)
-    monkeypatch.setattr(lifshitz, "_zero_term", no_sum)
+    monkeypatch.setattr(lifshitz, "_block_terms", no_sum)
     with pytest.raises(ValueError, match="separations"):
         cd.difference_force_curve(
             MATS["gold"], MATS["n1"], MATS["low"], R_SPHERE, separations, GRID300

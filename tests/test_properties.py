@@ -10,6 +10,10 @@ with and without dc conductivity:
 The kernel groups the integrand per polarization as (high - low) terms, so
 these hold bit for bit, not just to a tolerance.
 
+A curve shares its Matsubara blocks across its separations and sizes them
+from term counts it predicts; over random increasing separation grids its
+values and term counts equal the single sums at its points, bit for bit.
+
 For ``PermittivityModel.eval`` over random Drude, oscillator, tail and
 tabulated models, eps(i xi) >= 1 and eps(i xi) is non-increasing in xi.
 Every term of the model is a positive, non-increasing function of xi, and
@@ -26,7 +30,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 import casimirdiff as cd  # noqa: E402
 
@@ -96,6 +100,41 @@ def test_vacuum_gives_zero(setup):
     fn, probe, high, low = setup
     assert fn(VACUUM, high, low) == 0.0
     assert fn(probe, VACUUM, VACUUM) == 0.0
+
+
+SI = tuple(cd.build_material(name) for name in ("gold-drude", "si-doped-n1", "si-doped-low"))
+_EXPONENTS = st.floats(math.log10(50e-9), math.log10(5e-6))
+
+
+@st.composite
+def separation_grids(draw):
+    """2 to 60 increasing separations from 50 nm to 5 um, log-spaced or irregular."""
+    if draw(st.booleans()):
+        ends = sorted(draw(st.lists(_EXPONENTS, min_size=2, max_size=2, unique=True)))
+        zs = np.logspace(*ends, draw(st.integers(2, 60)))
+    else:
+        zs = 10.0 ** np.array(sorted(draw(st.lists(_EXPONENTS, min_size=2, max_size=60,
+                                                   unique=True))))
+    assume(np.all(np.diff(zs) > 0.0))
+    return tuple(float(z) for z in zs)
+
+
+@pytest.mark.filterwarnings("ignore:z/R")
+@settings(max_examples=40, deadline=None, database=None)
+@given(separation_grids(), st.sampled_from((300.0, 77.0)), st.sampled_from(("force", "pressure")),
+       st.sampled_from(("a", "b")))
+@example(tuple(np.logspace(math.log10(100e-9), math.log10(3e-6), 41)), 77.0, "pressure", "b")
+def test_curve_equals_its_single_sums(zs, T, quantity, model):
+    grid = cd.MatsubaraGrid(T=T)
+    if quantity == "force":
+        curve = cd.difference_force_curve(*SI, R, zs, grid, low_freq_model=model)
+        single = partial(cd.difference_force, *SI, R, grid=grid, low_freq_model=model)
+    else:
+        curve = cd.difference_pressure_curve(*SI, zs, grid, low_freq_model=model)
+        single = partial(cd.difference_pressure, *SI, grid=grid, low_freq_model=model)
+    sums = [single(z=z, with_diagnostics=True) for z in zs]
+    assert curve.values == tuple(value for value, _ in sums)
+    assert curve.metadata["l_terms_per_z"] == tuple(diag.n_terms for _, diag in sums)
 
 
 tails = st.builds(cd.HighFreqTail, eps_inf=st.floats(1.0, 20.0), omega_inf=_log_uniform(15.0, 17.0))

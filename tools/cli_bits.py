@@ -36,6 +36,8 @@ COMMANDS = [
     ["sweep", "--probe", "ideal-metal"],
     ["sweep", "--quantity", "pressure", "--format", "json"],
     ["sweep", "--temperature", "77 K"],
+    ["sweep", "--zmin", "100 nm", "--zmax", "3 um", "--points", "81"],
+    ["compare", "--spacing", "linear", "--temperature", "77 K"],
     ["sensitivity", *CANTILEVER],
     ["shift", *CANTILEVER, "--z", "150 nm"],
     ["shift", *CANTILEVER, "--z", "150 nm", "--gradient", "1e-5"],
