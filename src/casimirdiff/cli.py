@@ -115,9 +115,7 @@ _SETTINGS = {
     "format": ("--format", "csv", ("csv", "json"), None, "output format"),
     "out": ("--out", None, None, None, "output path ('-' for stdout)"),
     "workers": ("--workers", "1", 1, None, "worker processes for the separation sweep, at "
-                "most the CPU count; no crossover measured (on 2 vCPUs, 41 points at 300 K "
-                "took 13-18 ms serially and 43-44 ms pooled, 201 points at 77 K 154-206 and "
-                "143-216 ms)"),
+                "most the CPU count"),
     "optical_table": ("--optical-table", None, None, None, "two-column (omega_eV, Im eps) file"),
 }
 

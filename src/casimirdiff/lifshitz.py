@@ -32,10 +32,11 @@ parts, which ``_run`` drives:
   larger (4.6 times for the VO2 difference force at 100 nm with
   rel_tol = 1e-12).  It owns the diagnostics and both errors;
 * the row chooser, ``_next_block``: it fills each block, of at most
-  _MAX_CELLS rows x nodes, with the rows the points of a run ask for.  A
-  run's two ends ask first; every point between them then asks for the
-  count interpolated in 1/z from theirs, and a point still running asks
-  for more from the decay of its terms.
+  _MAX_CELLS rows x nodes, with the rows the points of a run ask for.
+  Every point asks by one rule, ``_next_rows``: first for the rows its
+  own z predicts, then, while it runs, for more from the decay of its
+  terms.  All first requests are served before any later one, and later
+  ones nearest z first.
 
 Every block takes eps(i xi) from each material's memo (see
 ``_matsubara_eps``), so a material is evaluated once per temperature, not
@@ -75,10 +76,10 @@ closed-form gap between the two low-frequency conductivity models.
 
 from __future__ import annotations
 
+import heapq
 import math
 import os
 import warnings
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import NamedTuple
@@ -125,7 +126,7 @@ DEFAULT_NODES = 80
 PFA_RATIO_LIMIT = 0.01
 
 # Matsubara indices l >= 1 a material's memo grows by at a time, and the
-# first rows of a run's end points, which nothing earlier sizes.
+# most rows a point asks for before it has any terms.
 _CHUNK = 32
 
 # Most cells (rows x nodes) of a block of rows l >= 1, evaluated together as
@@ -447,17 +448,25 @@ def _matsubara_eps(model: PermittivityModel, T: float, n: int):
     return eps
 
 
-def _next_rows(terms, total: float, rel_tol: float) -> int:
-    """Rows a running sum needs next: as many as the geometric decay of its
-    last two ``terms`` takes to meet the stopping test, plus one, or _CHUNK
-    if they do not decay.  The margin row spares most sums a 1-3-row last
-    block when the decay estimate falls just short of the stop."""
+def _next_rows(terms, total: float, rel_tol: float, tau: float) -> int:
+    """Rows a sum asks for next.  Its terms fall about as e^{-l tau}, where
+    tau = 2 z xi_1/c is the y_min of its row l = 1.  With no ``terms`` yet
+    it asks for the rows that decay takes to rel_tol, at most _CHUNK; after
+    that, for the rows its stopping test needs at e^{-tau} a row or at the
+    ratio of its last two ``terms``, whichever predicts fewer, plus one.
+    The margin row spares most sums a 1-3-row last block.  A goal that is
+    not positive (a total of exactly 0) asks for _CHUNK."""
+    if not terms:
+        return math.ceil(min(_CHUNK, math.log(1.0 / rel_tol) / tau))
+    last = abs(terms[-1])
+    goal = rel_tol * abs(total) / last
+    if not goal > 0.0:
+        return _CHUNK
     if len(terms) >= 2 and terms[-2]:
-        last = abs(terms[-1])
-        ratio, goal = last / abs(terms[-2]), rel_tol * abs(total) / last
-        if 0.0 < ratio < 1.0 and goal > 0.0:
-            return math.ceil(math.log(goal) / math.log(ratio) + 1.0)
-    return _CHUNK
+        ratio = last / abs(terms[-2])
+        if 0.0 < ratio < 1.0:
+            tau = max(tau, -math.log(ratio))
+    return math.ceil(-math.log(goal) / tau + 1.0)
 
 
 def _block_terms(quantity, models, z, xi, block_eps, nodes, window):
@@ -549,10 +558,10 @@ class _Point:
     """A separation of a run: its sums, one per l = 0 half-term, and its
     rows l >= 1, those evaluated and those asked for."""
 
-    __slots__ = ("index", "z", "sums", "running", "next", "wanted", "tail")
+    __slots__ = ("index", "z", "tau", "sums", "running", "next", "wanted", "tail")
 
-    def __init__(self, index: int, z: float, zero_terms):
-        self.index, self.z = index, z
+    def __init__(self, index: int, z: float, zero_terms, xi_1: float):
+        self.index, self.z, self.tau = index, z, 2.0 * z * xi_1 / C
         self.sums = [_Sum(t) for t in zero_terms]
         self.running = self.sums
         # the next index to evaluate, the rows asked for from it on, and
@@ -566,24 +575,20 @@ class _Point:
         self.tail = (self.tail + terms[-2:])[-2:]
         return bool(self.running)
 
-    def rows(self) -> int:
-        """Rows l >= 1 the point needed, or has evaluated while it runs."""
-        if self.running:
-            return self.next - 1
-        return max(s.result[1].n_terms for s in self.sums) - 1
-
-
-def _predicted_rows(z: float, first: _Point, last: _Point) -> int:
-    """Rows l >= 1 a point at z between the ends ``first`` and ``last`` of
-    its run should need: interpolated in 1/z, since a term decays as
-    e^{-2 z xi_l/c}, so that a sum's term count goes about as 1/z."""
-    a, b = first.rows(), last.rows()
-    return math.ceil(b + (a - b) * (1.0 / z - 1.0 / last.z) / (1.0 / first.z - 1.0 / last.z))
+    def ask(self, rel_tol: float, max_rows: int):
+        """Asks for the most rows ``_next_rows`` predicts for a running sum,
+        at most ``max_rows``, and returns the point's queue entry: every
+        point's first request sorts before any later one, and then nearer
+        points before farther ones."""
+        self.wanted = min(max_rows, max(_next_rows(self.tail, s.total, rel_tol, self.tau)
+                                        for s in self.running))
+        return self.next > 1, self.index, self
 
 
 def _next_block(queue, max_rows: int, cap: int, live: int):
     """The row chooser: the next block's rows, [(point, start, stop)], up to
-    ``max_rows`` of those asked for by the points at the front of ``queue``.
+    ``max_rows`` of those asked for by the points first in ``queue``, a heap
+    of the entries of ``_Point.ask``.
 
     A point's rows run on from its next index, and at most to l_max_cap =
     ``cap``.  A point leaves the queue once all its asked rows are taken, or
@@ -591,9 +596,9 @@ def _next_block(queue, max_rows: int, cap: int, live: int):
     """
     segments, room = [], max_rows
     while queue and room:
-        point = queue[0]
+        point = queue[0][-1]
         if point.index >= live or not point.running:
-            queue.popleft()
+            heapq.heappop(queue)
             continue
         take = min(point.wanted, room, cap + 1 - point.next)
         segments.append((point, point.next, point.next + take))
@@ -601,7 +606,7 @@ def _next_block(queue, max_rows: int, cap: int, live: int):
         point.wanted -= take
         room -= take
         if not point.wanted or point.next > cap:
-            queue.popleft()
+            heapq.heappop(queue)
     return segments
 
 
@@ -757,13 +762,13 @@ def _run(quantity, scale, probe, high, lows, grid, nodes, zs):
     amplitude makes them depend on z (``_zero_term_depends_on_z``); then
     each point computes its own.  The rows l >= 1 of all points share
     blocks of at most _MAX_CELLS cells, each row with its own z beside its
-    xi.  The two ends of the run ask for _CHUNK rows each, and once they
-    have stopped, every point between them asks for the rows interpolated
-    from theirs (``_predicted_rows``).  A point still running after the
-    rows it asked for asks for ``_next_rows`` more, queued behind the
-    others; a block takes the rows asked for in queue order.  Each sum adds
-    its point's terms in index order, so block sizes move no number, and
-    every value and term count equals its pointwise one.
+    xi.  Every point asks at once for the rows ``_next_rows`` predicts from
+    its z, and a point still running after the rows it asked for asks for
+    more from its terms.  The queue is a heap: every first request is
+    served before any later one, and the later ones nearest z first, so a
+    failing first point reaches l_max_cap before the others run on.  Each
+    sum adds its point's terms in index order, so block sizes move no
+    number, and every value and term count equals its pointwise one.
 
     A sum fails at its first non-finite term l >= 1 or at l_max_cap.  The
     points after its point are dropped, and its error is raised once the
@@ -771,29 +776,19 @@ def _run(quantity, scale, probe, high, lows, grid, nodes, zs):
     failing point, as a loop over its points in order would.  The l = 0
     half-terms are all computed first, and raise at once.
     """
+    models, T, rel_tol, cap = (probe, high, lows[0]), grid.T, grid.rel_tol, grid.l_max_cap
+    max_rows = max(1, _MAX_CELLS // nodes)
     per_point = _zero_term_depends_on_z((probe, high) + lows)
     points, zero_terms = [], None
     for index, z in enumerate(zs):
         if zero_terms is None or per_point:
             zero_terms = [_zero_term(quantity, (probe, high, low), z, nodes) for low in lows]
-        points.append(_Point(index, z, zero_terms))
+        points.append(_Point(index, z, zero_terms, _xi(1, T)))
+    # every point asks at once: its entries, in index order, form a heap
+    queue = [point.ask(rel_tol, max_rows) for point in points]
     # the points from index ``live`` on are dropped: one before them failed
     live, error = len(points), None
-    ends, between = points[:1] + points[1:][-1:], points[1:-1]
-    for point in ends:
-        point.wanted = _CHUNK
-    queue = deque(ends)
-    models, T, rel_tol, cap = (probe, high, lows[0]), grid.T, grid.rel_tol, grid.l_max_cap
-    max_rows = max(1, _MAX_CELLS // nodes)
-    while queue or between:
-        if not queue:
-            for point in between:
-                point.wanted = max(1, _predicted_rows(point.z, points[0], points[-1]))
-            queue.extend(between)
-            between = ()
-        segments = _next_block(queue, max_rows, cap, live)
-        if not segments:
-            continue
+    while segments := _next_block(queue, max_rows, cap, live):
         ls = np.concatenate([np.arange(a, b) for _, a, b in segments])
         z = np.array([point.z for point, _, _ in segments]).repeat(
             [b - a for _, a, b in segments])[:, None]
@@ -814,9 +809,7 @@ def _run(quantity, scale, probe, high, lows, grid, nodes, zs):
             if point.next > cap:
                 live, error = point.index, point.running[0].truncated(block[-1], grid, point.z)
             elif not point.wanted:
-                point.wanted = min(max_rows, max(_next_rows(point.tail, s.total, rel_tol)
-                                                 for s in point.running))
-                queue.append(point)
+                heapq.heappush(queue, point.ask(rel_tol, max_rows))
     if error is not None:
         raise error
     return [[(scale(point.z) * s.result[0], s.result[1]) for s in point.sums] for point in points]

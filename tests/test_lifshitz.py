@@ -990,8 +990,8 @@ def test_plasma_pair_keeps_a_zero_term_per_point(workers, monkeypatch):
 def test_model_curves_run_one_sum_for_two_models(quantity, T, monkeypatch):
     # models a and b differ only in the l = 0 term: one run evaluates the
     # rows l >= 1 once and stops each sum by its own test.  Measured rows:
-    # 2500, 2817, 8793 and 9978, each equal to the model-b curve's own,
-    # where the two curves took 4969, 5604, 17559 and 19936.
+    # 2508, 2846, 8784 and 9993, each equal to the model-b curve's own,
+    # where the two curves took 4985, 5670, 17546 and 19965.
     grid = cd.MatsubaraGrid(T=T)
     R = R_SPHERE if quantity == "force" else None
     rows = _block_rows(monkeypatch)
@@ -1075,19 +1075,21 @@ ZS_3UM = tuple(np.logspace(math.log10(100e-9), math.log10(3e-6), 41))
 
 
 @pytest.mark.filterwarnings("ignore:z/R")
-@pytest.mark.parametrize("quantity, T, zs, max_blocks", [
-    ("force", 300.0, ZS_41, 24), ("pressure", 300.0, ZS_41, 25), ("force", 77.0, ZS_41, 77),
-    ("pressure", 77.0, ZS_41, 87), ("force", 300.0, ZS_3UM, 14), ("pressure", 77.0, ZS_3UM, 45),
+@pytest.mark.parametrize("quantity, T, zs, max_blocks, max_rows", [
+    ("force", 300.0, ZS_41, 24, 1.10), ("pressure", 300.0, ZS_41, 25, 1.10),
+    ("force", 77.0, ZS_41, 77, 1.10), ("pressure", 77.0, ZS_41, 87, 1.10),
+    ("force", 300.0, ZS_3UM, 14, 1.04), ("pressure", 77.0, ZS_3UM, 45, 1.04),
 ], ids=["force-300K", "pressure-300K", "force-77K", "pressure-77K", "force-300K-3um",
         "pressure-77K-3um"])
-def test_curve_evaluates_few_terms_past_the_stop(quantity, T, zs, max_blocks, monkeypatch):
-    # the points of a run share blocks: the ends first, then every point
-    # between them from the count interpolated in 1/z, then top-ups sized
-    # to the sums they finish.  Measured blocks: 22, 23, 70 and 79 on
-    # 100-300 nm, 13 and 41 on 100 nm - 3 um; blocks of one point each took
-    # 58, 63, 158, 176, 47 and 100, fixed blocks of 32 evaluated 3136 terms
-    # in 98 where the 300 K force sums need 2451.  Rows evaluated: at most
-    # 1.012 of those needed on 100-300 nm, 1.048 on 100 nm - 3 um.
+def test_curve_evaluates_few_terms_past_the_stop(quantity, T, zs, max_blocks, max_rows,
+                                                 monkeypatch):
+    # the points of a run share blocks: every point first asks for the rows
+    # its own z predicts, then top-ups sized to the sums they finish.
+    # Measured blocks: 20, 23, 70 and 79 on 100-300 nm, 11 and 40 on
+    # 100 nm - 3 um; blocks of one point each took 58, 63, 158, 176, 47 and
+    # 100, fixed blocks of 32 evaluated 3136 terms in 98 where the 300 K
+    # force sums need 2451.  Rows evaluated: at most 1.022 of those needed
+    # on 100-300 nm, 1.031 on 100 nm - 3 um (tools/block_counts.py).
     rows = _block_rows(monkeypatch)
     grid = cd.MatsubaraGrid(T=T)
     if quantity == "force":
@@ -1095,14 +1097,48 @@ def test_curve_evaluates_few_terms_past_the_stop(quantity, T, zs, max_blocks, mo
     else:
         curve = cd.difference_pressure_curve(*SI, zs, grid, low_freq_model="a")
     needed = sum(n - 1 for n in curve.metadata["l_terms_per_z"])  # l >= 1
-    assert sum(rows) / 3 <= 1.10 * needed
+    assert sum(rows) / 3 <= max_rows * needed
     assert len(rows) / 3 <= max_blocks
+
+
+@pytest.mark.parametrize("quantity", ["force", "pressure"])
+def test_failing_curve_stops_near_the_cap(quantity, monkeypatch):
+    # at 0.5 K the 100 nm sum needs more than l_max_cap terms.  Its top-ups
+    # go before those of the farther points, so the curve raises after
+    # 21376 rows, 1.07 times the cap: about the cap and 41 first requests.
+    # A queue that served the points in turn took 38 and 40 times the cap
+    grid = cd.MatsubaraGrid(T=0.5)
+    rows = _block_rows(monkeypatch)
+    with pytest.raises(cd.TruncationError, match="z = 100 nm"):
+        if quantity == "force":
+            cd.difference_force_curve(*SI, R_SPHERE, ZS_41, grid, low_freq_model="a")
+        else:
+            cd.difference_pressure_curve(*SI, ZS_41, grid, low_freq_model="a")
+    assert sum(rows) / 3 <= 2 * grid.l_max_cap
+
+
+def test_next_rows_from_the_decay_rate():
+    rel_tol, tau = 1e-9, 1.0
+    # no terms yet: the rows e^{-l tau} takes to rel_tol, at most _CHUNK
+    assert lifshitz._next_rows([], 1.0, rel_tol, tau) == math.ceil(math.log(1e9) / tau)
+    assert lifshitz._next_rows([], 1.0, rel_tol, 0.1) == lifshitz._CHUNK
+    # terms falling by 0.9 a row predict 175 rows to the goal 1e-8, e^{-tau}
+    # a row 19: the faster rate wins, plus the margin row
+    goal = rel_tol * 10.0 / 1.0
+    assert lifshitz._next_rows([1.0 / 0.9, 1.0], 10.0, rel_tol, tau) == math.ceil(
+        -math.log(goal) / tau + 1.0)
+    # with a small tau the ratio of the terms predicts fewer
+    assert lifshitz._next_rows([1.0 / 0.1, 1.0], 10.0, rel_tol, 1e-3) == math.ceil(
+        math.log(goal) / math.log(0.1) + 1.0)
+    # a total of exactly 0 has no goal
+    assert lifshitz._next_rows([2.0, 1.0], 0.0, rel_tol, tau) == lifshitz._CHUNK
 
 
 def test_single_sums_take_few_tail_blocks(monkeypatch):
     # a later block gets one row beyond the decay estimate, so a sum rarely
-    # ends in a 1-3-row block: 160 single 77 K stencil sums at 100-400 nm take
-    # 594 blocks (6 of 1-3 rows), against 624 (37) without the margin row
+    # ends in a 1-3-row block: 160 single 77 K stencil sums at 100-400 nm took
+    # 594 blocks (6 of 1-3 rows) against 624 (37) without the margin row in
+    # blocks of at most 64 rows, and take 491 (1) in blocks of 128
     rows = _block_rows(monkeypatch)
     grid = cd.MatsubaraGrid(T=77.0)
     for z in np.linspace(100e-9, 400e-9, 40):

@@ -62,3 +62,22 @@ def test_cli_bits_prints_one_line_per_command():
         # only the non-reflecting probe is refused
         assert code == ("1" if argv == ["compare", "--probe", "vacuum"] else "0"), argv
         assert all(re.fullmatch("[0-9a-f]{64}", digest) for digest in (out, err)), argv
+
+
+def test_block_counts_prints_one_line_per_case():
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    result = subprocess.run([sys.executable, str(ROOT / "tools" / "block_counts.py")],
+                            capture_output=True, text=True, check=False, env=env)
+    assert result.returncode == 0, result.stderr
+    header, *lines = [line.split() for line in result.stdout.splitlines()]
+    assert header == ["case", "blocks", "rows", "needed"]
+    assert [line[0] for line in lines] == [
+        "force-300K", "pressure-300K", "force-77K", "pressure-77K", "force-300K-3um",
+        "pressure-77K-3um", "stencil-77K", "vo2-tabulated-340K", "force-0.5K", "pressure-0.5K"]
+    for name, blocks, rows, needed in lines:
+        assert 0 < int(blocks) <= int(rows), name
+        # the 0.5 K curves raise at the cap of 20000 terms
+        if name.endswith("0.5K"):
+            assert needed == "-" and int(rows) > 20000, name
+        else:
+            assert 0 < int(needed) <= int(rows), name
