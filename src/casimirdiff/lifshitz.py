@@ -18,12 +18,14 @@ and ``difference_pressure`` with a vacuum low section, and
 ``free_energy_per_area`` takes its vacuum internally.  The kernel has three
 parts, which ``_run`` drives:
 
-* the row evaluator, ``_block_terms``: the terms of a block of rows, each
-  row a Matsubara index l >= 1 with its own separation, as fresh
-  (rows x node) arrays with z a (rows, 1) column beside xi.  Every step is
-  elementwise or a per-row sum over the nodes, so a row's value does not
-  depend on the block it falls in or on the other rows there.  The
-  half-weight l = 0 term is one row of its own at a float z
+* the row evaluator, ``_row_terms``: the terms of a block of rows, each
+  row a Matsubara index l >= 1 with its own separation.  It cuts the block
+  into at most one block per momentum band of the rows (see below), each
+  evaluated by ``_block_terms`` as fresh (rows x node) arrays with z a
+  (rows, 1) column beside xi.  Every step is elementwise or a per-row sum
+  over the nodes, and a row's band follows from the row alone, so a row's
+  value does not depend on the block it falls in or on the other rows
+  there.  The half-weight l = 0 term is one row of its own at a float z
   (``_zero_term``);
 * the accumulator, ``_Sum``, one per point and l = 0 half-term: it adds
   the point's terms one at a time in index order and stops once the latest
@@ -47,8 +49,9 @@ up for the force and the pressure: a sum at one separation is a run of one
 point, and a curve is one run of points in increasing z, or one per process
 of a pool.  ``free_energy_per_area`` is a run of one point with its own
 scale.  The blocks a run shares between its points move no number, so every
-value equals its pointwise one.  ``nodes`` is the Gauss-Legendre order of a
-row l >= 1, DEFAULT_NODES everywhere but the quadrature tests.
+value equals its pointwise one.  ``nodes`` names the Gauss-Legendre order of
+the rows with 0.01 <= y_min < 1, from which the other bands and the l = 0
+row take theirs; it is DEFAULT_NODES everywhere but the quadrature tests.
 
 A run also computes once what its points repeat.  The l = 0 term is the
 same float at every separation, so ``_run`` evaluates it at its first point
@@ -62,14 +65,16 @@ curves cost about one, and each equals its own curve bit for bit.
 The momentum integral is evaluated after the substitution y = 2 q z, which
 maps it onto a fixed window above y_l with an exponentially decaying
 integrand, handled by fixed-order Gauss-Legendre quadrature in
-u = sqrt(y - y_l).  A row l >= 1 takes DEFAULT_NODES = 80 nodes on a
-window of 40; the l = 0 term, whose y ln y endpoint converges more slowly,
-takes three times as many on a window of 62.  The order is fixed, and its
-values lie within 1e-13 of a 480-node rule.  The rules are built by
-Newton's method, with no eigenproblem, and cached.  The Fresnel amplitudes
-are formed in the same scaled lengths (see ``_fresnel``), so no k_perp
-appears, and a block computes its factor e^{-y} (or expm1(y) for the
-pressure) once for all four amplitude products.
+u = sqrt(y - y_l).  A row l >= 1 takes its order from its own lower edge
+y_min = 2 z xi_l/c, on a window of 40: 160 nodes below 0.01, 80
+(DEFAULT_NODES) from 0.01 to 1 and 32 from 1 up (``_band_orders``).  The
+l = 0 term, whose y ln y endpoint converges more slowly, takes three times
+DEFAULT_NODES on a window of 62.  The orders are fixed, and the values lie
+within 1e-13 of the bands of a 480-node rule from 4 K to 340 K.  The rules
+are built by Newton's method, with no eigenproblem, at their first use, and
+cached.  The Fresnel amplitudes are formed in the same scaled lengths (see
+``_fresnel``), so no k_perp appears, and a block computes its factor
+e^{-y} (or expm1(y) for the pressure) once for all four amplitude products.
 At zero frequency the integral reduces to trilogarithms, which gives the
 closed-form gap between the two low-frequency conductivity models.
 """
@@ -117,10 +122,15 @@ _ZETA3 = 1.2020569031595942
 Y_WINDOW = 62.0
 _ROW_WINDOW = 40.0
 
-# Gauss-Legendre order of an l >= 1 row.  The l = 0 term takes three times
-# as many: its y ln y endpoint converges as about n^-8, and twice as many
-# left 1.2e-13 of the force at 3 um and 300 K.
+# Gauss-Legendre order of the rows l >= 1 with 0.01 <= y_min < 1, the middle
+# of the three momentum bands (see ``_band_orders``).  The l = 0 term takes
+# three times as many: its y ln y endpoint converges as about n^-8, and
+# twice as many left 1.2e-13 of the force at 3 um and 300 K.
 DEFAULT_NODES = 80
+
+# Lower edges y_min = 2 z xi_l/c of the upper two momentum bands of a row
+# l >= 1 (see ``_band_orders``).
+_BAND_EDGES = (0.01, 1.0)
 
 # PFA error is bounded by z/R; warn beyond this ratio.
 PFA_RATIO_LIMIT = 0.01
@@ -130,13 +140,16 @@ PFA_RATIO_LIMIT = 0.01
 _CHUNK = 32
 
 # Most cells (rows x nodes) of a block of rows l >= 1, evaluated together as
-# (rows x nodes) arrays: a bound on a block's memory.  A block keeps about
-# 12 such arrays alive at once, 82 KB each at 128 rows of 80 nodes: about
-# 1 MB, half of glibc's 2 MB heap trim threshold (see ``_nodes``).  Near
-# the threshold the heap is trimmed after each block and faulted back in:
-# at 256 rows of 80 nodes, 41-point curves in a process holding other
-# arrays took thousands of minor faults each and 1.45 times as long, and at
-# 320 rows they did so alone.  Of 96 to 256 rows, 128 also cost least per row.
+# (rows x nodes) arrays: a bound on a block's memory.  The row chooser fills
+# blocks of _MAX_CELLS // nodes rows, 128 at DEFAULT_NODES, and the row
+# evaluator cuts them by momentum band, a 160-node block at 64 rows.  A
+# block keeps about 12 such arrays alive at once, 82 KB each at 128 rows of
+# 80 nodes: about 1 MB, half of glibc's 2 MB heap trim threshold (see
+# ``_nodes``).  Near the threshold the heap is trimmed after each block and
+# faulted back in: at 256 rows of 80 nodes, 41-point curves in a process
+# holding other arrays took thousands of minor faults each and 1.45 times
+# as long, and at 320 rows they did so alone.  Of 96 to 256 rows, 128 also
+# cost least per row.
 _MAX_CELLS = 128 * DEFAULT_NODES
 
 
@@ -471,7 +484,8 @@ def _next_rows(terms, total: float, rel_tol: float, tau: float) -> int:
 
 def _block_terms(quantity, models, z, xi, block_eps, nodes, window):
     """Terms of ``quantity`` at the frequencies ``xi`` for models = (probe,
-    high, low): one per row, ``nodes`` nodes on a window of ``window``.
+    high, low): an array of one per row, ``nodes`` nodes on a window of
+    ``window``.
 
     ``z`` is each row's separation, a (rows, 1) column, or a float for the
     l = 0 row; ``block_eps`` holds each model's eps(i xi) as in
@@ -489,7 +503,42 @@ def _block_terms(quantity, models, z, xi, block_eps, nodes, window):
     # grouped per polarization: identical sections cancel exactly
     g = integrand(rtp * rth, f) - integrand(rtp * rtl, f)
     h = integrand(rep * reh, f) - integrand(rep * rel, f)
-    return np.einsum("ij,j->i", (g + h) * measure(y), weights).tolist()
+    return np.einsum("ij,j->i", (g + h) * measure(y), weights)
+
+
+def _band_orders(nodes: int) -> tuple[int, int, int]:
+    """Gauss-Legendre orders of the three momentum bands of a row l >= 1, by
+    its lower edge y_min: 2 ``nodes`` below 0.01, ``nodes`` from 0.01 to 1
+    and max(32, 2 ``nodes`` // 5) from 1 up; 160, 80 and 32 at DEFAULT_NODES.
+
+    Below 0.01 the amplitudes change on the scale y_min sqrt(eps), far
+    inside the window: 80 nodes left 1.7e-13 of an ideal-metal energy row
+    at 1 K, and 1.2e-13 of the si pressure at 4 K and 100 nm.  From 1 up the
+    integrand is smooth on the window, and at 32 nodes the rows of a 77 K
+    sum lay within 5e-15 of the sum at 480.  The floor of 32 holds for any
+    ``nodes``."""
+    return 2 * nodes, nodes, max(32, 2 * nodes // 5)
+
+
+def _row_terms(quantity, models, z, xi, block_eps, nodes):
+    """The row evaluator: the terms of a block of rows l >= 1, a list of one
+    per row, each row on the rule of its momentum band (``_band_orders``)
+    over a window of _ROW_WINDOW.  The arguments are those of
+    ``_block_terms``, with ``z`` a (rows, 1) column.
+
+    The rows of a band are evaluated together, in sub-blocks of at most
+    _MAX_CELLS cells, so a row's value depends on the row alone: its band
+    follows from its y_min, computed as in ``_momentum_grid``.
+    """
+    band = np.searchsorted(_BAND_EDGES, (2.0 * z * xi[:, None] / C)[:, 0], side="right")
+    terms = np.empty(len(xi))
+    for k, order in enumerate(_band_orders(nodes)):
+        rows = np.flatnonzero(band == k)
+        size = max(1, _MAX_CELLS // order)
+        for at in (rows[i:i + size] for i in range(0, len(rows), size)):
+            terms[at] = _block_terms(quantity, models, z[at], xi[at], [e[at] for e in block_eps],
+                                     order, _ROW_WINDOW)
+    return terms.tolist()
 
 
 def _zero_term(quantity, models, z, nodes):
@@ -502,7 +551,8 @@ def _zero_term(quantity, models, z, nodes):
     """
     if not 0.0 < z < math.inf:
         raise ValueError("separation z must be positive and finite")
-    t = 0.5 * _block_terms(quantity, models, z, np.zeros(1), (None,) * 3, 3 * nodes, Y_WINDOW)[0]
+    t = 0.5 * float(_block_terms(quantity, models, z, np.zeros(1), (None,) * 3, 3 * nodes,
+                                 Y_WINDOW)[0])
     if not math.isfinite(t):
         raise ValueError("Matsubara term l = 0 is not finite")
     return t
@@ -713,6 +763,21 @@ def _scale(T: float, R: float | None, z: float) -> float:
     return KB * T * R / (4.0 * z * z)
 
 
+def _checked_scale(scale, z: float) -> float:
+    """``scale(z)``, or a ``ValueError`` naming z where it is not a finite,
+    nonzero float: below about 1e-162 m (force, energy) or 1e-108 m
+    (pressure) the power of z in its denominator underflows to 0, and above
+    about 1e154 m or 1e102 m it overflows."""
+    try:
+        value = scale(z)
+    except (ZeroDivisionError, OverflowError):
+        value = math.nan
+    if not (math.isfinite(value) and value != 0.0):
+        raise ValueError(f"separation z = {z:g} m is out of range: the factor that scales its "
+                         "Matsubara sum is not a finite nonzero float")
+    return value
+
+
 # --- runs of separations -------------------------------------------------
 
 
@@ -723,9 +788,11 @@ def _sums(probe, high, lows, R, zs, grid, workers=1, nodes=DEFAULT_NODES):
     run of one point.
 
     ``lows`` are low-frequency variants of one material (``_checked_lows``);
-    they share their rows l >= 1.  A row l >= 1 takes ``nodes`` nodes and
-    the l = 0 term three times as many: the public functions and the CLI
-    take DEFAULT_NODES, the quadrature tests' reference rule other orders.
+    they share their rows l >= 1.  ``nodes`` is the order of the rows with
+    0.01 <= y_min < 1, and the other bands (``_band_orders``) and the l = 0
+    term, at three times ``nodes``, follow from it: the public functions and
+    the CLI take DEFAULT_NODES, the quadrature tests' reference rule other
+    orders.
     The separations form one ``_run``, or with ``workers > 1`` contiguous
     runs, one per process of a pool.  The runs are at most ``os.cpu_count()``
     (1 if unknown), so a one-CPU host runs serially.
@@ -755,27 +822,34 @@ def _run(quantity, scale, probe, high, lows, grid, nodes, zs):
     """The one loop from separations to the kernel: [(value, diagnostics)
     per section of ``lows``] at the increasing separations ``zs``, each value
     ``scale(z)`` times its sum of ``quantity``; the other arguments are
-    those of ``_sums``.
+    those of ``_sums``.  ``nodes`` names the order of the rows with
+    0.01 <= y_min < 1: the row evaluator ``_row_terms`` gives each row l >= 1
+    the order of its momentum band, and the l = 0 row takes 3 ``nodes``.
 
     The l = 0 half-terms are computed at the first point and kept for the
     others, since they are the same float at every z, unless a plasma TE
     amplitude makes them depend on z (``_zero_term_depends_on_z``); then
     each point computes its own.  The rows l >= 1 of all points share
-    blocks of at most _MAX_CELLS cells, each row with its own z beside its
-    xi.  Every point asks at once for the rows ``_next_rows`` predicts from
-    its z, and a point still running after the rows it asked for asks for
-    more from its terms.  The queue is a heap: every first request is
-    served before any later one, and the later ones nearest z first, so a
-    failing first point reaches l_max_cap before the others run on.  Each
-    sum adds its point's terms in index order, so block sizes move no
-    number, and every value and term count equals its pointwise one.
+    blocks of at most _MAX_CELLS // ``nodes`` rows, each row with its own z
+    beside its xi, which the row evaluator cuts by band into blocks of at
+    most _MAX_CELLS cells.  Every point asks at once for the rows
+    ``_next_rows`` predicts from its z, and a point still running after the
+    rows it asked for asks for more from its terms.  The queue is a heap:
+    every first request is served before any later one, and the later ones
+    nearest z first, so a failing first point reaches l_max_cap before the
+    others run on.  Each sum adds its point's terms in index order, so block
+    sizes move no number, and every value and term count equals its
+    pointwise one.
 
-    A sum fails at its first non-finite term l >= 1 or at l_max_cap.  The
-    points after its point are dropped, and its error is raised once the
-    points before it have stopped: a run raises the error of its first
-    failing point, as a loop over its points in order would.  The l = 0
-    half-terms are all computed first, and raise at once.
+    A separation whose ``scale`` is not a finite nonzero float
+    (``_checked_scale``) fails before any row is evaluated.  A sum fails at
+    its first non-finite term l >= 1 or at l_max_cap.  The points after its
+    point are dropped, and its error is raised once the points before it
+    have stopped: a run raises the error of its first failing point, as a
+    loop over its points in order would.  The l = 0 half-terms are all
+    computed first, and raise at once.
     """
+    scales = [_checked_scale(scale, z) for z in zs]
     models, T, rel_tol, cap = (probe, high, lows[0]), grid.T, grid.rel_tol, grid.l_max_cap
     max_rows = max(1, _MAX_CELLS // nodes)
     per_point = _zero_term_depends_on_z((probe, high) + lows)
@@ -794,7 +868,7 @@ def _run(quantity, scale, probe, high, lows, grid, nodes, zs):
             [b - a for _, a, b in segments])[:, None]
         top, at = max(b for _, _, b in segments) - 1, ls - 1
         block_eps = [_matsubara_eps(m, T, top)[at][:, None] for m in models]
-        terms = _block_terms(quantity, models, z, _xi(ls, T), block_eps, nodes, _ROW_WINDOW)
+        terms = _row_terms(quantity, models, z, _xi(ls, T), block_eps, nodes)
         k = 0
         for point, a, b in segments:
             block, k = terms[k:k + b - a], k + b - a
@@ -812,7 +886,8 @@ def _run(quantity, scale, probe, high, lows, grid, nodes, zs):
                 heapq.heappush(queue, point.ask(rel_tol, max_rows))
     if error is not None:
         raise error
-    return [[(scale(point.z) * s.result[0], s.result[1]) for s in point.sums] for point in points]
+    return [[(scales[point.index] * s.result[0], s.result[1]) for s in point.sums]
+            for point in points]
 
 
 def _sweep(probe, high, lows, R, zs, grid, low_freq_models, workers) -> list[Curve]:

@@ -5,6 +5,7 @@ import math
 import os
 import pickle
 import platform
+import re
 import subprocess
 import sys
 import warnings
@@ -349,6 +350,39 @@ def test_ideal_metal_energy():
     assert abs(e / exact - 1.0) < 5e-3
 
 
+def test_ideal_metal_rows_equal_their_polylogarithms():
+    # between two ideal metals every amplitude is 1, so a row l >= 1 with
+    # lower edge a = y_min and x = e^-a has, per polarisation, the closed form
+    #   energy:   int_a^inf y ln(1 - e^-y) dy = -[a Li2(x) + Li3(x)],
+    #   pressure: int_a^inf y^2/(e^y - 1) dy = a^2 Li1(x) + 2a Li2(x) + 2 Li3(x),
+    # with Li1(x) = -log1p(-x), written here in mpmath at 20 digits.  Every
+    # third row of 1 <= l < 200 with y_min <= 60.  Over every such row the
+    # worst measured was 3.3e-15, from the 40-wide window's one-signed bias
+    # of the pressure rows; 80 nodes on every row left 1.7e-13 in the energy
+    # rows below y_min = 0.01
+    models = (MATS["ideal"], MATS["ideal"], MATS["vacuum"])
+    for T, z in itertools.product((300.0, 77.0, 4.0, 1.0), (100e-9, 300e-9, 1e-6, 3e-6)):
+        ls = np.arange(1, 200, 3)
+        zs = np.full((len(ls), 1), z)
+        xi = lifshitz._xi(ls, T)
+        # each row's y_min as the kernel computes it
+        y_min = (2.0 * zs * xi[:, None] / C)[:, 0]
+        rows = y_min <= 60.0
+        ls, zs, xi, y_min = ls[rows], zs[rows], xi[rows], y_min[rows]
+        block_eps = [lifshitz._matsubara_eps(m, T, int(ls[-1]))[ls - 1][:, None] for m in models]
+        energy, pressure = (lifshitz._row_terms(quantity, models, zs, xi, block_eps,
+                                                lifshitz.DEFAULT_NODES)
+                            for quantity in ("energy", "pressure"))
+        with mpmath.workdps(20):
+            for a, e, p in zip(y_min.tolist(), energy, pressure):
+                a = mpmath.mpf(a)
+                x = mpmath.exp(-a)
+                li1, li2, li3 = -mpmath.log1p(-x), mpmath.polylog(2, x), mpmath.polylog(3, x)
+                for row, exact in ((e, -2 * (a * li2 + li3)),
+                                   (p, 2 * (a * a * li1 + 2 * a * li2 + 2 * li3))):
+                    assert abs(row / exact - 1) <= 5e-15, (T, z, float(a))
+
+
 def test_free_energy_regression():
     e = cd.free_energy_per_area(MATS["gold"], MATS["si_a"], 100e-9, GRID300)
     assert e < 0.0
@@ -665,15 +699,19 @@ _RULE_SETS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(_RULE_SETS))
+@pytest.mark.parametrize("name", sorted(_RULE_SETS) + [f"{n}-4K" for n in sorted(_RULE_SETS)])
 def test_default_rule_within_1e_13_of_480_nodes(name):
-    # the error of the default momentum rule, force and pressure at 100 nm,
-    # 1 um and 3 um, 300 K and 77 K; the sphere is large enough that 3 um
-    # stays within the PFA limit.  Measured worst: 5.1e-15 (vo2-plasma-probe,
-    # force at 3 um, 300 K); the 120-node rule of a 62-wide window for every
-    # term left 1.1e-12
-    probe, high, low, model = _RULE_SETS[name]
-    for T, z in itertools.product((300.0, 77.0), (100e-9, 1e-6, 3e-6)):
+    # the error of the default momentum bands against those of the private
+    # reference order 480 (960, 480 and 192 nodes), force and pressure at
+    # 100 nm, 1 um and 3 um, 300 K and 77 K, or 4 K for the "-4K" ids; the
+    # sphere is large enough that 3 um stays within the PFA limit.  Measured
+    # worst: 8.4e-15 (vo2, pressure at 100 nm, 77 K) and 8.2e-15 at 4 K.
+    # 80 nodes on every row left 1.22e-13 (si pressure at 4 K and 100 nm) and
+    # 3.4e-14 (vo2); the 120-node rule of a 62-wide window for every term
+    # left 1.1e-12
+    probe, high, low, model = _RULE_SETS[name.removesuffix("-4K")]
+    temperatures = (4.0,) if name.endswith("-4K") else (300.0, 77.0)
+    for T, z in itertools.product(temperatures, (100e-9, 1e-6, 3e-6)):
         grid = cd.MatsubaraGrid(T=T)
         for compute, R in ((partial(cd.difference_force, probe, high, low, 1e-3, z, grid), 1e-3),
                            (partial(cd.difference_pressure, probe, high, low, z, grid), None)):
@@ -994,7 +1032,7 @@ def test_model_curves_run_one_sum_for_two_models(quantity, T, monkeypatch):
     # where the two curves took 4985, 5670, 17546 and 19965.
     grid = cd.MatsubaraGrid(T=T)
     R = R_SPHERE if quantity == "force" else None
-    rows = _block_rows(monkeypatch)
+    rows, _ = _block_rows(monkeypatch)
     separate, separate_rows = [], []
     for model in ("a", "b"):
         rows.clear()
@@ -1002,7 +1040,7 @@ def test_model_curves_run_one_sum_for_two_models(quantity, T, monkeypatch):
             separate.append(cd.difference_pressure_curve(*SI, ZS_41, grid, low_freq_model=model))
         else:
             separate.append(cd.difference_force_curve(*SI, R, ZS_41, grid, low_freq_model=model))
-        separate_rows.append(sum(rows) / 3)
+        separate_rows.append(sum(rows))
     rows.clear()
     both = lifshitz._model_curves(*SI, R, ZS_41, grid, ("a", "b"), 1)
     for curve, alone in zip(both, separate):
@@ -1011,7 +1049,7 @@ def test_model_curves_run_one_sum_for_two_models(quantity, T, monkeypatch):
     terms_a, terms_b = (curve.metadata["l_terms_per_z"] for curve in both)
     between = sum(abs(a - b) for a, b in zip(terms_a, terms_b))
     assert between > 0
-    assert sum(rows) / 3 <= max(separate_rows) + between
+    assert sum(rows) <= max(separate_rows) + between
 
 
 def test_model_curves_raise_at_the_term_cap_as_model_a():
@@ -1058,47 +1096,59 @@ def test_curve_raises_the_error_of_its_first_failing_point(quantity, workers):
 
 
 def _block_rows(monkeypatch):
-    """A list that receives the rows of every _fresnel call: one call per
-    block for each of a sum's three materials."""
-    rows = []
-    fresnel = lifshitz._fresnel
+    """Two lists, counted as in tools/block_counts.py: the rows of every block
+    of rows l >= 1 the row chooser fills (a ``_row_terms`` call), and the
+    (rows, order) of every block the row evaluator cuts from them, at most
+    one per momentum band unless a band's rows exceed _MAX_CELLS (a
+    ``_block_terms`` call for rows l >= 1)."""
+    chosen, evaluated = [], []
+    row_terms, block_terms = lifshitz._row_terms, lifshitz._block_terms
 
-    def counting(eps, y, ymin2):
-        rows.append(y.shape[0])
-        return fresnel(eps, y, ymin2)
+    def choosing(quantity, models, z, xi, *rest):
+        chosen.append(len(xi))
+        return row_terms(quantity, models, z, xi, *rest)
 
-    monkeypatch.setattr(lifshitz, "_fresnel", counting)
-    return rows
+    def evaluating(quantity, models, z, xi, block_eps, nodes, window):
+        if xi[0] > 0.0:  # not the l = 0 row
+            evaluated.append((len(xi), nodes))
+        return block_terms(quantity, models, z, xi, block_eps, nodes, window)
+
+    monkeypatch.setattr(lifshitz, "_row_terms", choosing)
+    monkeypatch.setattr(lifshitz, "_block_terms", evaluating)
+    return chosen, evaluated
 
 
 ZS_3UM = tuple(np.logspace(math.log10(100e-9), math.log10(3e-6), 41))
 
 
 @pytest.mark.filterwarnings("ignore:z/R")
-@pytest.mark.parametrize("quantity, T, zs, max_blocks, max_rows", [
-    ("force", 300.0, ZS_41, 24, 1.10), ("pressure", 300.0, ZS_41, 25, 1.10),
-    ("force", 77.0, ZS_41, 77, 1.10), ("pressure", 77.0, ZS_41, 87, 1.10),
-    ("force", 300.0, ZS_3UM, 14, 1.04), ("pressure", 77.0, ZS_3UM, 45, 1.04),
+@pytest.mark.parametrize("quantity, T, zs, max_blocks, max_evaluated, max_rows", [
+    ("force", 300.0, ZS_41, 24, 34, 1.10), ("pressure", 300.0, ZS_41, 25, 37, 1.10),
+    ("force", 77.0, ZS_41, 77, 89, 1.10), ("pressure", 77.0, ZS_41, 87, 99, 1.10),
+    ("force", 300.0, ZS_3UM, 14, 19, 1.04), ("pressure", 77.0, ZS_3UM, 45, 55, 1.04),
 ], ids=["force-300K", "pressure-300K", "force-77K", "pressure-77K", "force-300K-3um",
         "pressure-77K-3um"])
-def test_curve_evaluates_few_terms_past_the_stop(quantity, T, zs, max_blocks, max_rows,
-                                                 monkeypatch):
+def test_curve_evaluates_few_terms_past_the_stop(quantity, T, zs, max_blocks, max_evaluated,
+                                                 max_rows, monkeypatch):
     # the points of a run share blocks: every point first asks for the rows
     # its own z predicts, then top-ups sized to the sums they finish.
     # Measured blocks: 20, 23, 70 and 79 on 100-300 nm, 11 and 40 on
     # 100 nm - 3 um; blocks of one point each took 58, 63, 158, 176, 47 and
     # 100, fixed blocks of 32 evaluated 3136 terms in 98 where the 300 K
-    # force sums need 2451.  Rows evaluated: at most 1.022 of those needed
-    # on 100-300 nm, 1.031 on 100 nm - 3 um (tools/block_counts.py).
-    rows = _block_rows(monkeypatch)
+    # force sums need 2451.  The band cuts make 31, 34, 81, 90, 17 and 50
+    # blocks evaluated.  Rows evaluated: at most 1.022 of those needed on
+    # 100-300 nm, 1.031 on 100 nm - 3 um (tools/block_counts.py).
+    rows, evaluated = _block_rows(monkeypatch)
     grid = cd.MatsubaraGrid(T=T)
     if quantity == "force":
         curve = cd.difference_force_curve(*SI, R_SPHERE, zs, grid, low_freq_model="a")
     else:
         curve = cd.difference_pressure_curve(*SI, zs, grid, low_freq_model="a")
     needed = sum(n - 1 for n in curve.metadata["l_terms_per_z"])  # l >= 1
-    assert sum(rows) / 3 <= max_rows * needed
-    assert len(rows) / 3 <= max_blocks
+    assert sum(rows) <= max_rows * needed
+    assert sum(r for r, _ in evaluated) == sum(rows)
+    assert len(rows) <= max_blocks
+    assert len(evaluated) <= max_evaluated
 
 
 @pytest.mark.parametrize("quantity", ["force", "pressure"])
@@ -1108,13 +1158,13 @@ def test_failing_curve_stops_near_the_cap(quantity, monkeypatch):
     # 21376 rows, 1.07 times the cap: about the cap and 41 first requests.
     # A queue that served the points in turn took 38 and 40 times the cap
     grid = cd.MatsubaraGrid(T=0.5)
-    rows = _block_rows(monkeypatch)
+    rows, _ = _block_rows(monkeypatch)
     with pytest.raises(cd.TruncationError, match="z = 100 nm"):
         if quantity == "force":
             cd.difference_force_curve(*SI, R_SPHERE, ZS_41, grid, low_freq_model="a")
         else:
             cd.difference_pressure_curve(*SI, ZS_41, grid, low_freq_model="a")
-    assert sum(rows) / 3 <= 2 * grid.l_max_cap
+    assert sum(rows) <= 2 * grid.l_max_cap
 
 
 def test_next_rows_from_the_decay_rate():
@@ -1138,13 +1188,15 @@ def test_single_sums_take_few_tail_blocks(monkeypatch):
     # a later block gets one row beyond the decay estimate, so a sum rarely
     # ends in a 1-3-row block: 160 single 77 K stencil sums at 100-400 nm took
     # 594 blocks (6 of 1-3 rows) against 624 (37) without the margin row in
-    # blocks of at most 64 rows, and take 491 (1) in blocks of 128
-    rows = _block_rows(monkeypatch)
+    # blocks of at most 64 rows, and take 491 (1) in blocks of 128, which
+    # the band cuts make 651 blocks evaluated
+    rows, evaluated = _block_rows(monkeypatch)
     grid = cd.MatsubaraGrid(T=77.0)
     for z in np.linspace(100e-9, 400e-9, 40):
         cd.five_point_gradient(
             lambda x: cd.difference_force(*SI, R_SPHERE, x, grid, low_freq_model="a"), float(z))
-    assert len(rows) / 3 <= 600
+    assert len(rows) <= 600
+    assert len(evaluated) <= 715
 
 
 def _thread_battery(configs, mats=SI):
@@ -1341,6 +1393,26 @@ def test_curve_separations_checked_before_any_sum(separations, monkeypatch):
     with pytest.raises(ValueError, match="separations"):
         cd.difference_pressure_curve(MATS["gold"], MATS["n1"], MATS["low"], separations,
                                      GRID300, workers=2)
+
+
+@pytest.mark.parametrize("call, z", [
+    (lambda z: cd.difference_force(*SI, 1.0, z, GRID300), 1e-170),
+    (lambda z: cd.difference_pressure(*SI, z, GRID300), 1e-120),
+    (lambda z: cd.free_energy_per_area(MATS["gold"], MATS["n1"], z, GRID300), 1e-170),
+    (lambda z: cd.difference_force_curve(*SI, 1.0, (z, 1e-7), GRID300), 1e-170),
+    (lambda z: cd.difference_pressure_curve(*SI, (z, 1e-7), GRID300, workers=2), 1e-120),
+    (lambda z: cd.difference_pressure(*SI, z, GRID300), 1e200),
+], ids=["force", "pressure", "energy", "force-curve", "pressure-curve-pooled", "pressure-huge"])
+def test_separation_whose_scale_is_not_a_float_fails_before_any_row(call, z, serial_pool,
+                                                                     monkeypatch):
+    # z^2 or z^3 underflows to 0 (or overflows), though z is positive and
+    # finite: the sum's scale would divide by zero after the whole sum
+    def no_row(*args, **kwargs):
+        raise AssertionError("a Matsubara row was evaluated")
+
+    monkeypatch.setattr(lifshitz, "_block_terms", no_row)
+    with pytest.raises(ValueError, match=re.escape(f"separation z = {z:g} m is out of range")):
+        call(z)
 
 
 def test_curve_validation():

@@ -1,10 +1,14 @@
 """Print the Matsubara blocks and rows of a fixed list of runs.
 
-One line per case: its id, the blocks of rows l >= 1 evaluated, the rows
-l >= 1 evaluated, and the rows l >= 1 its sums needed (``-`` for a case
-that raises; compare its rows with l_max_cap = 20000).  The counts follow
-the row chooser alone, with no timing noise, so two checkouts can be
-compared case by case:
+One line per case: its id, the blocks of rows l >= 1 the row chooser
+filled, the rows l >= 1 evaluated, the rows l >= 1 its sums needed (``-``
+for a case that raises; compare its rows with l_max_cap = 20000), the node
+evaluations of those rows (the sum of rows x order over the blocks
+evaluated) and the blocks evaluated per momentum band, at 160/80/32 nodes.
+The row evaluator cuts each chosen block into at most one block per band
+(more at 160 nodes, whose blocks hold at most 64 rows).  The counts follow
+the kernel alone, with no timing noise, so two checkouts can be compared
+case by case:
 
     PYTHONPATH=/path/to/other/src python tools/block_counts.py > before.txt
     python tools/block_counts.py | diff before.txt -
@@ -95,25 +99,32 @@ def main() -> None:
     golden = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(golden)
 
-    blocks = []
-    block_terms = lifshitz._block_terms
+    chosen, evaluated = [], []
+    row_terms, block_terms = lifshitz._row_terms, lifshitz._block_terms
 
-    def counting(quantity, models, z, xi, *rest):
+    def choosing(quantity, models, z, xi, *rest):
+        chosen.append(len(xi))
+        return row_terms(quantity, models, z, xi, *rest)
+
+    def evaluating(quantity, models, z, xi, block_eps, nodes, window):
         if xi[0] > 0.0:  # a block of rows l >= 1, not the l = 0 row
-            blocks.append(len(xi))
-        return block_terms(quantity, models, z, xi, *rest)
+            evaluated.append((len(xi), nodes))
+        return block_terms(quantity, models, z, xi, block_eps, nodes, window)
 
-    lifshitz._block_terms = counting
-    print("case blocks rows needed")
+    lifshitz._row_terms, lifshitz._block_terms = choosing, evaluating
+    orders = lifshitz._band_orders(lifshitz.DEFAULT_NODES)
+    print("case blocks rows needed node_evals blocks_" + "/".join(map(str, orders)))
     for name, run in _cases(cd, golden.TABULATED):
-        blocks.clear()
+        chosen.clear()
+        evaluated.clear()
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # z/R beyond 0.01 at 3 um
                 needed = run()
         except cd.TruncationError:
             needed = "-"
-        print(name, len(blocks), sum(blocks), needed)
+        bands = "/".join(str(sum(n == order for _, n in evaluated)) for order in orders)
+        print(name, len(chosen), sum(chosen), needed, sum(r * n for r, n in evaluated), bands)
 
 
 if __name__ == "__main__":
