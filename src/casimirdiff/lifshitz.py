@@ -33,8 +33,9 @@ parts, which ``_run`` drives:
   the last term, not the truncation error, which can be several times
   larger (4.6 times for the VO2 difference force at 100 nm with
   rel_tol = 1e-12).  It owns the diagnostics and both errors;
-* the row chooser, ``_next_block``: it fills each block, of at most
-  _MAX_CELLS rows x nodes, with the rows the points of a run ask for.
+* the row chooser, ``_next_block``: it fills each block, of at most as
+  many rows as a 32-node block of _MAX_CELLS cells holds (320), with the
+  rows the points of a run ask for.
   Every point asks by one rule, ``_next_rows``: first for the rows its
   own z predicts, then, while it runs, for more from the decay of its
   terms.  All first requests are served before any later one, and later
@@ -141,15 +142,16 @@ _CHUNK = 32
 
 # Most cells (rows x nodes) of a block of rows l >= 1, evaluated together as
 # (rows x nodes) arrays: a bound on a block's memory.  The row chooser fills
-# blocks of _MAX_CELLS // nodes rows, 128 at DEFAULT_NODES, and the row
-# evaluator cuts them by momentum band, a 160-node block at 64 rows.  A
-# block keeps about 12 such arrays alive at once, 82 KB each at 128 rows of
-# 80 nodes: about 1 MB, half of glibc's 2 MB heap trim threshold (see
+# blocks of up to _MAX_CELLS // 32 = 320 rows, as many as a block of the
+# 32-node band holds, and the row evaluator cuts them by momentum band into
+# blocks of at most 64 rows at 160 nodes, 128 at 80 and 320 at 32.  A
+# block keeps about 12 such arrays alive at once, 82 KB each at _MAX_CELLS
+# cells: about 1 MB, half of glibc's 2 MB heap trim threshold (see
 # ``_nodes``).  Near the threshold the heap is trimmed after each block and
 # faulted back in: at 256 rows of 80 nodes, 41-point curves in a process
 # holding other arrays took thousands of minor faults each and 1.45 times
-# as long, and at 320 rows they did so alone.  Of 96 to 256 rows, 128 also
-# cost least per row.
+# as long, and at 320 rows of 80 they did so alone.  Of 96 to 256 rows of
+# 80 nodes, 128 also cost least per row.
 _MAX_CELLS = 128 * DEFAULT_NODES
 
 
@@ -390,10 +392,10 @@ def _nodes(n: int, window: float):
     # Allocate and free one 1 MB array.  Freeing an mmapped block raises
     # glibc's mmap threshold to its size and the heap trim threshold to twice
     # that (mallopt(3), "dynamic mmap threshold"), so the arrays of a block
-    # (about 1 MB at a time at _MAX_CELLS, 128 rows of 80 nodes) stay on a
-    # resident heap instead of being trimmed after each block and faulted
-    # back in: a warm 41-point 300 K curve in a fresh process went from
-    # 1000-1550 minor faults to 0.1.
+    # (about 1 MB at a time at _MAX_CELLS cells, 128 rows of 80 nodes or 320
+    # of 32) stay on a resident heap instead of being trimmed after each
+    # block and faulted back in: a warm 41-point 300 K curve in a fresh
+    # process went from 1000-1550 minor faults to 0.1.
     # Another C library just allocates and frees it.
     np.empty(1 << 17)
     x, w = _gauss_legendre(n)
@@ -830,11 +832,12 @@ def _run(quantity, scale, probe, high, lows, grid, nodes, zs):
     others, since they are the same float at every z, unless a plasma TE
     amplitude makes them depend on z (``_zero_term_depends_on_z``); then
     each point computes its own.  The rows l >= 1 of all points share
-    blocks of at most _MAX_CELLS // ``nodes`` rows, each row with its own z
-    beside its xi, which the row evaluator cuts by band into blocks of at
-    most _MAX_CELLS cells.  Every point asks at once for the rows
-    ``_next_rows`` predicts from its z, and a point still running after the
-    rows it asked for asks for more from its terms.  The queue is a heap:
+    blocks of at most _MAX_CELLS // (least band order) rows, 320 at
+    DEFAULT_NODES, each row with its own z beside its xi, which the row
+    evaluator cuts by band into blocks of at most _MAX_CELLS cells.  Every
+    point asks at once for the rows ``_next_rows`` predicts from its z, and
+    a point still running after the rows it asked for asks for more from
+    its terms.  The queue is a heap:
     every first request is served before any later one, and the later ones
     nearest z first, so a failing first point reaches l_max_cap before the
     others run on.  Each sum adds its point's terms in index order, so block
@@ -851,7 +854,7 @@ def _run(quantity, scale, probe, high, lows, grid, nodes, zs):
     """
     scales = [_checked_scale(scale, z) for z in zs]
     models, T, rel_tol, cap = (probe, high, lows[0]), grid.T, grid.rel_tol, grid.l_max_cap
-    max_rows = max(1, _MAX_CELLS // nodes)
+    max_rows = max(1, _MAX_CELLS // min(_band_orders(nodes)))
     per_point = _zero_term_depends_on_z((probe, high) + lows)
     points, zero_terms = [], None
     for index, z in enumerate(zs):

@@ -698,6 +698,13 @@ _RULE_SETS = {
                          None),
 }
 
+# (T, z) beyond the grid of a rule set where a row just above the edge
+# y_min = 1 of the 32-node band carries much of a short sum: the model-b si
+# pressure moves by 2.2e-14 at 300 K and 309 nm (l = 2 has y_min 1.017) and
+# by 2.4e-14 at 340 K and 277 nm, the worst of 61 separations from 100 nm to
+# 3 um at 77, 300 and 340 K
+_BAND_EDGE_POINTS = {"si-b": ((300.0, 309e-9), (340.0, 277e-9))}
+
 
 @pytest.mark.parametrize("name", sorted(_RULE_SETS) + [f"{n}-4K" for n in sorted(_RULE_SETS)])
 def test_default_rule_within_1e_13_of_480_nodes(name):
@@ -708,10 +715,11 @@ def test_default_rule_within_1e_13_of_480_nodes(name):
     # worst: 8.4e-15 (vo2, pressure at 100 nm, 77 K) and 8.2e-15 at 4 K.
     # 80 nodes on every row left 1.22e-13 (si pressure at 4 K and 100 nm) and
     # 3.4e-14 (vo2); the 120-node rule of a 62-wide window for every term
-    # left 1.1e-12
+    # left 1.1e-12.  The si-b id also checks its _BAND_EDGE_POINTS
     probe, high, low, model = _RULE_SETS[name.removesuffix("-4K")]
     temperatures = (4.0,) if name.endswith("-4K") else (300.0, 77.0)
-    for T, z in itertools.product(temperatures, (100e-9, 1e-6, 3e-6)):
+    for T, z in [*itertools.product(temperatures, (100e-9, 1e-6, 3e-6)),
+                 *_BAND_EDGE_POINTS.get(name, ())]:
         grid = cd.MatsubaraGrid(T=T)
         for compute, R in ((partial(cd.difference_force, probe, high, low, 1e-3, z, grid), 1e-3),
                            (partial(cd.difference_pressure, probe, high, low, z, grid), None)):
@@ -1028,8 +1036,8 @@ def test_plasma_pair_keeps_a_zero_term_per_point(workers, monkeypatch):
 def test_model_curves_run_one_sum_for_two_models(quantity, T, monkeypatch):
     # models a and b differ only in the l = 0 term: one run evaluates the
     # rows l >= 1 once and stops each sum by its own test.  Measured rows:
-    # 2508, 2846, 8784 and 9993, each equal to the model-b curve's own,
-    # where the two curves took 4985, 5670, 17546 and 19965.
+    # 2508, 2849, 8786 and 9989, each equal to the model-b curve's own,
+    # where the two curves took 4985, 5673, 17552 and 19956.
     grid = cd.MatsubaraGrid(T=T)
     R = R_SPHERE if quantity == "force" else None
     rows, _ = _block_rows(monkeypatch)
@@ -1123,21 +1131,23 @@ ZS_3UM = tuple(np.logspace(math.log10(100e-9), math.log10(3e-6), 41))
 
 @pytest.mark.filterwarnings("ignore:z/R")
 @pytest.mark.parametrize("quantity, T, zs, max_blocks, max_evaluated, max_rows", [
-    ("force", 300.0, ZS_41, 24, 34, 1.10), ("pressure", 300.0, ZS_41, 25, 37, 1.10),
-    ("force", 77.0, ZS_41, 77, 89, 1.10), ("pressure", 77.0, ZS_41, 87, 99, 1.10),
-    ("force", 300.0, ZS_3UM, 14, 19, 1.04), ("pressure", 77.0, ZS_3UM, 45, 55, 1.04),
+    ("force", 300.0, ZS_41, 9, 15, 1.10), ("pressure", 300.0, ZS_41, 10, 16, 1.10),
+    ("force", 77.0, ZS_41, 32, 40, 1.10), ("pressure", 77.0, ZS_41, 37, 44, 1.10),
+    ("force", 300.0, ZS_3UM, 6, 9, 1.04), ("pressure", 77.0, ZS_3UM, 18, 24, 1.04),
 ], ids=["force-300K", "pressure-300K", "force-77K", "pressure-77K", "force-300K-3um",
         "pressure-77K-3um"])
 def test_curve_evaluates_few_terms_past_the_stop(quantity, T, zs, max_blocks, max_evaluated,
                                                  max_rows, monkeypatch):
     # the points of a run share blocks: every point first asks for the rows
     # its own z predicts, then top-ups sized to the sums they finish.
-    # Measured blocks: 20, 23, 70 and 79 on 100-300 nm, 11 and 40 on
-    # 100 nm - 3 um; blocks of one point each took 58, 63, 158, 176, 47 and
-    # 100, fixed blocks of 32 evaluated 3136 terms in 98 where the 300 K
-    # force sums need 2451.  The band cuts make 31, 34, 81, 90, 17 and 50
-    # blocks evaluated.  Rows evaluated: at most 1.022 of those needed on
-    # 100-300 nm, 1.031 on 100 nm - 3 um (tools/block_counts.py).
+    # Measured blocks of up to 320 rows: 8, 9, 29 and 33 on 100-300 nm, 5
+    # and 16 on 100 nm - 3 um; blocks of up to 128 rows took 20, 23, 70, 79,
+    # 11 and 40, blocks of one point each 58, 63, 158, 176, 47 and 100, and
+    # fixed blocks of 32 evaluated 3136 terms in 98 where the 300 K force
+    # sums need 2451.  The band cuts make 13, 14, 36, 40, 8 and 21 blocks
+    # evaluated, none of more than _MAX_CELLS cells.  Rows evaluated: at
+    # most 1.023 of those needed on 100-300 nm, 1.033 on 100 nm - 3 um
+    # (tools/block_counts.py).
     rows, evaluated = _block_rows(monkeypatch)
     grid = cd.MatsubaraGrid(T=T)
     if quantity == "force":
@@ -1149,22 +1159,26 @@ def test_curve_evaluates_few_terms_past_the_stop(quantity, T, zs, max_blocks, ma
     assert sum(r for r, _ in evaluated) == sum(rows)
     assert len(rows) <= max_blocks
     assert len(evaluated) <= max_evaluated
+    assert all(r * order <= lifshitz._MAX_CELLS for r, order in evaluated)
 
 
 @pytest.mark.parametrize("quantity", ["force", "pressure"])
 def test_failing_curve_stops_near_the_cap(quantity, monkeypatch):
     # at 0.5 K the 100 nm sum needs more than l_max_cap terms.  Its top-ups
     # go before those of the farther points, so the curve raises after
-    # 21376 rows, 1.07 times the cap: about the cap and 41 first requests.
-    # A queue that served the points in turn took 38 and 40 times the cap
+    # 21760 rows, 1.09 times the cap: about the cap and 41 first requests.
+    # A queue that served the points in turn took 38 and 40 times the cap.
+    # Its rows span all three bands, and no block evaluated exceeds
+    # _MAX_CELLS cells
     grid = cd.MatsubaraGrid(T=0.5)
-    rows, _ = _block_rows(monkeypatch)
+    rows, evaluated = _block_rows(monkeypatch)
     with pytest.raises(cd.TruncationError, match="z = 100 nm"):
         if quantity == "force":
             cd.difference_force_curve(*SI, R_SPHERE, ZS_41, grid, low_freq_model="a")
         else:
             cd.difference_pressure_curve(*SI, ZS_41, grid, low_freq_model="a")
     assert sum(rows) <= 2 * grid.l_max_cap
+    assert all(r * order <= lifshitz._MAX_CELLS for r, order in evaluated)
 
 
 def test_next_rows_from_the_decay_rate():
@@ -1188,15 +1202,15 @@ def test_single_sums_take_few_tail_blocks(monkeypatch):
     # a later block gets one row beyond the decay estimate, so a sum rarely
     # ends in a 1-3-row block: 160 single 77 K stencil sums at 100-400 nm took
     # 594 blocks (6 of 1-3 rows) against 624 (37) without the margin row in
-    # blocks of at most 64 rows, and take 491 (1) in blocks of 128, which
-    # the band cuts make 651 blocks evaluated
+    # blocks of at most 64 rows, 491 (1) in blocks of 128, and take 480 (0)
+    # in blocks of 320, which the band cuts make 640 blocks evaluated
     rows, evaluated = _block_rows(monkeypatch)
     grid = cd.MatsubaraGrid(T=77.0)
     for z in np.linspace(100e-9, 400e-9, 40):
         cd.five_point_gradient(
             lambda x: cd.difference_force(*SI, R_SPHERE, x, grid, low_freq_model="a"), float(z))
-    assert len(rows) <= 600
-    assert len(evaluated) <= 715
+    assert len(rows) <= 530
+    assert len(evaluated) <= 705
 
 
 def _thread_battery(configs, mats=SI):

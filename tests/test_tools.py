@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from casimirdiff import lifshitz
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -70,15 +72,17 @@ def test_block_counts_prints_one_line_per_case():
                             capture_output=True, text=True, check=False, env=env)
     assert result.returncode == 0, result.stderr
     header, *lines = [line.split() for line in result.stdout.splitlines()]
-    assert header == ["case", "blocks", "rows", "needed", "node_evals", "blocks_160/80/32"]
+    assert header == ["case", "blocks", "rows", "needed", "node_evals", "blocks_160/80/32",
+                      "max_cells"]
     assert [line[0] for line in lines] == [
         "force-300K", "pressure-300K", "force-77K", "pressure-77K", "force-300K-3um",
         "pressure-77K-3um", "stencil-77K", "vo2-tabulated-340K", "force-0.5K", "pressure-0.5K"]
-    for name, blocks, rows, needed, node_evals, bands in lines:
+    for name, blocks, rows, needed, node_evals, bands, max_cells in lines:
         assert 0 < int(blocks) <= int(rows), name
         # each chosen block is cut into at least one block per band it holds
         assert sum(map(int, bands.split("/"))) >= int(blocks), name
         assert 32 * int(rows) <= int(node_evals) <= 160 * int(rows), name
+        assert 32 <= int(max_cells) <= lifshitz._MAX_CELLS, name
         # the 0.5 K curves raise at the cap of 20000 terms
         if name.endswith("0.5K"):
             assert needed == "-" and int(rows) > 20000, name

@@ -1,14 +1,15 @@
 """Print the Matsubara blocks and rows of a fixed list of runs.
 
 One line per case: its id, the blocks of rows l >= 1 the row chooser
-filled, the rows l >= 1 evaluated, the rows l >= 1 its sums needed (``-``
-for a case that raises; compare its rows with l_max_cap = 20000), the node
-evaluations of those rows (the sum of rows x order over the blocks
-evaluated) and the blocks evaluated per momentum band, at 160/80/32 nodes.
-The row evaluator cuts each chosen block into at most one block per band
-(more at 160 nodes, whose blocks hold at most 64 rows).  The counts follow
-the kernel alone, with no timing noise, so two checkouts can be compared
-case by case:
+filled (of at most 320 rows), the rows l >= 1 evaluated, the rows l >= 1
+its sums needed (``-`` for a case that raises; compare its rows with
+l_max_cap = 20000), the node evaluations of those rows (the sum of rows x
+order over the blocks evaluated), the blocks evaluated per momentum band,
+at 160/80/32 nodes, and the cells (rows x order) of the largest block
+evaluated, which _MAX_CELLS bounds.  The row evaluator cuts each chosen
+block by band into blocks of at most _MAX_CELLS cells: 64 rows at 160
+nodes, 128 at 80 and 320 at 32.  The counts follow the kernel alone, with
+no timing noise, so two checkouts can be compared case by case:
 
     PYTHONPATH=/path/to/other/src python tools/block_counts.py > before.txt
     python tools/block_counts.py | diff before.txt -
@@ -113,7 +114,8 @@ def main() -> None:
 
     lifshitz._row_terms, lifshitz._block_terms = choosing, evaluating
     orders = lifshitz._band_orders(lifshitz.DEFAULT_NODES)
-    print("case blocks rows needed node_evals blocks_" + "/".join(map(str, orders)))
+    print("case blocks rows needed node_evals blocks_" + "/".join(map(str, orders)),
+          "max_cells")
     for name, run in _cases(cd, golden.TABULATED):
         chosen.clear()
         evaluated.clear()
@@ -124,7 +126,8 @@ def main() -> None:
         except cd.TruncationError:
             needed = "-"
         bands = "/".join(str(sum(n == order for _, n in evaluated)) for order in orders)
-        print(name, len(chosen), sum(chosen), needed, sum(r * n for r, n in evaluated), bands)
+        cells = [r * n for r, n in evaluated]
+        print(name, len(chosen), sum(chosen), needed, sum(cells), bands, max(cells))
 
 
 if __name__ == "__main__":
